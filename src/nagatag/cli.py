@@ -14,7 +14,6 @@ import sys
 
 from nagatag.corpus import (
     CorpusError,
-    TaggedCorpus,
     TagSet,
     agreement,
     read_corpus,
@@ -24,7 +23,7 @@ from nagatag.corpus import (
     tag_frequencies,
     write_corpus,
 )
-from nagatag.crf import load_model, save_model, tag_sentence, train_model
+from nagatag.crf import load_model, save_model, tag_corpus, train_model
 from nagatag.datagen import SynthConfig, config_header, generate
 from nagatag.evaluation import confusion, format_report_text, report, top_transitions
 from nagatag.features import FeatureConfig, extract_token_features, format_feature_map
@@ -99,10 +98,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_tag(args) -> int:
     model, feature_config = load_model(args.model)
-    sentences = read_raw_sentences(args.input)
-    tagged = TaggedCorpus(
-        tuple(tag_sentence(model, feature_config, words) for words in sentences if words)
-    )
+    tagged = tag_corpus(model, feature_config, read_raw_sentences(args.input))
     _emit(serialize_tagged(tagged, model.tagset), args)
     return 0
 
@@ -110,11 +106,7 @@ def _cmd_tag(args) -> int:
 def _cmd_eval(args) -> int:
     model, feature_config = load_model(args.model)
     gold = read_corpus(args.input, model.tagset)
-    predicted = TaggedCorpus(
-        tuple(
-            tag_sentence(model, feature_config, sentence.words()) for sentence in gold
-        )
-    )
+    predicted = tag_corpus(model, feature_config, [sentence.words() for sentence in gold])
     cm = confusion(gold, predicted, model.tagset)
     rep = report(cm)
     if args.format == "json":

@@ -5,18 +5,21 @@ Scores factor as begin[y0] + sum_t state(x,t,yt) + sum_t trans[y(t-1),yt]
 + end[yT-1], with state scores summing one weight per active attribute.
 All inference runs in the natural-log domain with max-shifted logsumexp.
 
-The gradient path is batched: sentences are grouped by length, each group's
-attribute activations live in one CSR matrix, and forward-backward runs over
-(B, T, K) arrays for the whole group at once. build_lattice is the same
-engine with B = 1, so the single-sentence and training paths cannot drift
-apart.
+There is one encoder and every caller goes through it: _encode groups
+sentences by length and puts each group's attribute activations in one CSR
+matrix, so a group's state scores are a single (B*T, A) @ (A, K) product.
+Forward-backward and Viterbi both run over (B, T, K) arrays for a whole
+group at once. Training, tag_corpus and nll_and_gradient batch many
+sentences; build_lattice, viterbi and sequence_log_score are the same code
+with B = 1, so the single-sentence and batched paths cannot drift apart.
+Weights and gradients share one flat layout, with named views per block.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -92,26 +95,82 @@ class Lattice:
     log_Z: float
 
 
-@dataclass
+def _blocks(flat: np.ndarray, A: int, K: int):
+    """(state, transitions, begin, end) as views into one flat vector of
+    A*K + K*K + 2*K parameters: the layout of the optimizer and of pack()."""
+    state, trans, begin, end = np.split(flat, np.cumsum([A * K, K * K, K]))
+    return state.reshape(A, K), trans.reshape(K, K), begin, end
+
+
 class ModelGradient:
-    state: np.ndarray
-    transitions: np.ndarray
-    begin: np.ndarray
-    end: np.ndarray
+    """A gradient in the flat parameter layout; the blocks are views into it."""
+
+    def __init__(self, flat: np.ndarray, A: int, K: int):
+        self.flat = flat
+        self.state, self.transitions, self.begin, self.end = _blocks(flat, A, K)
 
     def pack(self) -> np.ndarray:
-        return np.concatenate(
-            [self.state.ravel(), self.transitions.ravel(), self.begin, self.end]
+        return self.flat
+
+
+@dataclass
+class _Group:
+    """All sentences of one length, as a single sparse activation matrix."""
+
+    X: sparse.csr_matrix  # (B*T, A), one row per token
+    members: np.ndarray  # (B,) position of each sentence in the encoded list
+    gold: np.ndarray | None = None  # (B, T) tag indices of a tagged batch
+
+    def state_scores(self, state_w: np.ndarray) -> np.ndarray:
+        return (self.X @ state_w).reshape(len(self.members), -1, state_w.shape[1])
+
+
+def _encode(attribute_index: dict[str, int], attrs_list: Iterable[Attrs]) -> list[_Group]:
+    """Group sentences by length, shortest first, and map each position's
+    attributes to matrix columns. This is the only place attribute strings
+    become indices; attributes outside the vocabulary have no column and
+    score 0. The input is read once, so it may be a generator."""
+    by_len: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    for i, attrs in enumerate(attrs_list):
+        if len(attrs) == 0:
+            raise ValueError("cannot encode an empty sentence")
+        members, cols, row_sizes = by_len.setdefault(len(attrs), ([], [], []))
+        members.append(i)
+        for position in attrs:
+            idxs = sorted(attribute_index[a] for a in position if a in attribute_index)
+            cols.extend(idxs)
+            row_sizes.append(len(idxs))
+    groups = []
+    for T, (members, cols, row_sizes) in sorted(by_len.items()):
+        indptr = np.concatenate([[0], np.cumsum(row_sizes)])
+        X = sparse.csr_matrix(
+            (np.ones(len(cols)), cols, indptr), shape=(len(members) * T, len(attribute_index))
         )
+        groups.append(_Group(X, np.asarray(members)))
+    return groups
 
 
-def _unpack(w: np.ndarray, A: int, K: int):
-    """Views into a flat parameter vector, in pack() order."""
-    state = w[: A * K].reshape(A, K)
-    trans = w[A * K : A * K + K * K].reshape(K, K)
-    begin = w[A * K + K * K : A * K + K * K + K]
-    end = w[A * K + K * K + K :]
-    return state, trans, begin, end
+def _encode_tagged(
+    attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]]
+) -> list[_Group]:
+    """Check that every (attrs, tags) pair lines up, then encode it with its tags."""
+    tags_list: list[Sequence[int]] = []
+
+    def checked():
+        for attrs, tags in batch:
+            if len(attrs) != len(tags):
+                raise ValueError(f"{len(tags)} tags for {len(attrs)} positions")
+            if any(not 0 <= y < K for y in tags):
+                raise ValueError("tag index out of range")
+            tags_list.append(tags)
+            yield attrs
+
+    groups = _encode(attribute_index, checked())
+    if not tags_list:
+        raise ValueError("batch must be non-empty")
+    for group in groups:
+        group.gold = np.array([tags_list[i] for i in group.members], dtype=np.int64)
+    return groups
 
 
 def _forward_backward(s3: np.ndarray, trans: np.ndarray,
@@ -136,35 +195,50 @@ def _forward_backward(s3: np.ndarray, trans: np.ndarray,
     return log_alpha, log_beta, log_Z
 
 
-def _attr_indices(attrs: Attrs, attribute_index: dict[str, int]) -> list[list[int]]:
-    """Dense indices per position; attributes outside the vocabulary score 0."""
-    return [
-        sorted(attribute_index[a] for a in position if a in attribute_index)
-        for position in attrs
-    ]
+def _viterbi(s3: np.ndarray, trans: np.ndarray, begin: np.ndarray, end: np.ndarray):
+    """Best (B, T) paths and their (B,) scores over (B, T, K) state scores.
+    Ties pick the lowest tag index (argmax returns the first maximizer at
+    every decision)."""
+    B, T, K = s3.shape
+    delta = begin + s3[:, 0, :]
+    back = np.zeros((B, T, K), dtype=np.int64)
+    for t in range(1, T):
+        scores = delta[:, :, None] + trans
+        back[:, t] = np.argmax(scores, axis=1)
+        delta = scores.max(axis=1) + s3[:, t, :]
+    final = delta + end
+    rows = np.arange(B)
+    paths = np.empty((B, T), dtype=np.int64)
+    paths[:, -1] = np.argmax(final, axis=1)
+    for t in range(T - 1, 0, -1):
+        paths[:, t - 1] = back[rows, t, paths[:, t]]
+    return paths, final[rows, paths[:, -1]]
 
 
-def _state_scores(model: ModelParameters, attrs: Attrs) -> np.ndarray:
-    T, K = len(attrs), model.n_tags
-    s = np.zeros((T, K))
-    for t, idxs in enumerate(_attr_indices(attrs, model.attribute_index)):
-        if idxs:
-            s[t] = model.state_weights[idxs].sum(axis=0)
-    return s
+def _gold_score(s3: np.ndarray, gold: np.ndarray, trans: np.ndarray,
+                begin: np.ndarray, end: np.ndarray) -> float:
+    """Summed score of the (B, T) gold paths under (B, T, K) state scores."""
+    B, T = gold.shape
+    score = (
+        s3[np.arange(B)[:, None], np.arange(T)[None, :], gold].sum()
+        + begin[gold[:, 0]].sum()
+        + end[gold[:, -1]].sum()
+    )
+    if T > 1:
+        score += trans[gold[:, :-1], gold[:, 1:]].sum()
+    return float(score)
 
 
 def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
-    if len(attrs) == 0:
-        raise ValueError("cannot build a lattice for an empty sentence")
-    s = _state_scores(model, attrs)
+    """Forward-backward for one sentence: the batched engine with B = 1."""
+    (group,) = _encode(model.attribute_index, [attrs])
+    s3 = group.state_scores(model.state_weights)
     la, lb, log_Z = _forward_backward(
-        s[None], model.transition_weights, model.begin_weights, model.end_weights
+        s3, model.transition_weights, model.begin_weights, model.end_weights
     )
-    lattice = Lattice(s, la[0], lb[0], float(log_Z[0]))
+    lattice = Lattice(s3[0], la[0], lb[0], float(log_Z[0]))
     # cross-check: the backward recursion must reproduce the same mass
-    backward_Z = float(
-        logsumexp(lattice.log_beta[0] + model.begin_weights + s[0])
-    )
+    backward_Z = float(logsumexp(lb[0, 0] + model.begin_weights + s3[0, 0]))
     if abs(backward_Z - lattice.log_Z) > 1e-9 * max(1.0, abs(lattice.log_Z)):
         raise ArithmeticError(
             f"forward/backward disagree on log_Z: {lattice.log_Z} vs {backward_Z}"
@@ -173,17 +247,11 @@ def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
 
 
 def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
-    if len(tags) != len(attrs):
-        raise ValueError(f"{len(tags)} tags for {len(attrs)} positions")
-    K = model.n_tags
-    if any(not 0 <= y < K for y in tags):
-        raise ValueError("tag index out of range")
-    s = _state_scores(model, attrs)
-    y = np.asarray(tags)
-    score = model.begin_weights[y[0]] + model.end_weights[y[-1]] + s[np.arange(len(y)), y].sum()
-    if len(y) > 1:
-        score += model.transition_weights[y[:-1], y[1:]].sum()
-    return float(score)
+    (group,) = _encode_tagged(model.attribute_index, model.n_tags, [(attrs, tags)])
+    return _gold_score(
+        group.state_scores(model.state_weights), group.gold,
+        model.transition_weights, model.begin_weights, model.end_weights,
+    )
 
 
 def posterior_marginals(lattice: Lattice, model: ModelParameters):
@@ -202,123 +270,84 @@ def posterior_marginals(lattice: Lattice, model: ModelParameters):
     return unary, pairwise
 
 
+def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
+    """Best path and score of every sentence, decoded one length group at a time."""
+    groups = _encode(model.attribute_index, attrs_list)
+    n = sum(len(group.members) for group in groups)
+    paths: list = [None] * n
+    scores = np.empty(n)
+    for group in groups:
+        best, best_scores = _viterbi(
+            group.state_scores(model.state_weights),
+            model.transition_weights, model.begin_weights, model.end_weights,
+        )
+        scores[group.members] = best_scores
+        for i, path in zip(group.members, best):
+            paths[i] = path
+    return paths, scores
+
+
 def viterbi(model: ModelParameters, attrs: Attrs) -> tuple[list[int], float]:
-    """Best tag sequence and its log score. Ties pick the lowest tag index
-    (argmax returns the first maximizer at every decision)."""
-    if len(attrs) == 0:
-        raise ValueError("cannot decode an empty sentence")
-    s = _state_scores(model, attrs)
-    T, K = s.shape
-    delta = model.begin_weights + s[0]
-    back = np.zeros((T, K), dtype=np.int64)
-    for t in range(1, T):
-        scores = delta[:, None] + model.transition_weights
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(K)] + s[t]
-    final = delta + model.end_weights
-    last = int(np.argmax(final))
-    path = [last]
-    for t in range(T - 1, 0, -1):
-        path.append(int(back[t][path[-1]]))
-    path.reverse()
-    return path, float(final[last])
+    """Best tag sequence and its log score: the batched decoder with B = 1.
+    Ties pick the lowest tag index."""
+    paths, scores = _decode(model, [attrs])
+    return paths[0].tolist(), float(scores[0])
+
+
+def tag_corpus(
+    model: ModelParameters, config: FeatureConfig, sentences: Sequence[Sequence[str]]
+) -> TaggedCorpus:
+    """Viterbi tags for every sentence, decoded in groups of one length."""
+    paths, _ = _decode(model, (sentence_attributes(words, config) for words in sentences))
+    return TaggedCorpus(tuple(
+        Sentence(tuple(Token(w, y) for w, y in zip(words, path.tolist())))
+        for words, path in zip(sentences, paths)
+    ))
 
 
 def tag_sentence(
     model: ModelParameters, config: FeatureConfig, words: Sequence[str]
 ) -> Sentence:
-    if not words:
-        raise ValueError("cannot tag an empty sentence")
-    attrs = sentence_attributes(words, config)
-    tags, _ = viterbi(model, attrs)
-    return Sentence(tuple(Token(w, y) for w, y in zip(words, tags)))
-
-
-@dataclass
-class _Group:
-    """All sentences of one length, as a single sparse activation matrix."""
-
-    X: sparse.csr_matrix  # (B*T, A), one row per token
-    gold: np.ndarray  # (B, T)
-
-
-@dataclass
-class _PreparedBatch:
-    groups: list[_Group]
-    obs_state: np.ndarray  # (A, K)
-    obs_trans: np.ndarray  # (K, K)
-    obs_begin: np.ndarray  # (K,)
-    obs_end: np.ndarray  # (K,)
-    n_sentences: int
-    n_tokens: int
+    return tag_corpus(model, config, [words]).sentences[0]
 
 
 def _prepare(
-    indexed: list[tuple[list[list[int]], Sequence[int]]], A: int, K: int
-) -> _PreparedBatch:
-    by_len: dict[int, list[tuple[list[list[int]], Sequence[int]]]] = {}
-    for entry in indexed:
-        by_len.setdefault(len(entry[1]), []).append(entry)
-
-    groups = []
-    obs_state = np.zeros((A, K))
-    obs_trans = np.zeros((K, K))
-    obs_begin = np.zeros(K)
-    obs_end = np.zeros(K)
-    n_tokens = 0
-    for T in sorted(by_len):
-        entries = by_len[T]
-        B = len(entries)
-        rows, cols = [], []
-        gold = np.empty((B, T), dtype=np.int64)
-        for b, (idx_lists, tags) in enumerate(entries):
-            gold[b] = tags
-            for t, idxs in enumerate(idx_lists):
-                rows.extend([b * T + t] * len(idxs))
-                cols.extend(idxs)
-        X = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(B * T, A)
-        )
-        groups.append(_Group(X, gold))
-
-        flat = gold.ravel()
+    attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]]
+) -> tuple[list[_Group], np.ndarray]:
+    """Validate and encode a tagged batch, and count its observed features
+    in the flat parameter layout."""
+    groups = _encode_tagged(attribute_index, K, batch)
+    A = len(attribute_index)
+    observed = np.zeros(A * K + K * K + 2 * K)
+    obs_state, obs_trans, obs_begin, obs_end = _blocks(observed, A, K)
+    for group in groups:
+        gold = group.gold
+        B, T = gold.shape
         onehot = np.zeros((B * T, K))
-        onehot[np.arange(B * T), flat] = 1.0
-        obs_state += X.T @ onehot
+        onehot[np.arange(B * T), gold.ravel()] = 1.0
+        obs_state += group.X.T @ onehot
         if T > 1:
             np.add.at(obs_trans, (gold[:, :-1].ravel(), gold[:, 1:].ravel()), 1.0)
         obs_begin += np.bincount(gold[:, 0], minlength=K)
         obs_end += np.bincount(gold[:, -1], minlength=K)
-        n_tokens += B * T
-    return _PreparedBatch(
-        groups, obs_state, obs_trans, obs_begin, obs_end, len(indexed), n_tokens
-    )
+    return groups, observed
 
 
-def _nll_prepared(
-    state_w: np.ndarray,
-    trans: np.ndarray,
-    begin: np.ndarray,
-    end: np.ndarray,
-    prepared: _PreparedBatch,
-    c2: float,
-) -> tuple[float, ModelGradient]:
+def _nll_prepared(state_w, trans, begin, end, groups: list[_Group], observed: np.ndarray,
+                  c2: float) -> tuple[float, ModelGradient]:
     A, K = state_w.shape
     value = 0.0
-    grad_state = np.zeros((A, K))
-    grad_trans = np.zeros((K, K))
-    grad_begin = np.zeros(K)
-    grad_end = np.zeros(K)
+    grad = ModelGradient(np.zeros_like(observed), A, K)
 
-    for group in prepared.groups:
+    for group in groups:
         gold = group.gold
         B, T = gold.shape
-        s3 = (group.X @ state_w).reshape(B, T, K)
+        s3 = group.state_scores(state_w)
         la, lb, log_Z = _forward_backward(s3, trans, begin, end)
         unary = np.exp(la + lb - log_Z[:, None, None])
-        grad_state += group.X.T @ unary.reshape(B * T, K)
-        grad_begin += unary[:, 0, :].sum(axis=0)
-        grad_end += unary[:, -1, :].sum(axis=0)
+        grad.state += group.X.T @ unary.reshape(B * T, K)
+        grad.begin += unary[:, 0, :].sum(axis=0)
+        grad.end += unary[:, -1, :].sum(axis=0)
         if T > 1:
             pairwise = np.exp(
                 la[:, :-1, :, None]
@@ -326,36 +355,23 @@ def _nll_prepared(
                 + (s3[:, 1:, :] + lb[:, 1:, :])[:, :, None, :]
                 - log_Z[:, None, None, None]
             )
-            grad_trans += pairwise.sum(axis=(0, 1))
+            grad.transitions += pairwise.sum(axis=(0, 1))
+        value += float(log_Z.sum() - _gold_score(s3, gold, trans, begin, end))
 
-        b_idx = np.arange(B)[:, None]
-        t_idx = np.arange(T)[None, :]
-        gold_score = (
-            s3[b_idx, t_idx, gold].sum()
-            + begin[gold[:, 0]].sum()
-            + end[gold[:, -1]].sum()
-        )
-        if T > 1:
-            gold_score += trans[gold[:, :-1], gold[:, 1:]].sum()
-        value += float(log_Z.sum() - gold_score)
-
-    grad_state -= prepared.obs_state
-    grad_trans -= prepared.obs_trans
-    grad_begin -= prepared.obs_begin
-    grad_end -= prepared.obs_end
+    grad.flat -= observed
 
     if c2:
         value += c2 * float(
             np.sum(state_w**2) + np.sum(trans**2) + np.sum(begin**2) + np.sum(end**2)
         )
-        grad_state += 2.0 * c2 * state_w
-        grad_trans += 2.0 * c2 * trans
-        grad_begin += 2.0 * c2 * begin
-        grad_end += 2.0 * c2 * end
+        grad.state += 2.0 * c2 * state_w
+        grad.transitions += 2.0 * c2 * trans
+        grad.begin += 2.0 * c2 * begin
+        grad.end += 2.0 * c2 * end
 
     if not np.isfinite(value):
         raise ArithmeticError(f"non-finite objective value: {value}")
-    return value, ModelGradient(grad_state, grad_trans, grad_begin, grad_end)
+    return value, grad
 
 
 def nll_and_gradient(
@@ -365,24 +381,9 @@ def nll_and_gradient(
 ) -> tuple[float, ModelGradient]:
     """Regularized negative conditional log-likelihood of a batch and its
     gradient: expected counts minus observed counts plus 2*c2*w."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    K = model.n_tags
-    indexed = []
-    for attrs, tags in batch:
-        if len(attrs) != len(tags):
-            raise ValueError(f"{len(tags)} tags for {len(attrs)} positions")
-        if any(not 0 <= y < K for y in tags):
-            raise ValueError("tag index out of range")
-        indexed.append((_attr_indices(attrs, model.attribute_index), tuple(tags)))
-    prepared = _prepare(indexed, model.n_attributes, K)
     return _nll_prepared(
-        model.state_weights,
-        model.transition_weights,
-        model.begin_weights,
-        model.end_weights,
-        prepared,
-        c2,
+        model.state_weights, model.transition_weights, model.begin_weights,
+        model.end_weights, *_prepare(model.attribute_index, model.n_tags, batch), c2,
     )
 
 
@@ -414,36 +415,20 @@ def train_model(
         raise ValueError("training corpus is empty")
     attribute_index = build_attribute_index(corpus, feature_config)
     A, K = len(attribute_index), len(tagset)
-
-    indexed = []
-    for sentence in corpus:
-        attrs = sentence_attributes(sentence.words(), feature_config)
-        idx_lists = _attr_indices(attrs, attribute_index)
-        indexed.append((idx_lists, sentence.tags()))
-    prepared = _prepare(indexed, A, K)
+    groups, observed = _prepare(attribute_index, K, (
+        (sentence_attributes(sentence.words(), feature_config), sentence.tags())
+        for sentence in corpus
+    ))
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        state_w, trans, begin, end = _unpack(w, A, K)
-        value, grad = _nll_prepared(state_w, trans, begin, end, prepared, optim_config.c2)
-        return value, grad.pack()
+        value, grad = _nll_prepared(*_blocks(w, A, K), groups, observed, optim_config.c2)
+        return value, grad.flat
 
-    x0 = np.zeros(A * K + K * K + 2 * K)
-    w_star, trace = minimize(objective, x0, optim_config, log=log)
-    state_w, trans, begin, end = _unpack(w_star, A, K)
-    model = ModelParameters(
-        tagset=tagset,
-        attribute_index=attribute_index,
-        state_weights=state_w.copy(),
-        transition_weights=trans.copy(),
-        begin_weights=begin.copy(),
-        end_weights=end.copy(),
-        training=TrainingMeta(
-            c1=optim_config.c1,
-            c2=optim_config.c2,
-            iterations=trace.iterations,
-            final_objective=trace.final_objective,
-        ),
+    w_star, trace = minimize(objective, np.zeros_like(observed), optim_config, log=log)
+    training = TrainingMeta(
+        optim_config.c1, optim_config.c2, trace.iterations, trace.final_objective
     )
+    model = ModelParameters(tagset, attribute_index, *_blocks(w_star, A, K), training=training)
     return model, trace
 
 
@@ -479,11 +464,28 @@ def _attrs_in_index_order(attribute_index: dict[str, int]) -> list[str]:
     return out
 
 
+_MODEL_KEYS = ("tagset", "feature_config", "attributes", "state_weights",
+               "transitions", "begin", "end")
+
+
 def load_model(path: str) -> tuple[ModelParameters, FeatureConfig]:
+    """Read a model file; a document of the wrong shape raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {doc.get('format_version')!r}")
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"model file lacks {', '.join(missing)}")
+    try:
+        return _model_from_doc(doc)
+    except TypeError as exc:  # a value of the wrong JSON type, or a record with wrong fields
+        raise ValueError(f"malformed model file: {exc}") from exc
+
+
+def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
     tagset = TagSet(tuple(doc["tagset"]))
     feature_config = FeatureConfig(**doc["feature_config"])
     attributes = doc["attributes"]

@@ -87,6 +87,28 @@ def test_unknown_tag_is_data_error(small):
     assert main(["stats", str(other), "--tagset", tagset_file]) == 2
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: {k: v for k, v in doc.items() if k != "tagset"},
+        lambda doc: dict(doc, feature_config=dict(doc["feature_config"], bogus=1)),
+        lambda doc: dict(doc, training={"c1": 0.1}),
+        lambda doc: [doc],
+    ],
+    ids=["missing-tagset", "unknown-feature-key", "incomplete-training", "top-level-list"],
+)
+def test_malformed_model_is_data_error(trained, capsys, mutate):
+    tmp_path, tagset_file, corpus_file, model_file = trained
+    with open(model_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    bad = tmp_path / "bad-model.json"
+    bad.write_text(json.dumps(mutate(doc)), encoding="utf-8")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("dora ase .\n", encoding="utf-8")
+    assert main(["tag", str(raw), "--model", str(bad)]) == 2
+    assert "nagatag: error:" in capsys.readouterr().err
+
+
 def test_train_then_tag_round_trip(trained, capsys):
     tmp_path, tagset_file, corpus_file, model_file = trained
     raw = tmp_path / "raw.txt"

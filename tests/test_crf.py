@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from nagatag.corpus import TagSet, parse_tagged
@@ -17,12 +19,13 @@ from nagatag.crf import (
     posterior_marginals,
     save_model,
     sequence_log_score,
+    tag_corpus,
     tag_sentence,
     train_model,
     viterbi,
     zero_model,
 )
-from nagatag.features import FeatureConfig
+from nagatag.features import FeatureConfig, sentence_attributes
 from nagatag.optim import OptimConfig
 
 
@@ -383,6 +386,73 @@ def test_viterbi_matches_enumeration():
 def test_viterbi_rejects_empty():
     with pytest.raises(ValueError):
         viterbi(zero_model(small_tagset(2), {}), [])
+
+
+# Property tests: random small models over real feature strings, scored on
+# mixed-length batches. Half-integer weights make tied paths common, so the
+# tie-break is exercised as well.
+PROPERTY_WORDS = ("dora", "ase", "Saki", "loi", "ghor-e", "12", ".")
+
+
+@st.composite
+def models_and_sentences(draw):
+    sentences = draw(st.lists(
+        st.lists(st.sampled_from(PROPERTY_WORDS), min_size=1, max_size=5).map(tuple),
+        min_size=1, max_size=8,
+    ))
+    vocab = sorted({a for words in sentences
+                    for position in sentence_attributes(words) for a in position})
+    # leave a third of the attributes out of the model (or none), so some
+    # are unseen at decode time
+    dropped = draw(st.integers(0, 3))
+    vocab = [a for i, a in enumerate(vocab) if i % 3 != dropped]
+    k = draw(st.integers(2, 4))
+    npr = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def half_integers(*shape):
+        return npr.integers(-3, 4, size=shape) / 2.0
+
+    model = ModelParameters(
+        small_tagset(k), {a: i for i, a in enumerate(vocab)},
+        half_integers(len(vocab), k), half_integers(k, k), half_integers(k), half_integers(k),
+    )
+    return model, sentences
+
+
+@settings(max_examples=40, deadline=None)
+@given(models_and_sentences())
+def test_tag_corpus_matches_per_sentence_viterbi(case):
+    model, sentences = case
+    tagged = tag_corpus(model, FeatureConfig(), sentences)
+    assert [s.words() for s in tagged] == sentences
+    for words, sentence in zip(sentences, tagged):
+        path, _ = viterbi(model, sentence_attributes(words))
+        assert list(sentence.tags()) == path
+
+
+@settings(max_examples=40, deadline=None)
+@given(models_and_sentences(), st.data())
+def test_viterbi_score_is_path_score_and_maximal(case, data):
+    model, sentences = case
+    for words in sentences:
+        attrs = sentence_attributes(words)
+        path, score = viterbi(model, attrs)
+        assert score == pytest.approx(sequence_log_score(model, attrs, path), abs=1e-9)
+        for _ in range(3):
+            other = data.draw(st.lists(
+                st.integers(0, model.n_tags - 1), min_size=len(words), max_size=len(words)
+            ))
+            assert sequence_log_score(model, attrs, other) <= score + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(models_and_sentences())
+def test_lattice_unary_marginals_sum_to_one(case):
+    model, sentences = case
+    for words in sentences:
+        lattice = build_lattice(model, sentence_attributes(words))
+        unary, _ = posterior_marginals(lattice, model)
+        assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_tag_sentence_basics():
