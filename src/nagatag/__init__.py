@@ -1,162 +1,24 @@
-"""nagatag: linear-chain CRF part-of-speech tagging toolkit for Nagamese."""
+"""nagatag: linear-chain CRF part-of-speech tagging toolkit for Nagamese.
 
-from nagatag.corpus import (
-    AgreementReport,
-    CorpusError,
-    Sentence,
-    TaggedCorpus,
-    TagSet,
-    Token,
-    agreement,
-    parse_tagged,
-    read_corpus,
-    read_raw_sentences,
-    serialize_tagged,
-    split_corpus,
-    tag_frequencies,
-    write_corpus,
-)
-from nagatag.crf import (
-    Lattice,
-    ModelGradient,
-    ModelParameters,
-    TrainingMeta,
-    build_attribute_index,
-    build_lattice,
-    load_model,
-    nll_and_gradient,
-    posterior_marginals,
-    save_model,
-    sequence_log_score,
-    tag_corpus,
-    tag_sentence,
-    train_model,
-    viterbi,
-    zero_model,
-)
-from nagatag.datagen import (
-    DEFAULT_SUFFIX_RULE,
-    SynthConfig,
-    config_header,
-    generate,
-    recover_tag,
-    transition_matrix,
-)
-from nagatag.evaluation import (
-    ConfusionMatrix,
-    EvalReport,
-    TagMetrics,
-    TransitionRanking,
-    confusion,
-    format_report_text,
-    report,
-    top_transitions,
-)
-from nagatag.features import (
-    FeatureConfig,
-    binarize,
-    extract_token_features,
-    format_feature_map,
-    sentence_attributes,
-)
-from nagatag.optim import (
-    IterationRecord,
-    IterationTrace,
-    LineSearchFailure,
-    NonFiniteObjective,
-    OptimConfig,
-    OptimError,
-    minimize,
-)
-from nagatag.phonotactics import (
-    CONSONANTS,
-    DEFAULT_INVENTORY,
-    TEMPLATES,
-    VOWELS,
-    PhonemeInventory,
-    SyllableAnalysis,
-    SyllableTemplate,
-    analyze_word,
-    classify,
-    draw_word,
-    enumerate_accepted,
-    from_ascii,
-    generate_word,
-    to_ascii,
-    to_skeleton,
-)
+The package root exports what a library user needs to train and tag;
+everything else is imported from its submodule (nagatag.crf,
+nagatag.evaluation, ...).
+"""
+
+from nagatag.corpus import TagSet, parse_tagged
+from nagatag.crf import tag_corpus, tag_sentence, train_model
+from nagatag.features import FeatureConfig
+from nagatag.optim import OptimConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementReport",
-    "CONSONANTS",
-    "ConfusionMatrix",
-    "CorpusError",
-    "DEFAULT_INVENTORY",
-    "DEFAULT_SUFFIX_RULE",
-    "EvalReport",
     "FeatureConfig",
-    "IterationRecord",
-    "IterationTrace",
-    "Lattice",
-    "LineSearchFailure",
-    "ModelGradient",
-    "ModelParameters",
-    "NonFiniteObjective",
     "OptimConfig",
-    "OptimError",
-    "PhonemeInventory",
-    "Sentence",
-    "SyllableAnalysis",
-    "SyllableTemplate",
-    "SynthConfig",
-    "TEMPLATES",
-    "TagMetrics",
     "TagSet",
-    "TaggedCorpus",
-    "Token",
-    "TrainingMeta",
-    "TransitionRanking",
-    "VOWELS",
-    "agreement",
-    "analyze_word",
-    "binarize",
-    "build_attribute_index",
-    "build_lattice",
-    "classify",
-    "config_header",
-    "confusion",
-    "draw_word",
-    "enumerate_accepted",
-    "extract_token_features",
-    "format_feature_map",
-    "format_report_text",
-    "from_ascii",
-    "generate",
-    "generate_word",
-    "load_model",
-    "minimize",
-    "nll_and_gradient",
     "parse_tagged",
-    "posterior_marginals",
-    "read_corpus",
-    "read_raw_sentences",
-    "recover_tag",
-    "report",
-    "save_model",
-    "sentence_attributes",
-    "sequence_log_score",
-    "serialize_tagged",
-    "split_corpus",
     "tag_corpus",
-    "tag_frequencies",
     "tag_sentence",
-    "top_transitions",
     "train_model",
-    "transition_matrix",
-    "viterbi",
-    "write_corpus",
-    "zero_model",
     "__version__",
 ]

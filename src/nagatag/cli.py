@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from nagatag.corpus import (
     CorpusError,
@@ -66,15 +67,18 @@ def _load_tagset(args) -> TagSet:
 
 
 def _emit(text: str, args):
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+def _report(args, doc, text: str):
+    """Emit doc as indented JSON under --format json, and text otherwise."""
+    if args.format == "json":
+        text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    _emit(text, args)
 
 
 def _cmd_train(args) -> int:
@@ -109,15 +113,10 @@ def _cmd_eval(args) -> int:
     predicted = tag_corpus(model, feature_config, [sentence.words() for sentence in gold])
     cm = confusion(gold, predicted, model.tagset)
     rep = report(cm)
-    if args.format == "json":
-        doc = rep.as_dict()
-        doc["confusion"] = {
-            "tags": list(model.tagset.names),
-            "counts": cm.counts.tolist(),
-        }
-        _emit(_json_text(doc), args)
-    else:
-        _emit(format_report_text(rep) + "\n" + cm.to_csv(), args)
+    doc = rep.as_dict() | {
+        "confusion": {"tags": list(model.tagset.names), "counts": cm.counts.tolist()}
+    }
+    _report(args, doc, format_report_text(rep) + "\n" + cm.to_csv())
     return 0
 
 
@@ -125,15 +124,12 @@ def _cmd_stats(args) -> int:
     tagset = _load_tagset(args)
     corpus = read_corpus(args.input, tagset)
     freqs = tag_frequencies(corpus, tagset)
-    if args.format == "json":
-        _emit(_json_text({"frequencies": freqs, "total": corpus.token_count}), args)
-    else:
-        width = max(5, *(len(n) for n in tagset.names)) + 2
-        lines = [f"{'sl. no.':>7}  {'tag':<{width}}frequency"]
-        for i, name in enumerate(tagset.names, start=1):
-            lines.append(f"{i:>7}  {name:<{width}}{freqs[name]}")
-        lines.append(f"{'':>7}  {'total':<{width}}{corpus.token_count}")
-        _emit("\n".join(lines) + "\n", args)
+    width = max(5, *(len(n) for n in tagset.names)) + 2
+    lines = [f"{'sl. no.':>7}  {'tag':<{width}}frequency"]
+    for i, name in enumerate(tagset.names, start=1):
+        lines.append(f"{i:>7}  {name:<{width}}{freqs[name]}")
+    lines.append(f"{'':>7}  {'total':<{width}}{corpus.token_count}")
+    _report(args, {"frequencies": freqs, "total": corpus.token_count}, "\n".join(lines) + "\n")
     return 0
 
 
@@ -157,48 +153,31 @@ def _cmd_agreement(args) -> int:
     if args.exclude_tag not in tagset:
         raise ValueError(f"excluded tag {args.exclude_tag!r} not in tagset")
     rep = agreement(reference, other, tagset.index(args.exclude_tag))
-    if args.format == "json":
-        doc = {
-            "total_tokens": rep.total_tokens,
-            "disagreed": rep.disagreed,
-            "disagreed_on_excluded_tag": rep.disagreed_on_excluded_tag,
-            "rate": rep.rate,
-            "rate_excluding": rep.rate_excluding,
-            "excluded_tag": args.exclude_tag,
-        }
-        _emit(_json_text(doc), args)
-    else:
-        _emit(
-            f"tokens {rep.total_tokens}\n"
-            f"disagreed {rep.disagreed} ({rep.rate:.2%})\n"
-            f"disagreed excluding {args.exclude_tag} "
-            f"{rep.disagreed - rep.disagreed_on_excluded_tag} ({rep.rate_excluding:.2%})\n",
-            args,
-        )
+    doc = asdict(rep) | {
+        "rate": rep.rate, "rate_excluding": rep.rate_excluding, "excluded_tag": args.exclude_tag,
+    }
+    _report(
+        args, doc,
+        f"tokens {rep.total_tokens}\n"
+        f"disagreed {rep.disagreed} ({rep.rate:.2%})\n"
+        f"disagreed excluding {args.exclude_tag} "
+        f"{rep.disagreed - rep.disagreed_on_excluded_tag} ({rep.rate_excluding:.2%})\n",
+    )
     return 0
 
 
 def _cmd_transitions(args) -> int:
     model, _ = load_model(args.model)
     ranking = top_transitions(model, args.top_n)
-    if args.format == "json":
-        doc = {
-            "top": [list(e) for e in ranking.top],
-            "bottom": [list(e) for e in ranking.bottom],
-            "begin": [list(e) for e in ranking.begin],
-            "end": [list(e) for e in ranking.end],
-        }
-        _emit(_json_text(doc), args)
-    else:
-        lines = ["top transitions"]
-        lines += [f"  {a} -> {b}  {w:.6f}" for a, b, w in ranking.top]
-        lines.append("bottom transitions")
-        lines += [f"  {a} -> {b}  {w:.6f}" for a, b, w in ranking.bottom]
-        lines.append("begin weights")
-        lines += [f"  {t}  {w:.6f}" for t, w in ranking.begin]
-        lines.append("end weights")
-        lines += [f"  {t}  {w:.6f}" for t, w in ranking.end]
-        _emit("\n".join(lines) + "\n", args)
+    lines = ["top transitions"]
+    lines += [f"  {a} -> {b}  {w:.6f}" for a, b, w in ranking.top]
+    lines.append("bottom transitions")
+    lines += [f"  {a} -> {b}  {w:.6f}" for a, b, w in ranking.bottom]
+    lines.append("begin weights")
+    lines += [f"  {t}  {w:.6f}" for t, w in ranking.begin]
+    lines.append("end weights")
+    lines += [f"  {t}  {w:.6f}" for t, w in ranking.end]
+    _report(args, asdict(ranking), "\n".join(lines) + "\n")
     return 0
 
 
@@ -216,29 +195,24 @@ def _cmd_syllables(args) -> int:
     phonemes = from_ascii(args.phonemes)
     skeleton = to_skeleton(phonemes)
     analysis = analyze_word(phonemes)
-    if args.format == "json":
-        doc = {
-            "phonemes": list(phonemes),
-            "skeleton": skeleton,
-            "accepted": analysis.accepted,
-            "matches": [
-                {"template": t, "syllables": c} for t, c in analysis.matches
-            ],
-        }
-        _emit(_json_text(doc), args)
-    else:
-        match_text = (
-            ", ".join(f"{t} ({c} syllables)" for t, c in analysis.matches)
-            if analysis.matches
-            else "none"
-        )
-        _emit(
-            f"phonemes: {' '.join(phonemes)}\n"
-            f"skeleton: {skeleton}\n"
-            f"accepted: {'yes' if analysis.accepted else 'no'}\n"
-            f"matches: {match_text}\n",
-            args,
-        )
+    doc = {
+        "phonemes": list(phonemes),
+        "skeleton": skeleton,
+        "accepted": analysis.accepted,
+        "matches": [{"template": t, "syllables": c} for t, c in analysis.matches],
+    }
+    match_text = (
+        ", ".join(f"{t} ({c} syllables)" for t, c in analysis.matches)
+        if analysis.matches
+        else "none"
+    )
+    _report(
+        args, doc,
+        f"phonemes: {' '.join(phonemes)}\n"
+        f"skeleton: {skeleton}\n"
+        f"accepted: {'yes' if analysis.accepted else 'no'}\n"
+        f"matches: {match_text}\n",
+    )
     return 0
 
 
@@ -261,16 +235,22 @@ def build_parser() -> _Parser:
         description="Linear-chain CRF part-of-speech tagging toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    # options several commands share, declared once
+    tagset = argparse.ArgumentParser(add_help=False)
+    tagset.add_argument("--tagset", help="tagset file, one tag per line")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write data here instead of stdout")
+    reported = argparse.ArgumentParser(add_help=False, parents=[output])
+    reported.add_argument("--format", choices=("text", "json"), default="text")
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text)
+    def add(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, description=help_text, parents=parents)
         p.set_defaults(func=func)
         return p
 
-    p = add("train", _cmd_train, "train a model on an annotated corpus file")
+    p = add("train", _cmd_train, "train a model on an annotated corpus file", tagset)
     p.add_argument("input", help="annotated corpus file (word/TAG)")
     p.add_argument("--model", required=True, help="output model file (JSON)")
-    p.add_argument("--tagset", help="tagset file, one tag per line")
     p.add_argument("--c1", type=_nonneg, default=0.1, help="L1 weight (default 0.1)")
     p.add_argument("--c2", type=_nonneg, default=0.1, help="L2 weight (default 0.1)")
     p.add_argument(
@@ -278,63 +258,49 @@ def build_parser() -> _Parser:
         help="optimizer iteration cap (default 100)",
     )
 
-    p = add("tag", _cmd_tag, "tag raw sentences (one per line) with a trained model")
+    p = add("tag", _cmd_tag, "tag raw sentences (one per line) with a trained model", output)
     p.add_argument("input", help="raw text file, whitespace-tokenized")
     p.add_argument("--model", required=True)
-    p.add_argument("--output")
 
-    p = add("eval", _cmd_eval, "evaluate a model against a gold annotated file")
+    p = add("eval", _cmd_eval, "evaluate a model against a gold annotated file", reported)
     p.add_argument("input", help="gold annotated corpus file")
     p.add_argument("--model", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
 
-    p = add("stats", _cmd_stats, "tag frequency table for an annotated file")
+    p = add("stats", _cmd_stats, "tag frequency table for an annotated file", tagset, reported)
     p.add_argument("input")
-    p.add_argument("--tagset")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
 
-    p = add("split", _cmd_split, "sentence-level train/test split")
+    p = add("split", _cmd_split, "sentence-level train/test split", tagset)
     p.add_argument("input")
     p.add_argument("train_output")
     p.add_argument("test_output")
-    p.add_argument("--tagset")
     p.add_argument("--fraction", type=_fraction, default=0.7, help="train share (default 0.7)")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("agreement", _cmd_agreement, "token-level disagreement between two annotations")
+    p = add("agreement", _cmd_agreement, "token-level disagreement between two annotations",
+            tagset, reported)
     p.add_argument("reference", help="reference annotation")
     p.add_argument("other", help="second annotation of the same text")
-    p.add_argument("--tagset")
     p.add_argument(
         "--exclude-tag", default="FW",
         help="tag whose reference-side disagreements the excluded rate drops (default FW)",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
 
-    p = add("transitions", _cmd_transitions, "ranked transition weights of a model")
+    p = add("transitions", _cmd_transitions, "ranked transition weights of a model", reported)
     p.add_argument("--model", required=True)
     p.add_argument("--top-n", type=_positive, default=5)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
 
-    p = add("features", _cmd_features, "feature map dump for one sentence")
+    p = add("features", _cmd_features, "feature map dump for one sentence", output)
     p.add_argument("words", nargs="+", help="sentence words")
-    p.add_argument("--output")
 
-    p = add("syllables", _cmd_syllables, "syllable-structure analysis of a phoneme string")
+    p = add("syllables", _cmd_syllables, "syllable-structure analysis of a phoneme string",
+            reported)
     p.add_argument("phonemes", help="dot-separated phonemes, ASCII aliases allowed (g.o.r)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output")
 
-    p = add("gen", _cmd_gen, "generate a synthetic annotated corpus")
+    p = add("gen", _cmd_gen, "generate a synthetic annotated corpus", output)
     p.add_argument("count", type=_positive, help="number of sentences")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-len", type=_positive, default=5)
     p.add_argument("--max-len", type=_positive, default=20)
-    p.add_argument("--output")
 
     return parser
 

@@ -210,6 +210,23 @@ def split_corpus(
     return TaggedCorpus(train), TaggedCorpus(test)
 
 
+def check_aligned(reference: TaggedCorpus, other: TaggedCorpus):
+    """Raise ValueError unless both corpora hold the same words in the same
+    sentences, so that token positions correspond one to one."""
+    if len(reference.sentences) != len(other.sentences):
+        raise ValueError(
+            f"sentence count mismatch: {len(reference.sentences)} vs {len(other.sentences)}"
+        )
+    for i, (r, o) in enumerate(zip(reference.sentences, other.sentences)):
+        if len(r) != len(o):
+            raise ValueError(f"sentence {i}: length mismatch")
+        for j, (rt, ot) in enumerate(zip(r.tokens, o.tokens)):
+            if rt.word != ot.word:
+                raise ValueError(
+                    f"sentence {i}, token {j}: word mismatch {rt.word!r} vs {ot.word!r}"
+                )
+
+
 def agreement(
     reference: TaggedCorpus, other: TaggedCorpus, excluded_tag: int
 ) -> AgreementReport:
@@ -218,22 +235,12 @@ def agreement(
     Raises ValueError if the two corpora differ in sentence count, sentence
     length or any word, since token positions must correspond one to one.
     """
-    if len(reference.sentences) != len(other.sentences):
-        raise ValueError(
-            f"sentence count mismatch: {len(reference.sentences)} vs {len(other.sentences)}"
-        )
+    check_aligned(reference, other)
     total = 0
     disagreed = 0
     disagreed_excluded = 0
-    for i, (ref_sent, other_sent) in enumerate(zip(reference.sentences, other.sentences)):
-        if len(ref_sent) != len(other_sent):
-            raise ValueError(f"sentence {i}: length mismatch")
-        for j, (ref_tok, other_tok) in enumerate(zip(ref_sent.tokens, other_sent.tokens)):
-            if ref_tok.word != other_tok.word:
-                raise ValueError(
-                    f"sentence {i}, token {j}: word mismatch "
-                    f"{ref_tok.word!r} vs {other_tok.word!r}"
-                )
+    for ref_sent, other_sent in zip(reference.sentences, other.sentences):
+        for ref_tok, other_tok in zip(ref_sent.tokens, other_sent.tokens):
             total += 1
             if ref_tok.tag != other_tok.tag:
                 disagreed += 1

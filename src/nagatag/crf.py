@@ -12,7 +12,11 @@ Forward-backward and Viterbi both run over (B, T, K) arrays for a whole
 group at once. Training, tag_corpus and nll_and_gradient batch many
 sentences; build_lattice, viterbi and sequence_log_score are the same code
 with B = 1, so the single-sentence and batched paths cannot drift apart.
-Weights and gradients share one flat layout, with named views per block.
+Weights and gradients share one flat layout w, with named views per block.
+A tagged batch is reduced to its observed feature counts in that layout, so
+its gold-path score is observed @ w and the L2-penalized objective is
+sum(log Z) - observed @ w + c2 * w @ w. The posteriors come from one routine,
+_marginals: the gradient sums them and posterior_marginals is its B = 1 case.
 """
 
 from __future__ import annotations
@@ -102,6 +106,14 @@ def _blocks(flat: np.ndarray, A: int, K: int):
     return state.reshape(A, K), trans.reshape(K, K), begin, end
 
 
+def _flat(model: ModelParameters) -> np.ndarray:
+    """The model's weights in the flat layout of _blocks."""
+    return np.concatenate([
+        model.state_weights.ravel(), model.transition_weights.ravel(),
+        model.begin_weights, model.end_weights,
+    ])
+
+
 class ModelGradient:
     """A gradient in the flat parameter layout; the blocks are views into it."""
 
@@ -119,7 +131,6 @@ class _Group:
 
     X: sparse.csr_matrix  # (B*T, A), one row per token
     members: np.ndarray  # (B,) position of each sentence in the encoded list
-    gold: np.ndarray | None = None  # (B, T) tag indices of a tagged batch
 
     def state_scores(self, state_w: np.ndarray) -> np.ndarray:
         return (self.X @ state_w).reshape(len(self.members), -1, state_w.shape[1])
@@ -147,29 +158,6 @@ def _encode(attribute_index: dict[str, int], attrs_list: Iterable[Attrs]) -> lis
             (np.ones(len(cols)), cols, indptr), shape=(len(members) * T, len(attribute_index))
         )
         groups.append(_Group(X, np.asarray(members)))
-    return groups
-
-
-def _encode_tagged(
-    attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]]
-) -> list[_Group]:
-    """Check that every (attrs, tags) pair lines up, then encode it with its tags."""
-    tags_list: list[Sequence[int]] = []
-
-    def checked():
-        for attrs, tags in batch:
-            if len(attrs) != len(tags):
-                raise ValueError(f"{len(tags)} tags for {len(attrs)} positions")
-            if any(not 0 <= y < K for y in tags):
-                raise ValueError("tag index out of range")
-            tags_list.append(tags)
-            yield attrs
-
-    groups = _encode(attribute_index, checked())
-    if not tags_list:
-        raise ValueError("batch must be non-empty")
-    for group in groups:
-        group.gold = np.array([tags_list[i] for i in group.members], dtype=np.int64)
     return groups
 
 
@@ -215,18 +203,16 @@ def _viterbi(s3: np.ndarray, trans: np.ndarray, begin: np.ndarray, end: np.ndarr
     return paths, final[rows, paths[:, -1]]
 
 
-def _gold_score(s3: np.ndarray, gold: np.ndarray, trans: np.ndarray,
-                begin: np.ndarray, end: np.ndarray) -> float:
-    """Summed score of the (B, T) gold paths under (B, T, K) state scores."""
-    B, T = gold.shape
-    score = (
-        s3[np.arange(B)[:, None], np.arange(T)[None, :], gold].sum()
-        + begin[gold[:, 0]].sum()
-        + end[gold[:, -1]].sum()
+def _marginals(s3: np.ndarray, la: np.ndarray, lb: np.ndarray, log_Z: np.ndarray,
+               trans: np.ndarray):
+    """(B, T, K) unary and (B, T-1, K, K) pairwise posteriors of a group."""
+    log_Z = log_Z[:, None, None]
+    unary = np.exp(la + lb - log_Z)
+    pairwise = np.exp(
+        la[:, :-1, :, None] + trans + (s3[:, 1:, :] + lb[:, 1:, :])[:, :, None, :]
+        - log_Z[..., None]
     )
-    if T > 1:
-        score += trans[gold[:, :-1], gold[:, 1:]].sum()
-    return float(score)
+    return unary, pairwise
 
 
 def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
@@ -247,27 +233,17 @@ def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
 
 
 def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
-    (group,) = _encode_tagged(model.attribute_index, model.n_tags, [(attrs, tags)])
-    return _gold_score(
-        group.state_scores(model.state_weights), group.gold,
-        model.transition_weights, model.begin_weights, model.end_weights,
-    )
+    _, observed = _prepare(model.attribute_index, model.n_tags, [(attrs, tags)])
+    return float(observed @ _flat(model))
 
 
 def posterior_marginals(lattice: Lattice, model: ModelParameters):
     """(T,K) unary and (T-1,K,K) pairwise posterior probabilities."""
-    unary = np.exp(lattice.log_alpha + lattice.log_beta - lattice.log_Z)
-    T, K = lattice.state_scores.shape
-    if T == 1:
-        return unary, np.zeros((0, K, K))
-    right = lattice.state_scores[1:] + lattice.log_beta[1:]  # (T-1, K)
-    pairwise = np.exp(
-        lattice.log_alpha[:-1, :, None]
-        + model.transition_weights[None, :, :]
-        + right[:, None, :]
-        - lattice.log_Z
+    unary, pairwise = _marginals(
+        lattice.state_scores[None], lattice.log_alpha[None], lattice.log_beta[None],
+        np.array([lattice.log_Z]), model.transition_weights,
     )
-    return unary, pairwise
+    return unary[0], pairwise[0]
 
 
 def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
@@ -315,60 +291,57 @@ def _prepare(
     attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]]
 ) -> tuple[list[_Group], np.ndarray]:
     """Validate and encode a tagged batch, and count its observed features
-    in the flat parameter layout."""
-    groups = _encode_tagged(attribute_index, K, batch)
+    in the flat parameter layout. The gold-path score under weights w is
+    observed @ w, so the tags themselves are not kept."""
+    tags_list: list[Sequence[int]] = []
+
+    def checked():
+        for attrs, tags in batch:
+            if len(attrs) != len(tags):
+                raise ValueError(f"{len(tags)} tags for {len(attrs)} positions")
+            if any(not 0 <= y < K for y in tags):
+                raise ValueError("tag index out of range")
+            tags_list.append(tags)
+            yield attrs
+
+    groups = _encode(attribute_index, checked())
+    if not tags_list:
+        raise ValueError("batch must be non-empty")
     A = len(attribute_index)
     observed = np.zeros(A * K + K * K + 2 * K)
     obs_state, obs_trans, obs_begin, obs_end = _blocks(observed, A, K)
     for group in groups:
-        gold = group.gold
+        gold = np.array([tags_list[i] for i in group.members], dtype=np.int64)
         B, T = gold.shape
         onehot = np.zeros((B * T, K))
         onehot[np.arange(B * T), gold.ravel()] = 1.0
         obs_state += group.X.T @ onehot
-        if T > 1:
-            np.add.at(obs_trans, (gold[:, :-1].ravel(), gold[:, 1:].ravel()), 1.0)
+        np.add.at(obs_trans, (gold[:, :-1].ravel(), gold[:, 1:].ravel()), 1.0)
         obs_begin += np.bincount(gold[:, 0], minlength=K)
         obs_end += np.bincount(gold[:, -1], minlength=K)
     return groups, observed
 
 
-def _nll_prepared(state_w, trans, begin, end, groups: list[_Group], observed: np.ndarray,
+def _nll_prepared(w: np.ndarray, A: int, K: int, groups: list[_Group], observed: np.ndarray,
                   c2: float) -> tuple[float, ModelGradient]:
-    A, K = state_w.shape
-    value = 0.0
-    grad = ModelGradient(np.zeros_like(observed), A, K)
-
+    """sum(log Z) - observed @ w + c2 * ||w||^2 over the flat weights w, and its
+    gradient: expected counts minus observed counts plus 2 * c2 * w."""
+    state_w, trans, begin, end = _blocks(w, A, K)
+    grad = ModelGradient(2.0 * c2 * w - observed, A, K)
+    log_Z_sum = 0.0
     for group in groups:
-        gold = group.gold
-        B, T = gold.shape
         s3 = group.state_scores(state_w)
         la, lb, log_Z = _forward_backward(s3, trans, begin, end)
-        unary = np.exp(la + lb - log_Z[:, None, None])
-        grad.state += group.X.T @ unary.reshape(B * T, K)
+        unary, pairwise = _marginals(s3, la, lb, log_Z, trans)
+        grad.state += group.X.T @ unary.reshape(-1, K)
+        grad.transitions += pairwise.sum(axis=(0, 1))
         grad.begin += unary[:, 0, :].sum(axis=0)
         grad.end += unary[:, -1, :].sum(axis=0)
-        if T > 1:
-            pairwise = np.exp(
-                la[:, :-1, :, None]
-                + trans[None, None, :, :]
-                + (s3[:, 1:, :] + lb[:, 1:, :])[:, :, None, :]
-                - log_Z[:, None, None, None]
-            )
-            grad.transitions += pairwise.sum(axis=(0, 1))
-        value += float(log_Z.sum() - _gold_score(s3, gold, trans, begin, end))
+        log_Z_sum += float(log_Z.sum())
 
-    grad.flat -= observed
-
-    if c2:
-        value += c2 * float(
-            np.sum(state_w**2) + np.sum(trans**2) + np.sum(begin**2) + np.sum(end**2)
-        )
-        grad.state += 2.0 * c2 * state_w
-        grad.transitions += 2.0 * c2 * trans
-        grad.begin += 2.0 * c2 * begin
-        grad.end += 2.0 * c2 * end
-
+    value = log_Z_sum - float(observed @ w)
+    if c2:  # w @ w overflows on large finite weights; without L2 it must not enter
+        value += c2 * float(w @ w)
     if not np.isfinite(value):
         raise ArithmeticError(f"non-finite objective value: {value}")
     return value, grad
@@ -382,8 +355,8 @@ def nll_and_gradient(
     """Regularized negative conditional log-likelihood of a batch and its
     gradient: expected counts minus observed counts plus 2*c2*w."""
     return _nll_prepared(
-        model.state_weights, model.transition_weights, model.begin_weights,
-        model.end_weights, *_prepare(model.attribute_index, model.n_tags, batch), c2,
+        _flat(model), model.n_attributes, model.n_tags,
+        *_prepare(model.attribute_index, model.n_tags, batch), c2,
     )
 
 
@@ -421,7 +394,7 @@ def train_model(
     ))
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = _nll_prepared(*_blocks(w, A, K), groups, observed, optim_config.c2)
+        value, grad = _nll_prepared(w, A, K, groups, observed, optim_config.c2)
         return value, grad.flat
 
     w_star, trace = minimize(objective, np.zeros_like(observed), optim_config, log=log)

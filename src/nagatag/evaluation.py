@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nagatag.corpus import TaggedCorpus, TagSet
+from nagatag.corpus import TaggedCorpus, TagSet, check_aligned
 from nagatag.crf import ModelParameters
 
 
@@ -101,24 +101,9 @@ class EvalReport:
         }
 
 
-def _check_aligned(gold: TaggedCorpus, predicted: TaggedCorpus):
-    if len(gold.sentences) != len(predicted.sentences):
-        raise ValueError(
-            f"sentence count mismatch: {len(gold.sentences)} vs {len(predicted.sentences)}"
-        )
-    for i, (g, p) in enumerate(zip(gold.sentences, predicted.sentences)):
-        if len(g) != len(p):
-            raise ValueError(f"sentence {i}: length mismatch")
-        for j, (gt, pt) in enumerate(zip(g.tokens, p.tokens)):
-            if gt.word != pt.word:
-                raise ValueError(
-                    f"sentence {i}, token {j}: word mismatch {gt.word!r} vs {pt.word!r}"
-                )
-
-
 def confusion(gold: TaggedCorpus, predicted: TaggedCorpus, tagset: TagSet) -> ConfusionMatrix:
     """Count (gold tag, predicted tag) pairs over structurally identical corpora."""
-    _check_aligned(gold, predicted)
+    check_aligned(gold, predicted)
     K = len(tagset)
     counts = np.zeros((K, K), dtype=np.int64)
     for g_sent, p_sent in zip(gold.sentences, predicted.sentences):

@@ -11,7 +11,6 @@ cross zero, which is what actually produces exact zeros in the solution.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -229,6 +228,3 @@ def minimize(
     trace = IterationTrace(initial_objective, tuple(records), converged)
     return x, trace
 
-
-def stderr_log(line: str):
-    print(line, file=sys.stderr)

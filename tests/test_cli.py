@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nagatag.cli import main
 from nagatag.corpus import TagSet, parse_tagged, read_corpus, serialize_tagged
+from nagatag.crf import ModelParameters, save_model
 from nagatag.datagen import SynthConfig, generate
+from nagatag.features import FeatureConfig
 
 SMALL_TAGS = ("N", "V", "S")
 
@@ -277,3 +280,70 @@ def test_gen_matches_library_output(tmp_path, capsys):
 
 def test_gen_rejects_zero_count(capsys):
     assert main(["gen", "0"]) == 1
+
+
+def test_agreement_json_document(small, capsys):
+    tmp_path, tagset_file, corpus_file = small
+    other = tmp_path / "second.txt"
+    # one disagreement on an N token, two on S tokens (the excluded tag)
+    text = SMALL_CORPUS.replace("dora/N", "dora/V", 1).replace("ase/V ./S", "ase/V ./N")
+    other.write_text(text, encoding="utf-8")
+    code = main(
+        ["agreement", corpus_file, str(other), "--tagset", tagset_file,
+         "--exclude-tag", "S", "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "total_tokens": 19,
+        "disagreed": 3,
+        "disagreed_on_excluded_tag": 2,
+        "rate": 3 / 19,
+        "rate_excluding": 1 / 19,
+        "excluded_tag": "S",
+    }
+
+
+def test_transitions_json_document(tmp_path, capsys):
+    tagset = TagSet(SMALL_TAGS)
+    model = ModelParameters(
+        tagset=tagset,
+        attribute_index={"word=dora": 0},
+        state_weights=np.zeros((1, 3)),
+        transition_weights=np.array([[0.5, 2.0, -1.0], [0.25, -3.0, 1.5], [0.0, 0.75, -0.5]]),
+        begin_weights=np.array([1.0, -2.0, 0.5]),
+        end_weights=np.array([-1.0, 0.0, 3.0]),
+    )
+    model_file = tmp_path / "model.json"
+    save_model(str(model_file), model, FeatureConfig())
+    assert main(["transitions", "--model", str(model_file), "--top-n", "2",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "top": [["N", "V", 2.0], ["V", "S", 1.5]],
+        "bottom": [["V", "V", -3.0], ["N", "S", -1.0]],
+        "begin": [["N", 1.0], ["V", -2.0], ["S", 0.5]],
+        "end": [["N", -1.0], ["V", 0.0], ["S", 3.0]],
+    }
+
+
+def test_syllables_json_document(capsys):
+    assert main(["syllables", "g.o.r.k.o.r", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "phonemes": ["g", "o", "r", "k", "o", "r"],
+        "skeleton": "CVCCVC",
+        "accepted": True,
+        "matches": [
+            {"template": "di-2a", "syllables": 2},
+            {"template": "di-2b", "syllables": 2},
+        ],
+    }
+
+
+def test_eval_json_keys(trained, capsys):
+    tmp_path, tagset_file, corpus_file, model_file = trained
+    assert main(["eval", corpus_file, "--model", model_file, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"per_tag", "accuracy", "macro", "weighted", "total", "confusion"}
+    assert set(doc["confusion"]) == {"tags", "counts"}
+    assert set(doc["per_tag"]) == set(SMALL_TAGS)
+    assert set(doc["per_tag"]["N"]) == {"precision", "recall", "f1", "support"}
+    assert set(doc["macro"]) == set(doc["weighted"]) == {"precision", "recall", "f1"}

@@ -246,6 +246,21 @@ def test_nll_nonnegative_without_regularizer():
         assert value >= -1e-12
 
 
+def test_nll_without_regularizer_ignores_weight_norm():
+    # ||w||^2 overflows here although every weight is finite; with c2 = 0 the
+    # objective must not depend on it
+    model = ModelParameters(
+        tagset=small_tagset(2),
+        attribute_index={"x": 0, "y": 1},
+        state_weights=np.array([[1e200, -1e200], [-1e200, 1e200]]),
+        transition_weights=np.zeros((2, 2)),
+        begin_weights=np.zeros(2),
+        end_weights=np.zeros(2),
+    )
+    value, _ = nll_and_gradient(model, [([{"x"}, {"y"}], (0, 1))], c2=0.0)
+    assert value == 0.0
+
+
 def test_gradient_matches_finite_differences():
     rng = random.Random(61)
     for _ in range(3):
