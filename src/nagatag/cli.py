@@ -97,6 +97,13 @@ def _cmd_train(args) -> int:
         f"{trace.iterations} iterations, final objective {trace.final_objective:.6f}",
         file=sys.stderr,
     )
+    if not trace.converged:
+        print(
+            f"nagatag: warning: not converged after --max-iter {args.max_iter} iterations: "
+            f"gradient max-norm {trace.records[-1].gradient_max_norm:.6g} > tolerance "
+            f"{optim_config.gradient_tolerance:g}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -37,6 +37,8 @@ class TagSet:
     names: tuple[str, ...] = DEFAULT_TAG_NAMES
 
     def __post_init__(self):
+        if not self.names:
+            raise ValueError("tagset is empty")
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate tag names")
         for name in self.names:

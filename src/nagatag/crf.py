@@ -8,15 +8,17 @@ All inference runs in the natural-log domain with max-shifted logsumexp.
 There is one encoder and every caller goes through it: _encode groups
 sentences by length and puts each group's attribute activations in one CSR
 matrix, so a group's state scores are a single (B*T, A) @ (A, K) product.
-Forward-backward and Viterbi both run over (B, T, K) arrays for a whole
-group at once. Training, tag_corpus and nll_and_gradient batch many
-sentences; build_lattice, viterbi and sequence_log_score are the same code
-with B = 1, so the single-sentence and batched paths cannot drift apart.
+Forward, backward and Viterbi are one recursion, _scan, over (B, T, K)
+arrays for a whole group at once: logsumexp or max over the previous tag.
+Training, tag_corpus and nll_and_gradient batch many sentences;
+build_lattice, viterbi and sequence_log_score are the same code with B = 1,
+so the single-sentence and batched paths cannot drift apart.
 Weights and gradients share one flat layout w, with named views per block.
 A tagged batch is reduced to its observed feature counts in that layout, so
 its gold-path score is observed @ w and the L2-penalized objective is
 sum(log Z) - observed @ w + c2 * w @ w. The posteriors come from one routine,
 _marginals: the gradient sums them and posterior_marginals is its B = 1 case.
+Gold one-hot tags and posteriors become feature counts in one place, _add_counts.
 """
 
 from __future__ import annotations
@@ -161,46 +163,39 @@ def _encode(attribute_index: dict[str, int], attrs_list: Iterable[Attrs]) -> lis
     return groups
 
 
+def _scan(e: np.ndarray, trans: np.ndarray, start: np.ndarray, reduce) -> np.ndarray:
+    """The one lattice recursion, over (B, T, K) scores e: h[:, 0] = start + e[:, 0]
+    and h[:, t] = reduce(h[:, t-1, :, None] + trans, axis=1) + e[:, t]. With
+    logsumexp it is the forward pass (the backward pass on the reversed chain),
+    with np.max the Viterbi pass."""
+    h = np.empty(e.shape)
+    h[:, 0] = start + e[:, 0]
+    for t in range(1, e.shape[1]):
+        h[:, t] = reduce(h[:, t - 1, :, None] + trans, axis=1) + e[:, t]
+    return h
+
+
 def _forward_backward(s3: np.ndarray, trans: np.ndarray,
                       begin: np.ndarray, end: np.ndarray):
-    """Batched log-domain recursions over (B, T, K) state scores."""
-    B, T, K = s3.shape
-    log_alpha = np.empty((B, T, K))
-    log_alpha[:, 0, :] = begin + s3[:, 0, :]
-    for t in range(1, T):
-        log_alpha[:, t, :] = (
-            logsumexp(log_alpha[:, t - 1, :, None] + trans[None, :, :], axis=1)
-            + s3[:, t, :]
-        )
-    log_beta = np.empty((B, T, K))
-    log_beta[:, T - 1, :] = end
-    for t in range(T - 2, -1, -1):
-        log_beta[:, t, :] = logsumexp(
-            trans[None, :, :] + (s3[:, t + 1, :] + log_beta[:, t + 1, :])[:, None, :],
-            axis=2,
-        )
-    log_Z = logsumexp(log_alpha[:, T - 1, :] + end, axis=1)
+    """Batched log-domain recursions over (B, T, K) state scores; the backward
+    pass is the forward scan of the reversed chain, less the state scores."""
+    log_alpha = _scan(s3, trans, begin, logsumexp)
+    log_beta = _scan(s3[:, ::-1], trans.T, end, logsumexp)[:, ::-1] - s3
+    log_Z = logsumexp(log_alpha[:, -1] + end, axis=1)
     return log_alpha, log_beta, log_Z
 
 
 def _viterbi(s3: np.ndarray, trans: np.ndarray, begin: np.ndarray, end: np.ndarray):
     """Best (B, T) paths and their (B,) scores over (B, T, K) state scores.
-    Ties pick the lowest tag index (argmax returns the first maximizer at
-    every decision)."""
-    B, T, K = s3.shape
-    delta = begin + s3[:, 0, :]
-    back = np.zeros((B, T, K), dtype=np.int64)
-    for t in range(1, T):
-        scores = delta[:, :, None] + trans
-        back[:, t] = np.argmax(scores, axis=1)
-        delta = scores.max(axis=1) + s3[:, t, :]
-    final = delta + end
-    rows = np.arange(B)
-    paths = np.empty((B, T), dtype=np.int64)
+    The backtrack recomputes each decision from the max-product scan, so ties
+    pick the lowest tag index (argmax returns the first maximizer)."""
+    delta = _scan(s3, trans, begin, np.max)
+    final = delta[:, -1] + end
+    paths = np.empty(s3.shape[:2], dtype=np.int64)
     paths[:, -1] = np.argmax(final, axis=1)
-    for t in range(T - 1, 0, -1):
-        paths[:, t - 1] = back[rows, t, paths[:, t]]
-    return paths, final[rows, paths[:, -1]]
+    for t in range(s3.shape[1] - 1, 0, -1):
+        paths[:, t - 1] = np.argmax(delta[:, t - 1] + trans[:, paths[:, t]].T, axis=1)
+    return paths, final.max(axis=1)
 
 
 def _marginals(s3: np.ndarray, la: np.ndarray, lb: np.ndarray, log_Z: np.ndarray,
@@ -309,17 +304,23 @@ def _prepare(
         raise ValueError("batch must be non-empty")
     A = len(attribute_index)
     observed = np.zeros(A * K + K * K + 2 * K)
-    obs_state, obs_trans, obs_begin, obs_end = _blocks(observed, A, K)
     for group in groups:
         gold = np.array([tags_list[i] for i in group.members], dtype=np.int64)
-        B, T = gold.shape
-        onehot = np.zeros((B * T, K))
-        onehot[np.arange(B * T), gold.ravel()] = 1.0
-        obs_state += group.X.T @ onehot
-        np.add.at(obs_trans, (gold[:, :-1].ravel(), gold[:, 1:].ravel()), 1.0)
-        obs_begin += np.bincount(gold[:, 0], minlength=K)
-        obs_end += np.bincount(gold[:, -1], minlength=K)
+        onehot = np.eye(K)[gold]
+        transitions = np.einsum("bti,btj->ij", onehot[:, :-1], onehot[:, 1:])
+        _add_counts(observed, A, K, group, onehot, transitions)
     return groups, observed
+
+
+def _add_counts(flat: np.ndarray, A: int, K: int, group: _Group,
+                unary: np.ndarray, transitions: np.ndarray):
+    """Add a group's feature counts to the flat layout, from its (B, T, K) tag
+    weights (one-hot gold tags or posteriors) and (K, K) transition counts."""
+    state, trans, begin, end = _blocks(flat, A, K)
+    state += group.X.T @ unary.reshape(-1, K)
+    trans += transitions
+    begin += unary[:, 0].sum(axis=0)
+    end += unary[:, -1].sum(axis=0)
 
 
 def _nll_prepared(w: np.ndarray, A: int, K: int, groups: list[_Group], observed: np.ndarray,
@@ -333,10 +334,7 @@ def _nll_prepared(w: np.ndarray, A: int, K: int, groups: list[_Group], observed:
         s3 = group.state_scores(state_w)
         la, lb, log_Z = _forward_backward(s3, trans, begin, end)
         unary, pairwise = _marginals(s3, la, lb, log_Z, trans)
-        grad.state += group.X.T @ unary.reshape(-1, K)
-        grad.transitions += pairwise.sum(axis=(0, 1))
-        grad.begin += unary[:, 0, :].sum(axis=0)
-        grad.end += unary[:, -1, :].sum(axis=0)
+        _add_counts(grad.flat, A, K, group, unary, pairwise.sum(axis=(0, 1)))
         log_Z_sum += float(log_Z.sum())
 
     value = log_Z_sum - float(observed @ w)
@@ -409,7 +407,8 @@ FORMAT_VERSION = 1
 
 
 def save_model(path: str, model: ModelParameters, feature_config: FeatureConfig):
-    """Single JSON document; floats round-trip bit-faithfully via repr."""
+    """Single JSON document; floats round-trip bit-faithfully via repr. The
+    text is built before the file is opened, so a failed save leaves it as it was."""
     a_vals = model.state_weights.nonzero()
     doc = {
         "format_version": FORMAT_VERSION,
@@ -425,9 +424,9 @@ def save_model(path: str, model: ModelParameters, feature_config: FeatureConfig)
         "end": model.end_weights.tolist(),
         "training": asdict(model.training) if model.training else None,
     }
+    text = json.dumps(doc, ensure_ascii=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _attrs_in_index_order(attribute_index: dict[str, int]) -> list[str]:
@@ -467,8 +466,8 @@ def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
     A, K = len(attributes), len(tagset)
     state = np.zeros((A, K))
     for a, k, w in doc["state_weights"]:
-        if not (0 <= a < A and 0 <= k < K):
-            raise ValueError(f"state weight index out of range: [{a}, {k}]")
+        if not (type(a) is int and type(k) is int and 0 <= a < A and 0 <= k < K):
+            raise ValueError(f"state weight index must be an int in range: [{a}, {k}]")
         state[a, k] = w
     trans = np.asarray(doc["transitions"], dtype=np.float64)
     begin = np.asarray(doc["begin"], dtype=np.float64)

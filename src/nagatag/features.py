@@ -36,10 +36,10 @@ class FeatureConfig:
     suffixes: bool = True
 
     def __post_init__(self):
-        if self.prefix_max < 1:
-            raise ValueError(f"prefix_max must be >= 1: {self.prefix_max}")
-        if self.suffix_max < 1:
-            raise ValueError(f"suffix_max must be >= 1: {self.suffix_max}")
+        for name in ("prefix_max", "suffix_max"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1: {value!r}")
 
 
 def extract_token_features(

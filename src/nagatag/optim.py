@@ -154,13 +154,11 @@ def minimize(
 
     pairs: deque = deque(maxlen=config.memory_pairs)
     pg = pseudo_gradient(x, g, c1)
+    gmax = float(np.max(np.abs(pg))) if pg.size else 0.0
     records = []
-    converged = False
 
     for iteration in range(1, config.max_iterations + 1):
-        gmax = float(np.max(np.abs(pg))) if pg.size else 0.0
         if gmax <= config.gradient_tolerance:
-            converged = True
             break
 
         d = _two_loop(pg, pairs) if pairs else -pg
@@ -208,10 +206,11 @@ def minimize(
 
         x, g, F = x_new, g_new, float(F_new)
         pg = pseudo_gradient(x, g, c1)
+        gmax = float(np.max(np.abs(pg))) if pg.size else 0.0
         record = IterationRecord(
             iteration=iteration,
             objective=F,
-            gradient_max_norm=float(np.max(np.abs(pg))) if pg.size else 0.0,
+            gradient_max_norm=gmax,
             step_size=step,
             nonzero_count=int(np.count_nonzero(x)),
         )
@@ -223,8 +222,7 @@ def minimize(
                 f"nnz {record.nonzero_count}"
             )
 
-    if not converged and records:
-        converged = records[-1].gradient_max_norm <= config.gradient_tolerance
+    converged = gmax <= config.gradient_tolerance
     trace = IterationTrace(initial_objective, tuple(records), converged)
     return x, trace
 

@@ -97,8 +97,11 @@ def test_unknown_tag_is_data_error(small):
         lambda doc: dict(doc, feature_config=dict(doc["feature_config"], bogus=1)),
         lambda doc: dict(doc, training={"c1": 0.1}),
         lambda doc: [doc],
+        lambda doc: dict(doc, state_weights=[[1.5, 0, 1.0]]),
+        lambda doc: dict(doc, feature_config=dict(doc["feature_config"], prefix_max=2.5)),
     ],
-    ids=["missing-tagset", "unknown-feature-key", "incomplete-training", "top-level-list"],
+    ids=["missing-tagset", "unknown-feature-key", "incomplete-training", "top-level-list",
+         "fractional-state-index", "fractional-prefix-max"],
 )
 def test_malformed_model_is_data_error(trained, capsys, mutate):
     tmp_path, tagset_file, corpus_file, model_file = trained
@@ -110,6 +113,22 @@ def test_malformed_model_is_data_error(trained, capsys, mutate):
     raw.write_text("dora ase .\n", encoding="utf-8")
     assert main(["tag", str(raw), "--model", str(bad)]) == 2
     assert "nagatag: error:" in capsys.readouterr().err
+
+
+def test_empty_tagset_is_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    assert main(["stats", str(empty), "--tagset", str(empty)]) == 2
+    assert "nagatag: error:" in capsys.readouterr().err
+
+
+def test_train_warns_when_not_converged(small, capsys):
+    tmp_path, tagset_file, corpus_file = small
+    model_file = str(tmp_path / "model.json")
+    code = main(["train", corpus_file, "--model", model_file, "--tagset", tagset_file,
+                 "--max-iter", "1"])
+    assert code == 0
+    assert "nagatag: warning: not converged" in capsys.readouterr().err
 
 
 def test_train_then_tag_round_trip(trained, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -592,6 +593,20 @@ def test_save_stores_only_nonzero_state_weights(tmp_path):
     assert len(doc["state_weights"]) == int(np.count_nonzero(model.state_weights))
     for _, _, w in doc["state_weights"]:
         assert w != 0.0
+
+
+def test_failed_save_leaves_previous_file(tmp_path):
+    _, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=5)
+    path = tmp_path / "model.json"
+    save_model(str(path), model, FeatureConfig())
+    before = path.read_bytes()
+    # an int64 iteration count is not JSON-serializable, and it comes last
+    bad = dataclasses.replace(
+        model, training=dataclasses.replace(model.training, iterations=np.int64(5))
+    )
+    with pytest.raises(TypeError):
+        save_model(str(path), bad, FeatureConfig())
+    assert path.read_bytes() == before
 
 
 def test_load_rejects_bad_documents(tmp_path):
