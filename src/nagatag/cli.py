@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -50,8 +51,8 @@ def _fraction(text: str) -> float:
 
 def _nonneg(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative: {text}")
     return value
 
 

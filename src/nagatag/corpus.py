@@ -5,7 +5,8 @@ A corpus file is UTF-8 text with one sentence per line and tokens separated
 by whitespace. Each token is ``word/TAG``; the *last* slash separates word
 from tag so words may themselves contain slashes. Blank lines separate
 sentences and lines starting with ``#`` are comments (the synthetic
-generator writes its config as such a header).
+generator writes its config as such a header). Every tag must belong to the
+tagset: an unknown tag is always a CorpusError, never relabelled.
 """
 
 from __future__ import annotations
@@ -139,17 +140,8 @@ class AgreementReport:
         return (self.disagreed - self.disagreed_on_excluded_tag) / self.total_tokens
 
 
-def parse_tagged(text: str, tagset: TagSet, unknown_policy: str = "reject") -> TaggedCorpus:
-    """Parse word/TAG text into a corpus.
-
-    ``unknown_policy`` is ``"reject"`` (raise on a tag missing from the
-    tagset) or ``"map_to_UNK"`` (silently relabel such tokens as UNK).
-    """
-    if unknown_policy not in ("reject", "map_to_UNK"):
-        raise ValueError(f"unknown_policy must be 'reject' or 'map_to_UNK': {unknown_policy!r}")
-    if unknown_policy == "map_to_UNK" and "UNK" not in tagset:
-        raise ValueError("map_to_UNK policy requires an UNK tag in the tagset")
-
+def parse_tagged(text: str, tagset: TagSet) -> TaggedCorpus:
+    """Parse word/TAG text into a corpus; a tag outside the tagset raises."""
     sentences = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -163,13 +155,9 @@ def parse_tagged(text: str, tagset: TagSet, unknown_policy: str = "reject") -> T
                 raise CorpusError(line_no, raw, "empty word part")
             if not tag_name:
                 raise CorpusError(line_no, raw, "empty tag part")
-            if tag_name in tagset:
-                tag = tagset.index(tag_name)
-            elif unknown_policy == "map_to_UNK":
-                tag = tagset.index("UNK")
-            else:
+            if tag_name not in tagset:
                 raise CorpusError(line_no, raw, f"tag {tag_name!r} not in tagset")
-            tokens.append(Token(word, tag))
+            tokens.append(Token(word, tagset.index(tag_name)))
         sentences.append(Sentence(tuple(tokens)))
     return TaggedCorpus(tuple(sentences))
 
@@ -251,15 +239,13 @@ def agreement(
     return AgreementReport(total, disagreed, disagreed_excluded)
 
 
-def read_corpus(path: str, tagset: TagSet, unknown_policy: str = "reject") -> TaggedCorpus:
+def read_corpus(path: str, tagset: TagSet) -> TaggedCorpus:
     with open(path, encoding="utf-8") as fh:
-        return parse_tagged(fh.read(), tagset, unknown_policy)
+        return parse_tagged(fh.read(), tagset)
 
 
-def write_corpus(path: str, corpus: TaggedCorpus, tagset: TagSet, header: str | None = None):
+def write_corpus(path: str, corpus: TaggedCorpus, tagset: TagSet):
     with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(f"# {header}\n")
         fh.write(serialize_tagged(corpus, tagset))
 
 

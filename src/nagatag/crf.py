@@ -457,10 +457,35 @@ def load_model(path: str) -> tuple[ModelParameters, FeatureConfig]:
         raise ValueError(f"malformed model file: {exc}") from exc
 
 
+# Template switches that older model files record next to the affix lengths.
+# The template is fixed, so such a file loads only if every switch is on.
+_TEMPLATE_FLAGS = frozenset((
+    "word", "is_first", "is_last", "is_capitalized", "is_all_caps", "is_all_lower",
+    "capitals_inside", "has_hyphen", "is_numeric", "prev_word", "next_word",
+    "prefixes", "suffixes",
+))
+
+
+def _string_list(doc: dict, key: str) -> list[str]:
+    value = doc[key]
+    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+        raise ValueError(f"{key} must be a JSON list of strings")
+    return value
+
+
+def _feature_config(fields) -> FeatureConfig:
+    if not isinstance(fields, dict):
+        raise ValueError("feature_config must be a JSON object")
+    for flag in _TEMPLATE_FLAGS.intersection(fields):
+        if fields[flag] is not True:
+            raise ValueError(f"feature_config {flag!r} must be true: {fields[flag]!r}")
+    return FeatureConfig(**{k: v for k, v in fields.items() if k not in _TEMPLATE_FLAGS})
+
+
 def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
-    tagset = TagSet(tuple(doc["tagset"]))
-    feature_config = FeatureConfig(**doc["feature_config"])
-    attributes = doc["attributes"]
+    tagset = TagSet(tuple(_string_list(doc, "tagset")))
+    feature_config = _feature_config(doc["feature_config"])
+    attributes = _string_list(doc, "attributes")
     if len(set(attributes)) != len(attributes):
         raise ValueError("duplicate attributes in model file")
     A, K = len(attributes), len(tagset)

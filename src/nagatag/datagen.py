@@ -5,15 +5,19 @@ generator, ASCII-transliterated) plus a tag-identifying suffix marker, so
 gold tags are recoverable from suffix features alone and a suffix-aware
 tagger can learn the task essentially perfectly. Tags follow a fixed
 first-order Markov chain that persists across sentence boundaries; every
-sentence ends with the SYM punctuation marker. Everything is driven by one
-seeded rng, so a config maps to exactly one corpus.
+sentence ends with the SYM punctuation marker. The tagset (the default
+15 tags) and the suffix rule (DEFAULT_SUFFIX_RULE, one marker per tag) are
+fixed; a config sets only the seed, the sentence count and the length
+range. Everything is driven by one seeded rng, so a config maps to exactly
+one corpus.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token
 from nagatag.phonotactics import draw_word, to_ascii
@@ -35,38 +39,18 @@ class SynthConfig:
     n_sentences: int = 100
     min_len: int = 5
     max_len: int = 20
-    tagset: TagSet = TagSet()
-    suffix_rule: dict[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_SUFFIX_RULE)
-    )
+    tagset: ClassVar[TagSet] = TagSet()
+    suffix_rule: ClassVar[dict[str, str]] = DEFAULT_SUFFIX_RULE
 
     def __post_init__(self):
         if self.n_sentences < 1:
             raise ValueError(f"n_sentences must be >= 1: {self.n_sentences}")
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError(f"bad length range: {self.min_len}..{self.max_len}")
-        if not self.suffix_rule:
-            raise ValueError("suffix_rule must be non-empty")
-        values = list(self.suffix_rule.values())
-        for tag in values:
-            if tag not in self.tagset:
-                raise ValueError(f"suffix_rule tag {tag!r} not in tagset")
-        if len(set(values)) != len(values):
-            raise ValueError("suffix_rule must map one marker per tag")
-        markers = list(self.suffix_rule)
-        for a in markers:
-            if not a:
-                raise ValueError("empty marker")
-            for b in markers:
-                if a != b and a.endswith(b):
-                    raise ValueError(f"marker {b!r} is a suffix of marker {a!r}")
-        if PUNCT_TAG not in values:
-            raise ValueError(f"suffix_rule must include a marker for {PUNCT_TAG}")
 
     def chain_tags(self) -> list[str]:
         """Markov chain states: the non-punctuation tags, in tagset order."""
-        claimed = set(self.suffix_rule.values())
-        return [t for t in self.tagset if t in claimed and t != PUNCT_TAG]
+        return [t for t in self.tagset if t != PUNCT_TAG]
 
     def marker_for(self) -> dict[str, str]:
         return {tag: marker for marker, tag in self.suffix_rule.items()}
@@ -105,8 +89,6 @@ def generate(config: SynthConfig) -> TaggedCorpus:
     """
     rng = random.Random(config.seed)
     chain = config.chain_tags()
-    if not chain:
-        raise ValueError("suffix_rule must cover at least one non-punctuation tag")
     marker_for = config.marker_for()
     probs = transition_matrix(len(chain))
     states = list(range(len(chain)))

@@ -1,10 +1,12 @@
 """Per-token feature template and its expansion into binary attributes.
 
-Each token yields an ordered map of word-shape and context features
-(the word itself, positional flags, casing predicates, affixes up to a
-configurable length, neighbouring words). The CRF consumes these as
-"key=value" indicator strings, so a token's observable content is exactly
-its attribute set.
+Every token yields the same ordered template: the word itself, whether it
+is first or last in the sentence, six shape predicates (capitalized, all
+caps, all lower, capitals inside, hyphen, numeric), the previous and next
+words, then its prefixes and suffixes up to ``prefix_max``/``suffix_max``
+characters. The affix lengths are the only settings; the model file records
+them. The CRF consumes these as "key=value" indicator strings, so a token's
+observable content is exactly its attribute set.
 """
 
 from __future__ import annotations
@@ -17,23 +19,10 @@ FeatureMap = dict[str, "bool | str"]
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Which template items to emit. Field names match feature keys."""
+    """Longest prefix and suffix, in characters, that the template emits."""
 
     prefix_max: int = 3
     suffix_max: int = 4
-    word: bool = True
-    is_first: bool = True
-    is_last: bool = True
-    is_capitalized: bool = True
-    is_all_caps: bool = True
-    is_all_lower: bool = True
-    capitals_inside: bool = True
-    has_hyphen: bool = True
-    is_numeric: bool = True
-    prev_word: bool = True
-    next_word: bool = True
-    prefixes: bool = True
-    suffixes: bool = True
 
     def __post_init__(self):
         for name in ("prefix_max", "suffix_max"):
@@ -50,38 +39,26 @@ def extract_token_features(
         raise IndexError(f"position {t} out of range for sentence of length {len(sentence)}")
     word = sentence[t]
     last = len(sentence) - 1
-    fm: FeatureMap = {}
-    if config.word:
-        fm["word"] = word
-    if config.is_first:
-        fm["is_first"] = t == 0
-    if config.is_last:
-        fm["is_last"] = t == last
-    if config.is_capitalized:
-        fm["is_capitalized"] = word[:1].isupper()
-    if config.is_all_caps:
-        fm["is_all_caps"] = word.isupper()
-    if config.is_all_lower:
-        fm["is_all_lower"] = word.islower()
-    if config.capitals_inside:
-        fm["capitals_inside"] = any(c.isupper() for c in word[1:])
-    if config.has_hyphen:
-        fm["has_hyphen"] = "-" in word
-    if config.is_numeric:
-        fm["is_numeric"] = word.isdecimal()
-    if config.prev_word:
-        fm["prev_word"] = sentence[t - 1] if t > 0 else ""
-    if config.next_word:
-        fm["next_word"] = sentence[t + 1] if t < last else ""
-    if config.prefixes:
-        # prefix-k only when the word actually has k characters
-        for k in range(1, config.prefix_max + 1):
-            if len(word) >= k:
-                fm[f"prefix-{k}"] = word[:k]
-    if config.suffixes:
-        for k in range(1, config.suffix_max + 1):
-            if len(word) >= k:
-                fm[f"suffix-{k}"] = word[-k:]
+    fm: FeatureMap = {
+        "word": word,
+        "is_first": t == 0,
+        "is_last": t == last,
+        "is_capitalized": word[:1].isupper(),
+        "is_all_caps": word.isupper(),
+        "is_all_lower": word.islower(),
+        "capitals_inside": any(c.isupper() for c in word[1:]),
+        "has_hyphen": "-" in word,
+        "is_numeric": word.isdecimal(),
+        "prev_word": sentence[t - 1] if t > 0 else "",
+        "next_word": sentence[t + 1] if t < last else "",
+    }
+    # prefix-k only when the word actually has k characters
+    for k in range(1, config.prefix_max + 1):
+        if len(word) >= k:
+            fm[f"prefix-{k}"] = word[:k]
+    for k in range(1, config.suffix_max + 1):
+        if len(word) >= k:
+            fm[f"suffix-{k}"] = word[-k:]
     return fm
 
 

@@ -7,10 +7,16 @@ the orthant-wise variant: steps use the pseudo-gradient of the combined
 objective, the quasi-Newton direction is sign-projected onto the pseudo-
 gradient's descent orthant, and line-search iterates clamp coordinates that
 cross zero, which is what actually produces exact zeros in the solution.
+
+OptimConfig sets only the regularizer weights, the iteration cap and the
+gradient tolerance. The curvature memory and the line search use the
+textbook constants below (Liu & Nocedal 1989; Nocedal & Wright, *Numerical
+Optimization*, section 3.1), not values tuned per workload.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -32,30 +38,29 @@ class LineSearchFailure(OptimError):
     """No step satisfying the Armijo condition within the trial budget."""
 
 
+MEMORY_PAIRS = 10
+ARMIJO_CONSTANT = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_LINE_SEARCH_TRIALS = 50
+
+
 @dataclass(frozen=True)
 class OptimConfig:
     max_iterations: int = 100
-    memory_pairs: int = 10
     c1: float = 0.1
     c2: float = 0.1
     gradient_tolerance: float = 1e-5
-    armijo_constant: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_line_search_trials: int = 50
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1: {self.max_iterations}")
-        if self.memory_pairs < 1:
-            raise ValueError(f"memory_pairs must be >= 1: {self.memory_pairs}")
+        for name in ("c1", "c2", "gradient_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError(f"regularizer weights must be nonnegative: {self.c1}, {self.c2}")
         if self.gradient_tolerance <= 0:
             raise ValueError(f"gradient_tolerance must be > 0: {self.gradient_tolerance}")
-        if not 0 < self.armijo_constant < 1 or not 0 < self.backtrack_factor < 1:
-            raise ValueError("line-search constants must lie in (0, 1)")
-        if self.max_line_search_trials < 1:
-            raise ValueError("max_line_search_trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def minimize(
     F = f + c1 * np.sum(np.abs(x)) if c1 else f
     initial_objective = float(F)
 
-    pairs: deque = deque(maxlen=config.memory_pairs)
+    pairs: deque = deque(maxlen=MEMORY_PAIRS)
     pg = pseudo_gradient(x, g, c1)
     gmax = float(np.max(np.abs(pg))) if pg.size else 0.0
     records = []
@@ -173,7 +178,7 @@ def minimize(
 
         step = 1.0
         accepted = False
-        for _ in range(config.max_line_search_trials):
+        for _ in range(MAX_LINE_SEARCH_TRIALS):
             x_new = x + step * d
             if c1:
                 x_new = project_orthant(x_new, xi)
@@ -183,10 +188,10 @@ def minimize(
                     f"objective not finite at iteration {iteration}, step {step}"
                 )
             F_new = f_new + c1 * np.sum(np.abs(x_new)) if c1 else f_new
-            if F_new <= F + config.armijo_constant * np.dot(pg, x_new - x):
+            if F_new <= F + ARMIJO_CONSTANT * np.dot(pg, x_new - x):
                 accepted = True
                 break
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             raise LineSearchFailure(
                 f"no Armijo step found at iteration {iteration} "

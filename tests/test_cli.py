@@ -99,9 +99,17 @@ def test_unknown_tag_is_data_error(small):
         lambda doc: [doc],
         lambda doc: dict(doc, state_weights=[[1.5, 0, 1.0]]),
         lambda doc: dict(doc, feature_config=dict(doc["feature_config"], prefix_max=2.5)),
+        lambda doc: dict(doc, tagset="".join(doc["tagset"])),
+        # one distinct character per attribute, so only the type is wrong
+        lambda doc: dict(
+            doc, attributes="".join(chr(0x4E00 + i) for i in range(len(doc["attributes"])))
+        ),
+        lambda doc: dict(doc, feature_config=dict(doc["feature_config"], word=False)),
+        lambda doc: dict(doc, feature_config=dict(doc["feature_config"], word="false")),
     ],
     ids=["missing-tagset", "unknown-feature-key", "incomplete-training", "top-level-list",
-         "fractional-state-index", "fractional-prefix-max"],
+         "fractional-state-index", "fractional-prefix-max", "string-tagset",
+         "string-attributes", "false-feature-flag", "string-feature-flag"],
 )
 def test_malformed_model_is_data_error(trained, capsys, mutate):
     tmp_path, tagset_file, corpus_file, model_file = trained
@@ -113,6 +121,18 @@ def test_malformed_model_is_data_error(trained, capsys, mutate):
     raw.write_text("dora ase .\n", encoding="utf-8")
     assert main(["tag", str(raw), "--model", str(bad)]) == 2
     assert "nagatag: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--c1", "--c2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_regularizer_is_usage_error(small, capsys, flag, value):
+    tmp_path, tagset_file, corpus_file = small
+    model_file = tmp_path / "model.json"
+    code = main(["train", corpus_file, "--model", str(model_file), "--tagset", tagset_file,
+                 flag, value])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not model_file.exists()
 
 
 def test_empty_tagset_is_data_error(tmp_path, capsys):

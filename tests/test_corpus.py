@@ -103,16 +103,6 @@ def test_unknown_tag_policies():
         parse_tagged(text, TAGSET)
     assert "XYZ" in str(exc.value)
 
-    corpus = parse_tagged(text, TAGSET, unknown_policy="map_to_UNK")
-    assert corpus.sentences[0].tokens[0].tag == TAGSET.index("UNK")
-
-    with pytest.raises(ValueError):
-        parse_tagged(text, TAGSET, unknown_policy="bogus")
-
-    no_unk = TagSet(("N", "V"))
-    with pytest.raises(ValueError):
-        parse_tagged(text, no_unk, unknown_policy="map_to_UNK")
-
 
 def test_serialize_inverts_parse_on_sample():
     corpus = parse_tagged(SAMPLE, TAGSET)

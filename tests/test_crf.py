@@ -581,6 +581,38 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.training == model.training
 
 
+def test_load_accepts_layout_with_template_flags(tmp_path):
+    import json
+
+    _, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=5)
+    path = tmp_path / "model.json"
+    save_model(str(path), model, FeatureConfig(prefix_max=2))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["feature_config"] == {"prefix_max": 2, "suffix_max": 4}
+    # the feature_config of format-1 files written when the template had
+    # on/off switches: the affix lengths, then 13 switches, all on
+    flags = ("word", "is_first", "is_last", "is_capitalized", "is_all_caps", "is_all_lower",
+             "capitals_inside", "has_hyphen", "is_numeric", "prev_word", "next_word",
+             "prefixes", "suffixes")
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps(dict(
+        doc, feature_config=dict(doc["feature_config"], **dict.fromkeys(flags, True))
+    )), encoding="utf-8")
+
+    loaded, feature_config = load_model(str(flagged))
+    expected, expected_config = load_model(str(path))
+    assert feature_config == expected_config == FeatureConfig(prefix_max=2)
+    assert loaded.tagset == expected.tagset
+    assert loaded.attribute_index == expected.attribute_index
+    for name in ("state_weights", "transition_weights", "begin_weights", "end_weights"):
+        assert np.array_equal(getattr(loaded, name), getattr(expected, name))
+    assert loaded.training == expected.training
+
+    resaved = tmp_path / "resaved.json"
+    save_model(str(resaved), loaded, feature_config)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
 def test_save_stores_only_nonzero_state_weights(tmp_path):
     import json
 

@@ -106,12 +106,6 @@ def test_out_of_range_position():
 
 
 def test_config_flags_drop_items():
-    config = FeatureConfig(word=False, prev_word=False, next_word=False, suffixes=False)
-    fm = extract_token_features(SENTENCE, 0, config)
-    for key in ("word", "prev_word", "next_word", "suffix-1"):
-        assert key not in fm
-    assert fm["is_first"] is True
-
     config = FeatureConfig(prefix_max=2, suffix_max=2)
     fm = extract_token_features(SENTENCE, 0, config)
     assert "prefix-3" not in fm and "suffix-3" not in fm

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -171,15 +173,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        OptimConfig(memory_pairs=0)
-    with pytest.raises(ValueError):
         OptimConfig(gradient_tolerance=0.0)
     with pytest.raises(ValueError):
         OptimConfig(c1=-0.1)
     with pytest.raises(ValueError):
         OptimConfig(c2=-1.0)
-    with pytest.raises(ValueError):
-        OptimConfig(armijo_constant=1.5)
+    for name in ("c1", "c2", "gradient_tolerance"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                OptimConfig(**{name: value})
 
 
 def test_trace_rejects_objective_increase():
