@@ -28,7 +28,7 @@ from nagatag.corpus import (
 from nagatag.crf import load_model, save_model, tag_corpus, train_model
 from nagatag.datagen import SynthConfig, config_header, generate
 from nagatag.evaluation import confusion, format_report_text, report, top_transitions
-from nagatag.features import FeatureConfig, extract_token_features, format_feature_map
+from nagatag.features import FeatureConfig, extract_token_features
 from nagatag.optim import OptimConfig, OptimError
 from nagatag.phonotactics import analyze_word, from_ascii, to_skeleton
 
@@ -191,10 +191,7 @@ def _cmd_transitions(args) -> int:
 
 def _cmd_features(args) -> int:
     words = tuple(args.words)
-    lines = [
-        format_feature_map(extract_token_features(words, t, FeatureConfig()))
-        for t in range(len(words))
-    ]
+    lines = [repr(extract_token_features(words, t, FeatureConfig())) for t in range(len(words))]
     _emit("\n".join(lines) + "\n", args)
     return 0
 
@@ -225,6 +222,10 @@ def _cmd_syllables(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.min_len > args.max_len:
+        print(f"nagatag gen: error: --min-len {args.min_len} exceeds --max-len {args.max_len}",
+              file=sys.stderr)
+        return 1
     config = SynthConfig(
         seed=args.seed,
         n_sentences=args.count,

@@ -12,6 +12,7 @@ tagset: an unknown tag is always a CorpusError, never relabelled.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 # The 15-tag Nagamese tagset, in canonical order. Indices into this list are
@@ -163,11 +164,17 @@ def parse_tagged(text: str, tagset: TagSet) -> TaggedCorpus:
 
 
 def serialize_tagged(corpus: TaggedCorpus, tagset: TagSet) -> str:
-    """Inverse of parse_tagged: one sentence per line, single spaces."""
-    lines = [
-        " ".join(f"{t.word}/{tagset.name(t.tag)}" for t in sentence.tokens)
-        for sentence in corpus.sentences
-    ]
+    """Inverse of parse_tagged: one sentence per line, single spaces. A
+    sentence whose first word starts with '#' would read back as a comment
+    line, so it raises ValueError rather than being lost."""
+    lines = []
+    for i, sentence in enumerate(corpus.sentences):
+        first = sentence.tokens[0].word
+        if first.startswith("#"):
+            raise ValueError(
+                f"sentence {i}: first word {first!r} starts with '#' and would read as a comment"
+            )
+        lines.append(" ".join(f"{t.word}/{tagset.name(t.tag)}" for t in sentence.tokens))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -200,13 +207,16 @@ def split_corpus(
     return TaggedCorpus(train), TaggedCorpus(test)
 
 
-def check_aligned(reference: TaggedCorpus, other: TaggedCorpus):
-    """Raise ValueError unless both corpora hold the same words in the same
+def tag_pairs(reference: TaggedCorpus, other: TaggedCorpus) -> Counter[tuple[int, int]]:
+    """Count the (reference tag, other tag) pair at every token position of
+    two annotations of the same text; agreement and confusion read this one
+    table. Raises ValueError unless both hold the same words in the same
     sentences, so that token positions correspond one to one."""
     if len(reference.sentences) != len(other.sentences):
         raise ValueError(
             f"sentence count mismatch: {len(reference.sentences)} vs {len(other.sentences)}"
         )
+    pairs: Counter[tuple[int, int]] = Counter()
     for i, (r, o) in enumerate(zip(reference.sentences, other.sentences)):
         if len(r) != len(o):
             raise ValueError(f"sentence {i}: length mismatch")
@@ -215,6 +225,8 @@ def check_aligned(reference: TaggedCorpus, other: TaggedCorpus):
                 raise ValueError(
                     f"sentence {i}, token {j}: word mismatch {rt.word!r} vs {ot.word!r}"
                 )
+            pairs[rt.tag, ot.tag] += 1
+    return pairs
 
 
 def agreement(
@@ -225,18 +237,13 @@ def agreement(
     Raises ValueError if the two corpora differ in sentence count, sentence
     length or any word, since token positions must correspond one to one.
     """
-    check_aligned(reference, other)
-    total = 0
-    disagreed = 0
-    disagreed_excluded = 0
-    for ref_sent, other_sent in zip(reference.sentences, other.sentences):
-        for ref_tok, other_tok in zip(ref_sent.tokens, other_sent.tokens):
-            total += 1
-            if ref_tok.tag != other_tok.tag:
-                disagreed += 1
-                if ref_tok.tag == excluded_tag:
-                    disagreed_excluded += 1
-    return AgreementReport(total, disagreed, disagreed_excluded)
+    pairs = tag_pairs(reference, other)
+    disagreed = {(r, o): n for (r, o), n in pairs.items() if r != o}
+    return AgreementReport(
+        pairs.total(),
+        sum(disagreed.values()),
+        sum(n for (r, _), n in disagreed.items() if r == excluded_tag),
+    )
 
 
 def read_corpus(path: str, tagset: TagSet) -> TaggedCorpus:
@@ -245,8 +252,11 @@ def read_corpus(path: str, tagset: TagSet) -> TaggedCorpus:
 
 
 def write_corpus(path: str, corpus: TaggedCorpus, tagset: TagSet):
+    """The text is built before the file is opened, so a corpus that cannot
+    be written leaves the file as it was."""
+    text = serialize_tagged(corpus, tagset)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_tagged(corpus, tagset))
+        fh.write(text)
 
 
 def read_raw_sentences(path: str) -> list[tuple[str, ...]]:

@@ -414,7 +414,7 @@ def save_model(path: str, model: ModelParameters, feature_config: FeatureConfig)
         "format_version": FORMAT_VERSION,
         "tagset": list(model.tagset.names),
         "feature_config": asdict(feature_config),
-        "attributes": _attrs_in_index_order(model.attribute_index),
+        "attributes": sorted(model.attribute_index, key=model.attribute_index.__getitem__),
         "state_weights": [
             [int(a), int(k), float(model.state_weights[a, k])]
             for a, k in zip(*a_vals)
@@ -427,13 +427,6 @@ def save_model(path: str, model: ModelParameters, feature_config: FeatureConfig)
     text = json.dumps(doc, ensure_ascii=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _attrs_in_index_order(attribute_index: dict[str, int]) -> list[str]:
-    out = [""] * len(attribute_index)
-    for attr, i in attribute_index.items():
-        out[i] = attr
-    return out
 
 
 _MODEL_KEYS = ("tagset", "feature_config", "attributes", "state_weights",
@@ -473,6 +466,15 @@ def _string_list(doc: dict, key: str) -> list[str]:
     return value
 
 
+def _weights(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array of JSON numbers. numpy alone would parse a
+    string such as "0.5", and would turn true into 1.0 in a list of floats."""
+    values = np.asarray(doc[key], dtype=object)
+    if not all(type(v) in (int, float) for v in values.flat):
+        raise ValueError(f"{key} must hold only JSON numbers")
+    return values.astype(np.float64)
+
+
 def _feature_config(fields) -> FeatureConfig:
     if not isinstance(fields, dict):
         raise ValueError("feature_config must be a JSON object")
@@ -493,10 +495,10 @@ def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
     for a, k, w in doc["state_weights"]:
         if not (type(a) is int and type(k) is int and 0 <= a < A and 0 <= k < K):
             raise ValueError(f"state weight index must be an int in range: [{a}, {k}]")
+        if type(w) not in (int, float):
+            raise ValueError(f"state weight must be a JSON number: {w!r}")
         state[a, k] = w
-    trans = np.asarray(doc["transitions"], dtype=np.float64)
-    begin = np.asarray(doc["begin"], dtype=np.float64)
-    end = np.asarray(doc["end"], dtype=np.float64)
+    trans, begin, end = (_weights(doc, key) for key in ("transitions", "begin", "end"))
     training = TrainingMeta(**doc["training"]) if doc.get("training") else None
     model = ModelParameters(
         tagset=tagset,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token
@@ -116,14 +116,5 @@ def generate(config: SynthConfig) -> TaggedCorpus:
 
 def config_header(config: SynthConfig) -> str:
     """One-line JSON echo of the config, for the corpus file's # header."""
-    return json.dumps(
-        {
-            "seed": config.seed,
-            "n_sentences": config.n_sentences,
-            "min_len": config.min_len,
-            "max_len": config.max_len,
-            "tagset": list(config.tagset.names),
-            "suffix_rule": config.suffix_rule,
-        },
-        ensure_ascii=False,
-    )
+    fixed = {"tagset": list(config.tagset.names), "suffix_rule": config.suffix_rule}
+    return json.dumps(asdict(config) | fixed, ensure_ascii=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nagatag.corpus import TaggedCorpus, TagSet, check_aligned
+from nagatag.corpus import TaggedCorpus, TagSet, tag_pairs
 from nagatag.crf import ModelParameters
 
 
@@ -33,10 +33,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def supports(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
 
     def to_csv(self) -> str:
         names = self.tagset.names
@@ -103,12 +99,10 @@ class EvalReport:
 
 def confusion(gold: TaggedCorpus, predicted: TaggedCorpus, tagset: TagSet) -> ConfusionMatrix:
     """Count (gold tag, predicted tag) pairs over structurally identical corpora."""
-    check_aligned(gold, predicted)
     K = len(tagset)
     counts = np.zeros((K, K), dtype=np.int64)
-    for g_sent, p_sent in zip(gold.sentences, predicted.sentences):
-        for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
-            counts[g_tok.tag, p_tok.tag] += 1
+    for (g, p), n in tag_pairs(gold, predicted).items():
+        counts[g, p] = n
     return ConfusionMatrix(tagset, counts)
 
 

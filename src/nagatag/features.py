@@ -53,23 +53,21 @@ def extract_token_features(
         "next_word": sentence[t + 1] if t < last else "",
     }
     # prefix-k only when the word actually has k characters
-    for k in range(1, config.prefix_max + 1):
-        if len(word) >= k:
-            fm[f"prefix-{k}"] = word[:k]
-    for k in range(1, config.suffix_max + 1):
-        if len(word) >= k:
-            fm[f"suffix-{k}"] = word[-k:]
+    for k in range(1, min(config.prefix_max, len(word)) + 1):
+        fm[f"prefix-{k}"] = word[:k]
+    for k in range(1, min(config.suffix_max, len(word)) + 1):
+        fm[f"suffix-{k}"] = word[-k:]
     return fm
 
 
 def binarize(fm: FeatureMap) -> tuple[str, ...]:
-    """Render every entry as "key=value", booleans as true/false,
-    deduplicated and sorted for a deterministic iteration order."""
-    attrs = {
+    """Render every entry as "key=value", booleans as true/false, sorted
+    for a deterministic iteration order. Keys are unique and hold no "=",
+    so the rendered attributes are unique too."""
+    return tuple(sorted(
         f"{key}={'true' if value is True else 'false' if value is False else value}"
         for key, value in fm.items()
-    }
-    return tuple(sorted(attrs))
+    ))
 
 
 def sentence_attributes(
@@ -80,9 +78,3 @@ def sentence_attributes(
         binarize(extract_token_features(sentence, t, config))
         for t in range(len(sentence))
     )
-
-
-def format_feature_map(fm: FeatureMap) -> str:
-    """Human-readable one-line rendering for debug output."""
-    inner = ", ".join(f"{k!r}: {v!r}" for k, v in fm.items())
-    return "{" + inner + "}"

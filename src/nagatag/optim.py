@@ -97,18 +97,13 @@ class IterationTrace:
 
 
 def pseudo_gradient(x: np.ndarray, grad: np.ndarray, c1: float) -> np.ndarray:
-    """Subgradient of f(x) + c1*||x||_1 choosing the descent-feasible sign
-    at zero coordinates (zero when no descent is possible there)."""
-    if c1 == 0:
-        return grad.copy()
-    pg = grad + c1 * np.sign(x)
-    at_zero = x == 0
-    if np.any(at_zero):
-        plus = grad + c1
-        minus = grad - c1
-        pg_zero = np.where(plus < 0, plus, np.where(minus > 0, minus, 0.0))
-        pg[at_zero] = pg_zero[at_zero]
-    return pg
+    """Pseudo-gradient of f(x) + c1*||x||_1 (Andrew & Gao 2007). Where x != 0
+    it is grad + c1*sign(x). Where x = 0 it is the soft threshold
+    sign(grad)*max(|grad| - c1, 0): the one-sided derivative that descends,
+    or 0 when neither side descends. With c1 = 0 both cases give grad."""
+    return np.where(
+        x != 0, grad + c1 * np.sign(x), np.sign(grad) * np.maximum(np.abs(grad) - c1, 0.0)
+    )
 
 
 def sign_project_direction(d: np.ndarray, pg: np.ndarray) -> np.ndarray:
@@ -172,7 +167,7 @@ def minimize(
         if np.dot(pg, d) >= 0:
             # stale curvature produced a non-descent direction; restart
             pairs.clear()
-            d = sign_project_direction(-pg, pg) if c1 else -pg
+            d = -pg
         if c1:
             xi = np.where(x != 0, np.sign(x), np.sign(d))
 

@@ -1,6 +1,10 @@
 """End-to-end CLI tests: every subcommand through main(argv) on tmp files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,10 +110,16 @@ def test_unknown_tag_is_data_error(small):
         ),
         lambda doc: dict(doc, feature_config=dict(doc["feature_config"], word=False)),
         lambda doc: dict(doc, feature_config=dict(doc["feature_config"], word="false")),
+        lambda doc: dict(doc, state_weights=[[0, 0, "1.0"]]),
+        lambda doc: dict(doc, state_weights=[[0, 0, True]]),
+        lambda doc: dict(doc, transitions=[["0.5", *row[1:]] if i == 0 else row
+                                           for i, row in enumerate(doc["transitions"])]),
+        lambda doc: dict(doc, begin=[True, *doc["begin"][1:]]),
     ],
     ids=["missing-tagset", "unknown-feature-key", "incomplete-training", "top-level-list",
          "fractional-state-index", "fractional-prefix-max", "string-tagset",
-         "string-attributes", "false-feature-flag", "string-feature-flag"],
+         "string-attributes", "false-feature-flag", "string-feature-flag",
+         "string-state-weight", "bool-state-weight", "string-transition", "bool-begin"],
 )
 def test_malformed_model_is_data_error(trained, capsys, mutate):
     tmp_path, tagset_file, corpus_file, model_file = trained
@@ -175,6 +185,30 @@ def test_tag_output_reparses_identically(trained, capsys):
     text = capsys.readouterr().out
     reparsed = parse_tagged(text, TagSet(SMALL_TAGS))
     assert serialize_tagged(reparsed, TagSet(SMALL_TAGS)) == text
+
+
+def test_huge_affix_lengths_tag_like_the_trained_ones(trained):
+    # The affix loops stop at the word's length, so a model file asking for
+    # 10**12-character affixes tags at once; the longer affixes are outside
+    # the vocabulary, so the tags are those of the trained lengths (3, 4).
+    # A subprocess with a timeout, so that a regression fails instead of hanging.
+    tmp_path, tagset_file, corpus_file, model_file = trained
+    raw = tmp_path / "raw.txt"
+    raw.write_text("dora ase .\nsaki loi dora .\n", encoding="utf-8")
+    with open(model_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["feature_config"] = {"prefix_max": 10**12, "suffix_max": 10**12}
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "nagatag.cli", "tag", str(raw), "--model", model],
+            capture_output=True, text=True, timeout=30, check=True, env=env,
+        ).stdout
+        for model in (model_file, str(huge))
+    ]
+    assert outputs[0] == outputs[1] == "dora/N ase/V ./S\nsaki/N loi/V dora/N ./S\n"
 
 
 def test_eval_text_and_json(trained, capsys):
@@ -277,11 +311,18 @@ def test_transitions_output(trained, capsys):
 
 def test_features_dump(capsys):
     assert main(["features", "Titia", "Isor"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    assert "'word': 'Titia'" in lines[0]
-    assert "'is_first': True" in lines[0]
-    assert "'is_last': True" in lines[1]
+    assert capsys.readouterr().out == (
+        "{'word': 'Titia', 'is_first': True, 'is_last': False, 'is_capitalized': True, "
+        "'is_all_caps': False, 'is_all_lower': False, 'capitals_inside': False, "
+        "'has_hyphen': False, 'is_numeric': False, 'prev_word': '', 'next_word': 'Isor', "
+        "'prefix-1': 'T', 'prefix-2': 'Ti', 'prefix-3': 'Tit', 'suffix-1': 'a', "
+        "'suffix-2': 'ia', 'suffix-3': 'tia', 'suffix-4': 'itia'}\n"
+        "{'word': 'Isor', 'is_first': False, 'is_last': True, 'is_capitalized': True, "
+        "'is_all_caps': False, 'is_all_lower': False, 'capitals_inside': False, "
+        "'has_hyphen': False, 'is_numeric': False, 'prev_word': 'Titia', 'next_word': '', "
+        "'prefix-1': 'I', 'prefix-2': 'Is', 'prefix-3': 'Iso', 'suffix-1': 'r', "
+        "'suffix-2': 'or', 'suffix-3': 'sor', 'suffix-4': 'Isor'}\n"
+    )
 
 
 def test_syllables_text_and_json(capsys):
@@ -319,6 +360,11 @@ def test_gen_matches_library_output(tmp_path, capsys):
 
 def test_gen_rejects_zero_count(capsys):
     assert main(["gen", "0"]) == 1
+
+
+def test_gen_rejects_inverted_length_range(capsys):
+    assert main(["gen", "5", "--min-len", "6", "--max-len", "5"]) == 1
+    assert "--min-len 6 exceeds --max-len 5" in capsys.readouterr().err
 
 
 def test_agreement_json_document(small, capsys):

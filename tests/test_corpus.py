@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nagatag.corpus import (
     DEFAULT_TAG_NAMES,
@@ -15,6 +17,7 @@ from nagatag.corpus import (
     serialize_tagged,
     split_corpus,
     tag_frequencies,
+    write_corpus,
 )
 from tests.conftest import make_random_corpus
 
@@ -117,6 +120,38 @@ def test_parse_inverts_serialize_on_random_corpora():
         assert parse_tagged(text, TAGSET) == corpus
 
 
+# Words of any non-space characters, with '/' and '#' drawn often.
+_words = st.text(
+    st.one_of(st.sampled_from("/#a"), st.characters().filter(lambda c: not c.isspace())),
+    min_size=1,
+)
+_corpora = st.lists(
+    st.lists(st.builds(Token, _words, st.integers(0, len(TAGSET) - 1)), min_size=1, max_size=6),
+    max_size=5,
+).map(lambda sentences: TaggedCorpus(tuple(Sentence(tuple(s)) for s in sentences)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpora)
+@example(TaggedCorpus((Sentence((Token("#x", 0), Token("y", 1))),)))
+def test_parse_inverts_serialize_on_arbitrary_tokens(corpus):
+    if any(sentence.tokens[0].word.startswith("#") for sentence in corpus):
+        # such a line would read back as a comment, and the sentence would be lost
+        with pytest.raises(ValueError, match="comment"):
+            serialize_tagged(corpus, TAGSET)
+    else:
+        assert parse_tagged(serialize_tagged(corpus, TAGSET), TAGSET) == corpus
+
+
+def test_unwritable_corpus_leaves_file_as_it_was(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a/N\n", encoding="utf-8")
+    corpus = TaggedCorpus((Sentence((Token("#x", 0),)),))
+    with pytest.raises(ValueError, match="comment"):
+        write_corpus(str(path), corpus, TAGSET)
+    assert path.read_text(encoding="utf-8") == "a/N\n"
+
+
 def test_serialize_empty_corpus():
     assert serialize_tagged(TaggedCorpus(), TAGSET) == ""
 
@@ -200,11 +235,11 @@ def test_agreement_rate_arithmetic():
 
 def test_agreement_requires_identical_text():
     ref = parse_tagged("a/N b/V\n", TAGSET)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sentence 0: length mismatch$"):
         agreement(ref, parse_tagged("a/N\n", TAGSET), excluded_tag=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sentence count mismatch: 1 vs 2$"):
         agreement(ref, parse_tagged("a/N b/V\nc/N\n", TAGSET), excluded_tag=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sentence 0, token 1: word mismatch 'b' vs 'x'$"):
         agreement(ref, parse_tagged("a/N x/V\n", TAGSET), excluded_tag=0)
 
 

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nagatag.corpus import TaggedCorpus, TagSet, parse_tagged
+from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token, agreement, parse_tagged
 from nagatag.crf import zero_model
 from nagatag.evaluation import (
     ConfusionMatrix,
@@ -60,6 +62,27 @@ def test_total_conserves_tokens():
         )
         cm = confusion(gold, predicted, TAGSET)
         assert cm.total == gold.token_count
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, len(TAGSET) - 1))
+def test_agreement_reads_the_confusion_counts(rng, excluded):
+    reference = make_random_corpus(rng, TAGSET, rng.randint(1, 10))
+    # each token keeps its tag or takes a random one, so both counts vary
+    other = TaggedCorpus(tuple(
+        Sentence(tuple(
+            Token(t.word, rng.choice((t.tag, rng.randrange(len(TAGSET))))) for t in s.tokens
+        ))
+        for s in reference
+    ))
+    counts = confusion(reference, other, TAGSET).counts
+    total = int(counts.sum())
+    rep = agreement(reference, other, excluded)
+    assert (rep.total_tokens, rep.disagreed, rep.disagreed_on_excluded_tag) == (
+        total,
+        total - int(np.trace(counts)),
+        int(counts[excluded].sum() - counts[excluded, excluded]),
+    )
 
 
 def test_structural_mismatch_rejected():

@@ -7,7 +7,6 @@ from nagatag.features import (
     FeatureConfig,
     binarize,
     extract_token_features,
-    format_feature_map,
     sentence_attributes,
 )
 
@@ -146,8 +145,3 @@ def test_sentence_attributes_covers_every_position():
     assert len(per_token) == len(SENTENCE)
     for t, attrs in enumerate(per_token):
         assert attrs == binarize(extract_token_features(SENTENCE, t))
-
-
-def test_format_feature_map_style():
-    text = format_feature_map({"word": "Titia", "is_first": True})
-    assert text == "{'word': 'Titia', 'is_first': True}"
