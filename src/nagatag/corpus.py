@@ -235,9 +235,12 @@ def agreement(
     """Compare two annotations of structurally identical text.
 
     Raises ValueError if the two corpora differ in sentence count, sentence
-    length or any word, since token positions must correspond one to one.
+    length or any word, since token positions must correspond one to one,
+    and if they hold no tokens, since the rates would divide by zero.
     """
     pairs = tag_pairs(reference, other)
+    if not pairs:
+        raise ValueError("cannot report agreement on corpora with no tokens")
     disagreed = {(r, o): n for (r, o), n in pairs.items() if r != o}
     return AgreementReport(
         pairs.total(),

@@ -1,24 +1,29 @@
-"""Linear-chain CRF: parameterization, log-domain inference, likelihood
+"""Linear-chain CRF: parameterization, scaled forward-backward, likelihood
 gradient, Viterbi decoding, training driver, and model persistence.
 
 Scores factor as begin[y0] + sum_t state(x,t,yt) + sum_t trans[y(t-1),yt]
 + end[yT-1], with state scores summing one weight per active attribute.
-All inference runs in the natural-log domain with max-shifted logsumexp.
+Viterbi runs in the log domain as a max-plus recursion, _scan. Forward-backward,
+_forward_backward, runs in the exp domain on max-shifted scores, rescaling
+each position's forward vector to sum 1 (Rabiner 1989; Sutton & McCallum
+2012, section 4.1): a step is one (B, K) @ (K, K) product and log Z is the sum
+of the log scale factors. Where underflow could make that inexact, it raises
+ArithmeticError instead.
 
 There is one encoder and every caller goes through it: _encode groups
 sentences by length and puts each group's attribute activations in one CSR
 matrix, so a group's state scores are a single (B*T, A) @ (A, K) product.
-Forward, backward and Viterbi are one recursion, _scan, over (B, T, K)
-arrays for a whole group at once: logsumexp or max over the previous tag.
+Both recursions work on (B, T, K) arrays for a whole group at once.
 Training, tag_corpus and nll_and_gradient batch many sentences;
 build_lattice, viterbi and sequence_log_score are the same code with B = 1,
 so the single-sentence and batched paths cannot drift apart.
 Weights and gradients share one flat layout w, with named views per block.
 A tagged batch is reduced to its observed feature counts in that layout, so
 its gold-path score is observed @ w and the L2-penalized objective is
-sum(log Z) - observed @ w + c2 * w @ w. The posteriors come from one routine,
-_marginals: the gradient sums them and posterior_marginals is its B = 1 case.
-Gold one-hot tags and posteriors become feature counts in one place, _add_counts.
+sum(log Z) - observed @ w + c2 * w @ w. The gradient takes its expected
+counts from _forward_backward, and build_lattice turns the same scaled
+vectors into log alpha and log beta. Gold one-hot tags and posteriors become
+feature counts in one place, _add_counts.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.special import logsumexp
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token
 from nagatag.features import FeatureConfig, sentence_attributes
@@ -163,33 +167,82 @@ def _encode(attribute_index: dict[str, int], attrs_list: Iterable[Attrs]) -> lis
     return groups
 
 
-def _scan(e: np.ndarray, trans: np.ndarray, start: np.ndarray, reduce) -> np.ndarray:
-    """The one lattice recursion, over (B, T, K) scores e: h[:, 0] = start + e[:, 0]
-    and h[:, t] = reduce(h[:, t-1, :, None] + trans, axis=1) + e[:, t]. With
-    logsumexp it is the forward pass (the backward pass on the reversed chain),
-    with np.max the Viterbi pass."""
+def _scan(e: np.ndarray, trans: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The max-product recursion of Viterbi over (B, T, K) scores e:
+    h[:, 0] = start + e[:, 0] and h[:, t] = max(h[:, t-1, :, None] + trans, axis=1) + e[:, t]."""
     h = np.empty(e.shape)
     h[:, 0] = start + e[:, 0]
     for t in range(1, e.shape[1]):
-        h[:, t] = reduce(h[:, t - 1, :, None] + trans, axis=1) + e[:, t]
+        h[:, t] = np.max(h[:, t - 1, :, None] + trans, axis=1) + e[:, t]
     return h
+
+
+_TINY = np.finfo(float).tiny
+# The largest transition, begin or end score spread (max - min, in nats) that
+# forward-backward accepts. Every factor or product the exp-domain recursion
+# loses to underflow is below e^-708 of the largest in its step. A path through
+# a lost term has a neighbour path, with another tag at that position, whose score
+# is at least 708 - 2 * 320 = 68 nats higher: only the scores into and out of
+# that position change, by at most one spread each. So what is lost is below
+# T * K^2 * e^-68 of Z whatever the state scores are. Checking the scale factors
+# alone is not enough: a best path lost this way still leaves them normal.
+_MAX_SPREAD = 320.0
 
 
 def _forward_backward(s3: np.ndarray, trans: np.ndarray,
                       begin: np.ndarray, end: np.ndarray):
-    """Batched log-domain recursions over (B, T, K) state scores; the backward
-    pass is the forward scan of the reversed chain, less the state scores."""
-    log_alpha = _scan(s3, trans, begin, logsumexp)
-    log_beta = _scan(s3[:, ::-1], trans.T, end, logsumexp)[:, ::-1] - s3
-    log_Z = logsumexp(log_alpha[:, -1] + end, axis=1)
-    return log_alpha, log_beta, log_Z
+    """Scaled exp-domain forward-backward over (B, T, K) state scores.
+
+    Every score array is shifted by its maximum and exponentiated, so each
+    step is one (B, K) @ (K, K) product: h = (a[:, t-1] @ G) * E[:, t], whose
+    row sums z_t scale a[:, t] = h / z_t to sum 1. Returns the scaled forward
+    and backward vectors a, b (B, T, K), whose product is the unary
+    posteriors; the cumulative log scales C (B, T), with log alpha = log a + C;
+    log Z (B,); and the (K, K) expected transition counts summed over the
+    group. Raises ArithmeticError, rather than return a wrong number, when
+    the transition, begin or end scores span more than _MAX_SPREAD nats, or
+    when a scale factor is below the smallest normal float (non-finite scores).
+    """
+    spread = max(np.ptp(trans), np.ptp(begin), np.ptp(end))
+    if not spread <= _MAX_SPREAD:
+        raise ArithmeticError(
+            f"transition or boundary scores span {spread:.6g} nats; forward-backward "
+            f"is exact up to {_MAX_SPREAD:g}"
+        )
+    B, T, K = s3.shape
+    s_max = s3.max(axis=2)
+    E = np.exp(s3 - s_max[:, :, None])
+    G = np.exp(trans - trans.max())
+    end_exp = np.exp(end - end.max())
+    a = np.empty(s3.shape)
+    z = np.empty((B, T))
+    h = np.exp(begin - begin.max()) * E[:, 0]
+    for t in range(T):
+        if t:
+            h = (a[:, t - 1] @ G) * E[:, t]
+        z[:, t] = h.sum(axis=1)
+        a[:, t] = h / z[:, t, None]
+    S = a[:, -1] @ end_exp
+    if not ((z >= _TINY).all() and (S >= _TINY).all()):
+        raise ArithmeticError("forward-backward scale factor underflow")
+    C = np.cumsum(np.log(z) + s_max, axis=1) + begin.max() + trans.max() * np.arange(T)
+    log_Z = C[:, -1] + np.log(S) + end.max()
+
+    r = E / z[:, :, None]  # E_t / z_t: b[:, t-1] = (r[:, t] * b[:, t]) @ G.T
+    b = np.empty(s3.shape)
+    b[:, -1] = end_exp / S[:, None]
+    for t in range(T - 1, 0, -1):
+        b[:, t - 1] = (r[:, t] * b[:, t]) @ G.T
+    w = (r[:, 1:] * b[:, 1:]).reshape(-1, K)
+    transitions = G * (a[:, :-1].reshape(-1, K).T @ w)
+    return a, b, C, log_Z, transitions
 
 
 def _viterbi(s3: np.ndarray, trans: np.ndarray, begin: np.ndarray, end: np.ndarray):
     """Best (B, T) paths and their (B,) scores over (B, T, K) state scores.
     The backtrack recomputes each decision from the max-product scan, so ties
     pick the lowest tag index (argmax returns the first maximizer)."""
-    delta = _scan(s3, trans, begin, np.max)
+    delta = _scan(s3, trans, begin)
     final = delta[:, -1] + end
     paths = np.empty(s3.shape[:2], dtype=np.int64)
     paths[:, -1] = np.argmax(final, axis=1)
@@ -198,33 +251,23 @@ def _viterbi(s3: np.ndarray, trans: np.ndarray, begin: np.ndarray, end: np.ndarr
     return paths, final.max(axis=1)
 
 
-def _marginals(s3: np.ndarray, la: np.ndarray, lb: np.ndarray, log_Z: np.ndarray,
-               trans: np.ndarray):
-    """(B, T, K) unary and (B, T-1, K, K) pairwise posteriors of a group."""
-    log_Z = log_Z[:, None, None]
-    unary = np.exp(la + lb - log_Z)
-    pairwise = np.exp(
-        la[:, :-1, :, None] + trans + (s3[:, 1:, :] + lb[:, 1:, :])[:, :, None, :]
-        - log_Z[..., None]
-    )
-    return unary, pairwise
-
-
 def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
     """Forward-backward for one sentence: the batched engine with B = 1."""
     (group,) = _encode(model.attribute_index, [attrs])
     s3 = group.state_scores(model.state_weights)
-    la, lb, log_Z = _forward_backward(
+    a, b, C, log_Z, _ = _forward_backward(
         s3, model.transition_weights, model.begin_weights, model.end_weights
     )
-    lattice = Lattice(s3[0], la[0], lb[0], float(log_Z[0]))
-    # cross-check: the backward recursion must reproduce the same mass
-    backward_Z = float(logsumexp(lb[0, 0] + model.begin_weights + s3[0, 0]))
-    if abs(backward_Z - lattice.log_Z) > 1e-9 * max(1.0, abs(lattice.log_Z)):
-        raise ArithmeticError(
-            f"forward/backward disagree on log_Z: {lattice.log_Z} vs {backward_Z}"
-        )
-    return lattice
+    log_Z = float(log_Z[0])
+    with np.errstate(divide="ignore"):  # an underflowed a or b is log 0 = -inf
+        log_alpha = np.log(a[0]) + C[0, :, None]
+        log_beta = np.log(b[0]) + (log_Z - C[0])[:, None]
+    # cross-check: the backward recursion must reproduce the same mass,
+    # sum_k a[0] * b[0] = 1
+    backward_Z = log_Z + float(np.log(a[0, 0] @ b[0, 0]))
+    if not abs(backward_Z - log_Z) <= 1e-9 * max(1.0, abs(log_Z)):
+        raise ArithmeticError(f"forward/backward disagree on log_Z: {log_Z} vs {backward_Z}")
+    return Lattice(s3[0], log_alpha, log_beta, log_Z)
 
 
 def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
@@ -234,11 +277,13 @@ def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]
 
 def posterior_marginals(lattice: Lattice, model: ModelParameters):
     """(T,K) unary and (T-1,K,K) pairwise posterior probabilities."""
-    unary, pairwise = _marginals(
-        lattice.state_scores[None], lattice.log_alpha[None], lattice.log_beta[None],
-        np.array([lattice.log_Z]), model.transition_weights,
+    la, lb, log_Z = lattice.log_alpha, lattice.log_beta, lattice.log_Z
+    unary = np.exp(la + lb - log_Z)
+    pairwise = np.exp(
+        la[:-1, :, None] + model.transition_weights
+        + (lattice.state_scores + lb)[1:, None, :] - log_Z
     )
-    return unary[0], pairwise[0]
+    return unary, pairwise
 
 
 def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
@@ -331,10 +376,10 @@ def _nll_prepared(w: np.ndarray, A: int, K: int, groups: list[_Group], observed:
     grad = ModelGradient(2.0 * c2 * w - observed, A, K)
     log_Z_sum = 0.0
     for group in groups:
-        s3 = group.state_scores(state_w)
-        la, lb, log_Z = _forward_backward(s3, trans, begin, end)
-        unary, pairwise = _marginals(s3, la, lb, log_Z, trans)
-        _add_counts(grad.flat, A, K, group, unary, pairwise.sum(axis=(0, 1)))
+        a, b, _, log_Z, transitions = _forward_backward(
+            group.state_scores(state_w), trans, begin, end
+        )
+        _add_counts(grad.flat, A, K, group, a * b, transitions)
         log_Z_sum += float(log_Z.sum())
 
     value = log_Z_sum - float(observed @ w)

@@ -141,7 +141,9 @@ def minimize(
     """Minimize objective(x) + c1*||x||_1. Returns (x*, trace).
 
     The objective callback must return (value, gradient) of the smooth
-    part only; it is expected to already contain any L2 term.
+    part only; it is expected to already contain any L2 term. It may raise
+    ArithmeticError at a point it cannot evaluate: at a line-search trial the
+    step is then halved, and at x0 the error propagates.
     """
     c1 = config.c1
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -177,7 +179,14 @@ def minimize(
             x_new = x + step * d
             if c1:
                 x_new = project_orthant(x_new, xi)
-            f_new, g_new = objective(x_new)
+            try:
+                f_new, g_new = objective(x_new)
+            except ArithmeticError:
+                # the objective cannot be evaluated this far out (the CRF's
+                # forward-backward refuses weights that span too many nats):
+                # reject the step like one that fails the Armijo test
+                step *= BACKTRACK_FACTOR
+                continue
             if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
                 raise NonFiniteObjective(
                     f"objective not finite at iteration {iteration}, step {step}"

@@ -291,6 +291,19 @@ def test_agreement_bad_excluded_tag(small, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_agreement_on_corpora_without_tokens(small, capsys, fmt):
+    tmp_path, tagset_file, _ = small
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# only a comment\n", encoding="utf-8")
+    code = main(["agreement", str(empty), str(empty), "--tagset", tagset_file,
+                 "--exclude-tag", "S", "--format", fmt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nagatag: error: cannot report agreement on corpora with no tokens\n"
+
+
 def test_transitions_output(trained, capsys):
     tmp_path, tagset_file, corpus_file, model_file = trained
     assert main(["transitions", "--model", model_file, "--top-n", "3"]) == 0

@@ -262,6 +262,133 @@ def test_nll_without_regularizer_ignores_weight_norm():
     assert value == 0.0
 
 
+@pytest.mark.parametrize("s, may_raise", [
+    (300.0, False), (700.0, True), (745.0, True), (800.0, True), (2000.0, True),
+])
+def test_wide_score_spread_is_exact_or_raises(s, may_raise):
+    # Each attribute and each transition sets the two tags s nats apart.
+    # On [{x}, {y}] the paths AA, AB and BB score -s and BA scores -3s, so
+    # log Z = log(3 + exp(-2s)) - s and the nll of the gold path AB is log 3.
+    # Past 320 nats of transition spread the engine may raise ArithmeticError,
+    # but it must never return another number.
+    weights = np.array([[0.0, -s], [-s, 0.0]])
+    model = ModelParameters(
+        TagSet(("A", "B")), {"x": 0, "y": 1}, weights, weights.copy(), np.zeros(2), np.zeros(2)
+    )
+    batch = [([{"x"}, {"y"}], (0, 1))]
+    try:
+        value, grad = nll_and_gradient(model, batch)
+        log_z = build_lattice(model, batch[0][0]).log_Z
+    except ArithmeticError:
+        assert may_raise
+        return
+    assert value == pytest.approx(math.log(3), abs=1e-9)
+    assert log_z == pytest.approx(math.log(3) - s, rel=1e-12)
+    # each of AA, AB, BB has posterior 1/3; the gold path observes A -> B once
+    assert np.allclose(grad.transitions, [[1 / 3, -2 / 3], [0.0, 1 / 3]], atol=1e-12)
+
+
+def test_best_path_through_an_underflowing_score_is_not_lost():
+    # The best path, AAAA (log Z 1147.8), has a state score 887 nats below
+    # the best at position 1, which underflows to 0 in the exp domain; the
+    # begin, later state and end scores more than make up for it. Every scale
+    # factor stays a normal float, and a check on them alone gave log Z 991.1
+    # (the path BBBB). The engine must give the right value or raise.
+    model = ModelParameters(
+        TagSet(("A", "B")), {f"p{t}": t for t in range(4)},
+        np.array([[-157.1, -727.8], [-312.4, 575.1], [119.8, 224.6], [-123.7, -250.7]]),
+        np.array([[597.6, -122.8], [-97.9, 597.4]]),
+        np.array([-3.8, -4.6]), np.array([-167.8, -617.7]),
+    )
+    attrs = [{"p0"}, {"p1"}, {"p2"}, {"p3"}]
+    oracle = float(logsumexp(list(oracle_path_scores(model, attrs).values())))
+    assert oracle == pytest.approx(1147.8, abs=1e-9)
+    try:
+        log_z = build_lattice(model, attrs).log_Z
+    except ArithmeticError:
+        return
+    assert log_z == pytest.approx(oracle, rel=1e-12)
+
+
+def test_training_backtracks_from_a_probe_forward_backward_cannot_evaluate():
+    # The first line-search probe is a full step along minus the gradient at
+    # zero: transition weights of observed minus expected counts, about a
+    # thousand nats apart on 1,000 sentences. Forward-backward raises
+    # ArithmeticError there, so the line search must halve the step, not stop.
+    tagset = TagSet(("N", "V", "S"))
+    corpus = parse_tagged("dora/N ghor/N ase/V ./S\nghor/N dora/N bonaise/V ./S\n" * 500, tagset)
+    batch = [(sentence_attributes(s.words()), s.tags()) for s in corpus]
+    zero = zero_model(tagset, build_attribute_index(corpus))
+    _, grad = nll_and_gradient(zero, batch)
+    probe = dataclasses.replace(
+        zero, state_weights=-grad.state, transition_weights=-grad.transitions,
+        begin_weights=-grad.begin, end_weights=-grad.end,
+    )
+    with pytest.raises(ArithmeticError):
+        nll_and_gradient(probe, batch)
+    _, trace = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.0, c2=0.1))
+    assert trace.converged
+    assert trace.records[0].step_size < 1.0
+
+
+@st.composite
+def wide_weight_batches(draw):
+    """(model, batch, scale): a model with K <= 4 and weights uniform in
+    [-scale, scale], scale up to 1000, and one to three tagged sentences of
+    length T <= 5 (sentences of one length share a group)."""
+    k = draw(st.integers(2, 4))
+    scale = draw(st.one_of(st.floats(0.1, 50.0), st.floats(50.0, 1000.0)))
+    npr = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def weights(*shape):
+        return scale * npr.uniform(-1.0, 1.0, size=shape)
+
+    model = ModelParameters(
+        small_tagset(k), {"a0": 0, "a1": 1, "a2": 2},
+        weights(3, k), weights(k, k), weights(k), weights(k),
+    )
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        t_len = draw(st.integers(1, 5))
+        attrs = [set(draw(st.lists(st.sampled_from(["a0", "a1", "a2"]), max_size=2)))
+                 for _ in range(t_len)]
+        gold = tuple(draw(st.lists(st.integers(0, k - 1), min_size=t_len, max_size=t_len)))
+        batch.append((attrs, gold))
+    return model, batch, scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_weight_batches())
+def test_nll_and_transition_gradient_match_enumeration_at_wide_scales(case):
+    # Up to scale 50 no spread reaches 320 nats and the values must match the
+    # enumeration; past it the engine may raise ArithmeticError instead, but
+    # it must never return other values.
+    model, batch, scale = case
+    k = model.n_tags
+    oracle_value, magnitude = 0.0, 1.0
+    expected = np.zeros((k, k))
+    observed = np.zeros((k, k))
+    for attrs, gold in batch:
+        scores = oracle_path_scores(model, attrs)
+        log_z = float(logsumexp(list(scores.values())))
+        oracle_value += log_z - scores[gold]
+        magnitude = max(magnitude, abs(log_z), abs(scores[gold]))
+        for path, sc in scores.items():
+            p = math.exp(sc - log_z)
+            for t in range(1, len(path)):
+                expected[path[t - 1], path[t]] += p
+        for t in range(1, len(gold)):
+            observed[gold[t - 1], gold[t]] += 1
+    try:
+        value, grad = nll_and_gradient(model, batch)
+    except ArithmeticError:
+        assert scale > 50.0
+        return
+    # relative to the size of the log Z and gold scores it is the difference of
+    assert abs(value - oracle_value) <= 1e-9 * len(batch) * magnitude
+    assert np.allclose(grad.transitions, expected - observed, rtol=0, atol=1e-9)
+
+
 def test_gradient_matches_finite_differences():
     rng = random.Random(61)
     for _ in range(3):

@@ -160,6 +160,20 @@ def test_non_finite_objective_raises():
         minimize(bad_start, np.zeros(1), OptimConfig())
 
 
+def test_line_search_backtracks_from_points_the_objective_cannot_evaluate():
+    def f(x):
+        if abs(x[0]) > 2.0:
+            raise ArithmeticError("cannot evaluate this far out")
+        return float((x[0] - 1.5) ** 2), np.array([2.0 * (x[0] - 1.5)])
+
+    # the full first step lands on 3.0, where f raises; half of it is the minimum
+    x, trace = minimize(f, np.zeros(1), OptimConfig(c1=0.0, gradient_tolerance=1e-9))
+    assert x[0] == pytest.approx(1.5, abs=1e-9)
+    assert trace.converged and trace.records[0].step_size == 0.5
+    with pytest.raises(ArithmeticError):
+        minimize(f, np.array([3.0]), OptimConfig())
+
+
 def test_line_search_failure_raises():
     # flat value with a lying nonzero gradient can never satisfy Armijo
     def f(x):
