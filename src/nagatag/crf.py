@@ -3,31 +3,40 @@ gradient, Viterbi decoding, training driver, and model persistence.
 
 Scores factor as begin[y0] + sum_t state(x,t,yt) + sum_t trans[y(t-1),yt]
 + end[yT-1], with state scores summing one weight per active attribute.
-Viterbi runs in the log domain as a max-plus recursion, _scan. Forward-backward,
-_forward_backward, runs in the exp domain on max-shifted scores, rescaling
-each position's forward vector to sum 1 (Rabiner 1989; Sutton & McCallum
-2012, section 4.1): a step is one (B, K) @ (K, K) product and log Z is the sum
-of the log scale factors. Where underflow could make that inexact, it raises
-ArithmeticError instead.
+Begin and end are state features of a sentence's first and last position, so
+neither recursion handles them apart: they take only (B, T, K) state scores
+and the transitions. Viterbi, _viterbi, runs in the log domain as a max-plus
+recursion. Forward-backward, _forward_backward, runs in the exp domain on
+max-shifted scores, rescaling each position's forward vector to sum 1
+(Rabiner 1989; Sutton & McCallum 2012, section 4.1): a step is one
+(B, K) @ (K, K) product and log Z is the sum of the log scale factors. Where
+underflow could make that inexact it raises ArithmeticError instead:
+_check_spread, run once per objective call and per lattice, bounds the
+transition, begin and end spreads, and forward-backward checks its scale factors.
 
-There is one encoder and every caller goes through it: _encode groups
-sentences by length and puts each group's attribute activations in one CSR
-matrix, so a group's state scores are a single (B*T, A) @ (A, K) product.
-Both recursions work on (B, T, K) arrays for a whole group at once.
-Training, tag_corpus and nll_and_gradient batch many sentences;
-build_lattice, viterbi and sequence_log_score are the same code with B = 1,
-so the single-sentence and batched paths cannot drift apart.
+There is one encoder and every caller goes through it: _encode puts a whole
+input in one (N, A+2) CSR matrix X, one row per token, with the sentences of
+one length in a run of consecutive rows, shortest first. Column A marks each
+sentence's first token and column A+1 its last, so with W the state weights
+stacked over the begin and end weights, X @ W is every token's state score
+with its boundary scores added. Both recursions work on (B, T, K) views of
+that product, one length group at a time. Training, tag_corpus and
+nll_and_gradient batch many sentences; build_lattice, viterbi and
+sequence_log_score are the same code with B = 1, so the single-sentence and
+batched paths cannot drift apart.
 Weights and gradients share one flat layout w, with named views per block.
 A tagged batch is reduced to its observed feature counts in that layout, so
 its gold-path score is observed @ w and the L2-penalized objective is
 sum(log Z) - observed @ w + c2 * w @ w. The gradient takes its expected
 counts from _forward_backward, and build_lattice turns the same scaled
 vectors into log alpha and log beta. Gold one-hot tags and posteriors become
-feature counts in one place, _add_counts.
+feature counts in one place, _add_counts: one X.T @ U per batch gives the
+state, begin and end counts together.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Collection, Iterable, Sequence
@@ -133,48 +142,46 @@ class ModelGradient:
 
 @dataclass
 class _Group:
-    """All sentences of one length, as a single sparse activation matrix."""
+    """All sentences of one length: a run of consecutive rows of the encoded matrix."""
 
-    X: sparse.csr_matrix  # (B*T, A), one row per token
+    rows: slice
     members: np.ndarray  # (B,) position of each sentence in the encoded list
 
-    def state_scores(self, state_w: np.ndarray) -> np.ndarray:
-        return (self.X @ state_w).reshape(len(self.members), -1, state_w.shape[1])
+    def view(self, per_row: np.ndarray) -> np.ndarray:
+        """This group's rows of an (N, K) array, as a (B, T, K) view into it."""
+        return per_row[self.rows].reshape(len(self.members), -1, per_row.shape[1])
 
 
-def _encode(attribute_index: dict[str, int], attrs_list: Iterable[Attrs]) -> list[_Group]:
-    """Group sentences by length, shortest first, and map each position's
-    attributes to matrix columns. This is the only place attribute strings
-    become indices; attributes outside the vocabulary have no column and
-    score 0. The input is read once, so it may be a generator."""
+def _encode(attribute_index: dict[str, int],
+            attrs_list: Iterable[Attrs]) -> tuple[sparse.csr_matrix, list[_Group]]:
+    """One (N, A+2) CSR matrix for the whole input, one row per token, and its
+    length groups, shortest first, each a run of consecutive rows. Column A
+    marks a sentence's first token and column A+1 its last. This is the only
+    place attribute strings become indices; attributes outside the vocabulary
+    have no column and score 0. The input is read once, so it may be a generator."""
+    A = len(attribute_index)
     by_len: dict[int, tuple[list[int], list[int], list[int]]] = {}
     for i, attrs in enumerate(attrs_list):
         if len(attrs) == 0:
             raise ValueError("cannot encode an empty sentence")
-        members, cols, row_sizes = by_len.setdefault(len(attrs), ([], [], []))
+        members, cols, sizes = by_len.setdefault(len(attrs), ([], [], []))
         members.append(i)
-        for position in attrs:
-            idxs = sorted(attribute_index[a] for a in position if a in attribute_index)
-            cols.extend(idxs)
-            row_sizes.append(len(idxs))
-    groups = []
-    for T, (members, cols, row_sizes) in sorted(by_len.items()):
-        indptr = np.concatenate([[0], np.cumsum(row_sizes)])
-        X = sparse.csr_matrix(
-            (np.ones(len(cols)), cols, indptr), shape=(len(members) * T, len(attribute_index))
-        )
-        groups.append(_Group(X, np.asarray(members)))
-    return groups
-
-
-def _scan(e: np.ndarray, trans: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The max-product recursion of Viterbi over (B, T, K) scores e:
-    h[:, 0] = start + e[:, 0] and h[:, t] = max(h[:, t-1, :, None] + trans, axis=1) + e[:, t]."""
-    h = np.empty(e.shape)
-    h[:, 0] = start + e[:, 0]
-    for t in range(1, e.shape[1]):
-        h[:, t] = np.max(h[:, t - 1, :, None] + trans, axis=1) + e[:, t]
-    return h
+        rows = [sorted(attribute_index[a] for a in position if a in attribute_index)
+                for position in attrs]
+        # A and A + 1 exceed every attribute column, so each row stays sorted
+        rows[0].append(A)
+        rows[-1].append(A + 1)
+        # flat lists per group rather than one list per row: keeping 38,000 row
+        # lists alive to the end raised peak RSS in train-wide training by ~10 MB
+        cols.extend(itertools.chain.from_iterable(rows))
+        sizes.extend(map(len, rows))
+    groups, cols, sizes = [], [], []
+    for _, (members, group_cols, group_sizes) in sorted(by_len.items()):
+        groups.append(_Group(slice(len(sizes), len(sizes) + len(group_sizes)), np.asarray(members)))
+        cols += group_cols
+        sizes += group_sizes
+    indptr = np.cumsum([0] + sizes)
+    return sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(sizes), A + 2)), groups
 
 
 _TINY = np.finfo(float).tiny
@@ -189,89 +196,99 @@ _TINY = np.finfo(float).tiny
 _MAX_SPREAD = 320.0
 
 
-def _forward_backward(s3: np.ndarray, trans: np.ndarray,
-                      begin: np.ndarray, end: np.ndarray):
-    """Scaled exp-domain forward-backward over (B, T, K) state scores.
+def _check_spread(trans: np.ndarray, begin: np.ndarray, end: np.ndarray):
+    """Raise ArithmeticError where forward-backward could be inexact.
 
-    Every score array is shifted by its maximum and exponentiated, so each
-    step is one (B, K) @ (K, K) product: h = (a[:, t-1] @ G) * E[:, t], whose
-    row sums z_t scale a[:, t] = h / z_t to sum 1. Returns the scaled forward
-    and backward vectors a, b (B, T, K), whose product is the unary
-    posteriors; the cumulative log scales C (B, T), with log alpha = log a + C;
-    log Z (B,); and the (K, K) expected transition counts summed over the
-    group. Raises ArithmeticError, rather than return a wrong number, when
-    the transition, begin or end scores span more than _MAX_SPREAD nats, or
-    when a scale factor is below the smallest normal float (non-finite scores).
-    """
+    Begin and end enter forward-backward as state scores, which the argument
+    above already covers; they stay in the check because the line search
+    halves its step on ArithmeticError. Left out, they let far line-search
+    probes through to a full evaluation, which trained about 10% slower on
+    the train-wide bench workload (5 alternating pairs, 2 vCPU)."""
     spread = max(np.ptp(trans), np.ptp(begin), np.ptp(end))
     if not spread <= _MAX_SPREAD:
         raise ArithmeticError(
             f"transition or boundary scores span {spread:.6g} nats; forward-backward "
             f"is exact up to {_MAX_SPREAD:g}"
         )
+
+
+def _forward_backward(s3: np.ndarray, trans: np.ndarray):
+    """Scaled exp-domain forward-backward over (B, T, K) state scores, whose
+    first and last positions already hold the begin and end scores.
+
+    Every score array is shifted by its maximum and exponentiated, so each
+    step is one (B, K) @ (K, K) product: h = (a[:, t-1] @ G) * E[:, t], whose
+    row sums z_t scale a[:, t] = h / z_t to sum 1. Returns the scaled forward
+    and backward vectors a, b (B, T, K), whose product is the unary
+    posteriors; the cumulative log scales C (B, T), with log alpha = log a + C
+    and log Z = C[:, -1]; and the (K, K) expected transition counts summed
+    over the group. Raises ArithmeticError when a scale factor is below the
+    smallest normal float (non-finite scores); the callers bound the
+    transition spread with _check_spread.
+    """
     B, T, K = s3.shape
     s_max = s3.max(axis=2)
     E = np.exp(s3 - s_max[:, :, None])
     G = np.exp(trans - trans.max())
-    end_exp = np.exp(end - end.max())
     a = np.empty(s3.shape)
     z = np.empty((B, T))
-    h = np.exp(begin - begin.max()) * E[:, 0]
     for t in range(T):
-        if t:
-            h = (a[:, t - 1] @ G) * E[:, t]
+        h = (a[:, t - 1] @ G) * E[:, t] if t else E[:, 0]
         z[:, t] = h.sum(axis=1)
         a[:, t] = h / z[:, t, None]
-    S = a[:, -1] @ end_exp
-    if not ((z >= _TINY).all() and (S >= _TINY).all()):
+    if not (z >= _TINY).all():
         raise ArithmeticError("forward-backward scale factor underflow")
-    C = np.cumsum(np.log(z) + s_max, axis=1) + begin.max() + trans.max() * np.arange(T)
-    log_Z = C[:, -1] + np.log(S) + end.max()
+    C = np.cumsum(np.log(z) + s_max, axis=1) + trans.max() * np.arange(T)
 
     r = E / z[:, :, None]  # E_t / z_t: b[:, t-1] = (r[:, t] * b[:, t]) @ G.T
     b = np.empty(s3.shape)
-    b[:, -1] = end_exp / S[:, None]
+    b[:, -1] = 1.0
     for t in range(T - 1, 0, -1):
         b[:, t - 1] = (r[:, t] * b[:, t]) @ G.T
     w = (r[:, 1:] * b[:, 1:]).reshape(-1, K)
     transitions = G * (a[:, :-1].reshape(-1, K).T @ w)
-    return a, b, C, log_Z, transitions
+    return a, b, C, transitions
 
 
-def _viterbi(s3: np.ndarray, trans: np.ndarray, begin: np.ndarray, end: np.ndarray):
-    """Best (B, T) paths and their (B,) scores over (B, T, K) state scores.
-    The backtrack recomputes each decision from the max-product scan, so ties
-    pick the lowest tag index (argmax returns the first maximizer)."""
-    delta = _scan(s3, trans, begin)
-    final = delta[:, -1] + end
+def _viterbi(s3: np.ndarray, trans: np.ndarray):
+    """Best (B, T) paths and their (B,) scores over (B, T, K) state scores,
+    begin and end included, by the max-product recursion
+    delta[:, t] = s3[:, t] + max(delta[:, t-1, :, None] + trans, axis=1).
+    The backtrack recomputes each decision from delta, so ties pick the
+    lowest tag index (argmax returns the first maximizer)."""
+    delta = s3.copy()
+    for t in range(1, s3.shape[1]):
+        delta[:, t] += np.max(delta[:, t - 1, :, None] + trans, axis=1)
     paths = np.empty(s3.shape[:2], dtype=np.int64)
-    paths[:, -1] = np.argmax(final, axis=1)
+    paths[:, -1] = np.argmax(delta[:, -1], axis=1)
     for t in range(s3.shape[1] - 1, 0, -1):
         paths[:, t - 1] = np.argmax(delta[:, t - 1] + trans[:, paths[:, t]].T, axis=1)
-    return paths, final.max(axis=1)
+    return paths, delta[:, -1].max(axis=1)
 
 
 def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
-    """Forward-backward for one sentence: the batched engine with B = 1."""
-    (group,) = _encode(model.attribute_index, [attrs])
-    s3 = group.state_scores(model.state_weights)
-    a, b, C, log_Z, _ = _forward_backward(
-        s3, model.transition_weights, model.begin_weights, model.end_weights
-    )
-    log_Z = float(log_Z[0])
+    """Forward-backward for one sentence: the batched engine with B = 1.
+    The lattice keeps begin in log_alpha[0] and end in log_beta[-1]."""
+    _check_spread(model.transition_weights, model.begin_weights, model.end_weights)
+    X, (group,) = _encode(model.attribute_index, [attrs])
+    s3 = group.view(X @ np.vstack([model.state_weights, model.begin_weights, model.end_weights]))
+    a, b, C, _ = _forward_backward(s3, model.transition_weights)
+    log_Z = float(C[0, -1])
     with np.errstate(divide="ignore"):  # an underflowed a or b is log 0 = -inf
         log_alpha = np.log(a[0]) + C[0, :, None]
         log_beta = np.log(b[0]) + (log_Z - C[0])[:, None]
+    log_alpha[-1] -= model.end_weights
+    log_beta[-1] += model.end_weights
     # cross-check: the backward recursion must reproduce the same mass,
     # sum_k a[0] * b[0] = 1
     backward_Z = log_Z + float(np.log(a[0, 0] @ b[0, 0]))
     if not abs(backward_Z - log_Z) <= 1e-9 * max(1.0, abs(log_Z)):
         raise ArithmeticError(f"forward/backward disagree on log_Z: {log_Z} vs {backward_Z}")
-    return Lattice(s3[0], log_alpha, log_beta, log_Z)
+    return Lattice(X[:, :-2] @ model.state_weights, log_alpha, log_beta, log_Z)
 
 
 def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
-    _, observed = _prepare(model.attribute_index, model.n_tags, [(attrs, tags)])
+    *_, observed = _prepare(model.attribute_index, model.n_tags, [(attrs, tags)])
     return float(observed @ _flat(model))
 
 
@@ -287,37 +304,31 @@ def posterior_marginals(lattice: Lattice, model: ModelParameters):
 
 
 def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
-    """Best path and score of every sentence, decoded one length group at a time."""
-    groups = _encode(model.attribute_index, attrs_list)
-    n = sum(len(group.members) for group in groups)
-    paths: list = [None] * n
-    scores = np.empty(n)
+    """(best path, its score) of every sentence, decoded one length group at a time."""
+    X, groups = _encode(model.attribute_index, attrs_list)
+    per_row = X @ np.vstack([model.state_weights, model.begin_weights, model.end_weights])
+    decoded = {}
     for group in groups:
-        best, best_scores = _viterbi(
-            group.state_scores(model.state_weights),
-            model.transition_weights, model.begin_weights, model.end_weights,
-        )
-        scores[group.members] = best_scores
-        for i, path in zip(group.members, best):
-            paths[i] = path
-    return paths, scores
+        best, best_scores = _viterbi(group.view(per_row), model.transition_weights)
+        decoded.update(zip(group.members.tolist(), zip(best, best_scores)))
+    return [decoded[i] for i in range(len(decoded))]
 
 
 def viterbi(model: ModelParameters, attrs: Attrs) -> tuple[list[int], float]:
     """Best tag sequence and its log score: the batched decoder with B = 1.
     Ties pick the lowest tag index."""
-    paths, scores = _decode(model, [attrs])
-    return paths[0].tolist(), float(scores[0])
+    ((path, score),) = _decode(model, [attrs])
+    return path.tolist(), float(score)
 
 
 def tag_corpus(
     model: ModelParameters, config: FeatureConfig, sentences: Sequence[Sequence[str]]
 ) -> TaggedCorpus:
     """Viterbi tags for every sentence, decoded in groups of one length."""
-    paths, _ = _decode(model, (sentence_attributes(words, config) for words in sentences))
+    decoded = _decode(model, (sentence_attributes(words, config) for words in sentences))
     return TaggedCorpus(tuple(
         Sentence(tuple(Token(w, y) for w, y in zip(words, path.tolist())))
-        for words, path in zip(sentences, paths)
+        for words, (path, _) in zip(sentences, decoded)
     ))
 
 
@@ -329,7 +340,7 @@ def tag_sentence(
 
 def _prepare(
     attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]]
-) -> tuple[list[_Group], np.ndarray]:
+) -> tuple[sparse.csr_matrix, list[_Group], np.ndarray]:
     """Validate and encode a tagged batch, and count its observed features
     in the flat parameter layout. The gold-path score under weights w is
     observed @ w, so the tags themselves are not kept."""
@@ -344,43 +355,49 @@ def _prepare(
             tags_list.append(tags)
             yield attrs
 
-    groups = _encode(attribute_index, checked())
+    X, groups = _encode(attribute_index, checked())
     if not tags_list:
         raise ValueError("batch must be non-empty")
+    onehot = np.eye(K)[np.concatenate([tags_list[i] for group in groups for i in group.members])]
+    views = [group.view(onehot) for group in groups]
+    transitions = sum(np.einsum("bti,btj->ij", u[:, :-1], u[:, 1:]) for u in views)
     A = len(attribute_index)
     observed = np.zeros(A * K + K * K + 2 * K)
-    for group in groups:
-        gold = np.array([tags_list[i] for i in group.members], dtype=np.int64)
-        onehot = np.eye(K)[gold]
-        transitions = np.einsum("bti,btj->ij", onehot[:, :-1], onehot[:, 1:])
-        _add_counts(observed, A, K, group, onehot, transitions)
-    return groups, observed
+    _add_counts(observed, A, K, X, onehot, transitions)
+    return X, groups, observed
 
 
-def _add_counts(flat: np.ndarray, A: int, K: int, group: _Group,
+def _add_counts(flat: np.ndarray, A: int, K: int, X: sparse.csr_matrix,
                 unary: np.ndarray, transitions: np.ndarray):
-    """Add a group's feature counts to the flat layout, from its (B, T, K) tag
-    weights (one-hot gold tags or posteriors) and (K, K) transition counts."""
+    """Add an encoded batch's feature counts to the flat layout, from its
+    (N, K) per-token tag weights (one-hot gold tags or posteriors) and its
+    (K, K) transition counts. X's boundary columns make the one X.T @ unary
+    product the state, begin and end counts at once."""
     state, trans, begin, end = _blocks(flat, A, K)
-    state += group.X.T @ unary.reshape(-1, K)
+    counts = X.T @ unary
+    state += counts[:A]
     trans += transitions
-    begin += unary[:, 0].sum(axis=0)
-    end += unary[:, -1].sum(axis=0)
+    begin += counts[A]
+    end += counts[A + 1]
 
 
-def _nll_prepared(w: np.ndarray, A: int, K: int, groups: list[_Group], observed: np.ndarray,
-                  c2: float) -> tuple[float, ModelGradient]:
+def _nll_prepared(w: np.ndarray, A: int, K: int, X: sparse.csr_matrix, groups: list[_Group],
+                  observed: np.ndarray, c2: float) -> tuple[float, ModelGradient]:
     """sum(log Z) - observed @ w + c2 * ||w||^2 over the flat weights w, and its
     gradient: expected counts minus observed counts plus 2 * c2 * w."""
     state_w, trans, begin, end = _blocks(w, A, K)
+    _check_spread(trans, begin, end)
+    per_row = X @ np.vstack([state_w, begin, end])  # overwritten by the posteriors
     grad = ModelGradient(2.0 * c2 * w - observed, A, K)
+    transitions = np.zeros((K, K))
     log_Z_sum = 0.0
     for group in groups:
-        a, b, _, log_Z, transitions = _forward_backward(
-            group.state_scores(state_w), trans, begin, end
-        )
-        _add_counts(grad.flat, A, K, group, a * b, transitions)
-        log_Z_sum += float(log_Z.sum())
+        s3 = group.view(per_row)
+        a, b, C, group_transitions = _forward_backward(s3, trans)
+        np.multiply(a, b, out=s3)
+        transitions += group_transitions
+        log_Z_sum += float(C[:, -1].sum())
+    _add_counts(grad.flat, A, K, X, per_row, transitions)
 
     value = log_Z_sum - float(observed @ w)
     if c2:  # w @ w overflows on large finite weights; without L2 it must not enter
@@ -431,13 +448,13 @@ def train_model(
         raise ValueError("training corpus is empty")
     attribute_index = build_attribute_index(corpus, feature_config)
     A, K = len(attribute_index), len(tagset)
-    groups, observed = _prepare(attribute_index, K, (
+    X, groups, observed = _prepare(attribute_index, K, (
         (sentence_attributes(sentence.words(), feature_config), sentence.tags())
         for sentence in corpus
     ))
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = _nll_prepared(w, A, K, groups, observed, optim_config.c2)
+        value, grad = _nll_prepared(w, A, K, X, groups, observed, optim_config.c2)
         return value, grad.flat
 
     w_star, trace = minimize(objective, np.zeros_like(observed), optim_config, log=log)
@@ -481,7 +498,10 @@ _MODEL_KEYS = ("tagset", "feature_config", "attributes", "state_weights",
 def load_model(path: str) -> tuple[ModelParameters, FeatureConfig]:
     """Read a model file; a document of the wrong shape raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("model file nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -536,8 +556,12 @@ def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
     if len(set(attributes)) != len(attributes):
         raise ValueError("duplicate attributes in model file")
     A, K = len(attributes), len(tagset)
+    records = doc["state_weights"]
+    if not (isinstance(records, list)
+            and all(isinstance(record, list) and len(record) == 3 for record in records)):
+        raise ValueError("state_weights must be a JSON list of [attribute, tag, weight] triples")
     state = np.zeros((A, K))
-    for a, k, w in doc["state_weights"]:
+    for a, k, w in records:
         if not (type(a) is int and type(k) is int and 0 <= a < A and 0 <= k < K):
             raise ValueError(f"state weight index must be an int in range: [{a}, {k}]")
         if type(w) not in (int, float):

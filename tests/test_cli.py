@@ -133,6 +133,33 @@ def test_malformed_model_is_data_error(trained, capsys, mutate):
     assert "nagatag: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "records",
+    [[[0, 0]], [[0, 0, 1.0, 2]], "abc", {"a": 1}],
+    ids=["pair", "four-fields", "string", "object"],
+)
+def test_malformed_state_weights_name_the_field(trained, capsys, records):
+    tmp_path, tagset_file, corpus_file, model_file = trained
+    with open(model_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    bad = tmp_path / "bad-model.json"
+    bad.write_text(json.dumps(dict(doc, state_weights=records)), encoding="utf-8")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("dora ase .\n", encoding="utf-8")
+    assert main(["tag", str(raw), "--model", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nagatag: error:") and "state_weights" in err
+
+
+def test_deeply_nested_model_is_data_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("[" * 100_000, encoding="utf-8")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("dora ase .\n", encoding="utf-8")
+    assert main(["tag", str(raw), "--model", str(model)]) == 2
+    assert "nagatag: error: model file nests too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--c1", "--c2"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_regularizer_is_usage_error(small, capsys, flag, value):
@@ -175,6 +202,15 @@ def test_train_then_tag_round_trip(trained, capsys):
     ]
     # The run memorized this tiny corpus, so tags are the annotated ones.
     assert [s.tags() for s in tagged] == [(0, 1, 2), (0, 1, 0, 2)]
+
+
+def test_tag_input_without_sentences_gives_empty_output(trained, capsys):
+    tmp_path, tagset_file, corpus_file, model_file = trained
+    raw = tmp_path / "raw.txt"
+    raw.write_text("# only a comment\n\n   \n# another\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["tag", str(raw), "--model", model_file]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_tag_output_reparses_identically(trained, capsys):

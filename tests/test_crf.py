@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from nagatag.corpus import TagSet, parse_tagged
+from nagatag.corpus import TaggedCorpus, TagSet, parse_tagged
 from nagatag.crf import (
     ModelParameters,
     TrainingMeta,
@@ -310,6 +310,33 @@ def test_best_path_through_an_underflowing_score_is_not_lost():
     assert log_z == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("block", ["transition_weights", "begin_weights", "end_weights"])
+def test_spread_guard_raises_on_a_wide_transition_begin_or_end_block(block):
+    # Forward-backward sees begin and end only as state scores of the first
+    # and last position, yet the guard still bounds their spread: past 320
+    # nats in any one of the three blocks both entry points raise, and below
+    # it both match the enumeration.
+    def model_spanning(spread):
+        blocks = {"transition_weights": np.zeros((2, 2)),
+                  "begin_weights": np.zeros(2), "end_weights": np.zeros(2)}
+        blocks[block].flat[-1] = -spread
+        return ModelParameters(TagSet(("A", "B")), {"x": 0}, np.array([[0.5, 0.0]]), **blocks)
+
+    attrs, gold = [{"x"}, set(), {"x"}], (0, 0, 1)
+    wide = model_spanning(400.0)
+    with pytest.raises(ArithmeticError):
+        nll_and_gradient(wide, [(attrs, gold)])
+    with pytest.raises(ArithmeticError):
+        build_lattice(wide, attrs)
+
+    model = model_spanning(300.0)
+    scores = oracle_path_scores(model, attrs)
+    log_z = float(logsumexp(list(scores.values())))
+    value, _ = nll_and_gradient(model, [(attrs, gold)])
+    assert value == pytest.approx(log_z - scores[gold], abs=1e-9 * 300)
+    assert build_lattice(model, attrs).log_Z == pytest.approx(log_z, abs=1e-12)
+
+
 def test_training_backtracks_from_a_probe_forward_backward_cannot_evaluate():
     # The first line-search probe is a full step along minus the gradient at
     # zero: transition weights of observed minus expected counts, about a
@@ -596,6 +623,11 @@ def test_lattice_unary_marginals_sum_to_one(case):
         lattice = build_lattice(model, sentence_attributes(words))
         unary, _ = posterior_marginals(lattice, model)
         assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_tag_corpus_of_no_sentences_is_empty():
+    model = zero_model(small_tagset(3), {"a0": 0})
+    assert tag_corpus(model, FeatureConfig(), []) == TaggedCorpus(())
 
 
 def test_tag_sentence_basics():
