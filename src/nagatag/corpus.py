@@ -4,9 +4,10 @@ tag statistics and inter-annotator agreement.
 A corpus file is UTF-8 text with one sentence per line and tokens separated
 by whitespace. Each token is ``word/TAG``; the *last* slash separates word
 from tag so words may themselves contain slashes. Blank lines separate
-sentences and lines starting with ``#`` are comments (the synthetic
-generator writes its config as such a header). Every tag must belong to the
-tagset: an unknown tag is always a CorpusError, never relabelled.
+sentences, and a line whose first non-blank character is ``#`` is a comment
+(the synthetic generator writes its config as such a header). Every tag must
+belong to the tagset: an unknown tag is always a CorpusError, never
+relabelled.
 """
 
 from __future__ import annotations
@@ -141,11 +142,18 @@ class AgreementReport:
         return (self.disagreed - self.disagreed_on_excluded_tag) / self.total_tokens
 
 
+def _is_comment(line: str) -> bool:
+    """A line of a corpus or raw file is a comment when its first non-blank
+    character is '#'. Words hold no whitespace, so these are exactly the
+    lines whose first word starts with '#'."""
+    return line.lstrip().startswith("#")
+
+
 def parse_tagged(text: str, tagset: TagSet) -> TaggedCorpus:
     """Parse word/TAG text into a corpus; a tag outside the tagset raises."""
     sentences = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
+        if not line.strip() or _is_comment(line):
             continue
         tokens = []
         for raw in line.split():
@@ -170,7 +178,7 @@ def serialize_tagged(corpus: TaggedCorpus, tagset: TagSet) -> str:
     lines = []
     for i, sentence in enumerate(corpus.sentences):
         first = sentence.tokens[0].word
-        if first.startswith("#"):
+        if _is_comment(first):
             raise ValueError(
                 f"sentence {i}: first word {first!r} starts with '#' and would read as a comment"
             )
@@ -268,5 +276,5 @@ def read_raw_sentences(path: str) -> list[tuple[str, ...]]:
         return [
             tuple(line.split())
             for line in fh.read().splitlines()
-            if line.strip() and not line.startswith("#")
+            if line.strip() and not _is_comment(line)
         ]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
@@ -549,6 +549,23 @@ def _feature_config(fields) -> FeatureConfig:
     return FeatureConfig(**{k: v for k, v in fields.items() if k not in _TEMPLATE_FLAGS})
 
 
+def _training(block) -> TrainingMeta | None:
+    """The training block: null, or an object with exactly TrainingMeta's
+    fields, iterations a non-negative int and the rest JSON numbers."""
+    if block is None:
+        return None
+    names = sorted(field.name for field in dataclass_fields(TrainingMeta))
+    if not (isinstance(block, dict) and sorted(block) == names):
+        raise ValueError(f"training must be null or a JSON object with keys {', '.join(names)}")
+    iterations = block["iterations"]
+    if not (type(iterations) is int and iterations >= 0):
+        raise ValueError(f"training iterations must be a non-negative int: {iterations!r}")
+    for name in ("c1", "c2", "final_objective"):
+        if type(block[name]) not in (int, float):
+            raise ValueError(f"training {name} must be a JSON number: {block[name]!r}")
+    return TrainingMeta(**block)
+
+
 def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
     tagset = TagSet(tuple(_string_list(doc, "tagset")))
     feature_config = _feature_config(doc["feature_config"])
@@ -568,7 +585,7 @@ def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
             raise ValueError(f"state weight must be a JSON number: {w!r}")
         state[a, k] = w
     trans, begin, end = (_weights(doc, key) for key in ("transitions", "begin", "end"))
-    training = TrainingMeta(**doc["training"]) if doc.get("training") else None
+    training = _training(doc.get("training"))
     model = ModelParameters(
         tagset=tagset,
         attribute_index={a: i for i, a in enumerate(attributes)},

@@ -3,21 +3,40 @@
 The smooth part (including any L2 term) comes from the objective callback;
 an L1 term c1*||x||_1 is handled inside the optimizer. With c1 = 0 this is
 plain L-BFGS with a backtracking Armijo line search. With c1 > 0 it runs
-the orthant-wise variant: steps use the pseudo-gradient of the combined
-objective, the quasi-Newton direction is sign-projected onto the pseudo-
-gradient's descent orthant, and line-search iterates clamp coordinates that
-cross zero, which is what actually produces exact zeros in the solution.
+the orthant-wise variant (OWL-QN, Andrew & Gao 2007): steps use the
+pseudo-gradient of the combined objective, the quasi-Newton direction is
+sign-projected onto the pseudo-gradient's descent orthant, and line-search
+iterates clamp coordinates that cross zero, which is what actually produces
+exact zeros in the solution.
+
+Active set. Every per-coordinate step runs only on the active set
+P = {i : x_i != 0 or |g_i| > c1}. Off P, x_i = 0 and |g_i| <= c1, so the
+pseudo-gradient is 0 there; the sign projection then zeroes the direction
+there and x never moves off P. Restricting the direction, the line search,
+the L1 norm and the Armijo term to P is therefore exact: only the order of
+summation changes. With c1 = 0 there is no sign projection and P is every
+coordinate. With L1, a CRF's active set is a few thousand of its hundreds of
+thousands of weights after the first iterations.
+
+Gram-coefficient two-loop. The L-BFGS direction -H*pg is a combination of
+pg and the stored pairs (s_i, y_i). The two-loop recursion (Nocedal &
+Wright, *Numerical Optimization*, Alg. 7.4) needs only dot products among
+them, so it runs on the kept Gram matrices s_i.y_j and y_i.y_j and on
+s_i.pg and y_i.pg, and the direction is assembled once at the end (the
+"vector-free" L-BFGS of Chen, Wang, Zhou & Gao, NIPS 2014). Each s_i is
+zero off the active set of its own iteration and is kept sparse there; only
+the dense y_i need full-length passes, k dot products when a pair is
+accepted.
 
 OptimConfig sets only the regularizer weights, the iteration cap and the
 gradient tolerance. The curvature memory and the line search use the
-textbook constants below (Liu & Nocedal 1989; Nocedal & Wright, *Numerical
-Optimization*, section 3.1), not values tuned per workload.
+textbook constants below (Liu & Nocedal 1989; Nocedal & Wright, section
+3.1), not values tuned per workload.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,6 +89,8 @@ class IterationRecord:
     gradient_max_norm: float
     step_size: float
     nonzero_count: int
+    # objective calls of this iteration's line search, failed ones included
+    evaluations: int = 1
 
 
 @dataclass(frozen=True)
@@ -116,20 +137,86 @@ def project_orthant(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.where(x * xi < 0, 0.0, x)
 
 
-def _two_loop(pg: np.ndarray, pairs) -> np.ndarray:
-    """Standard two-loop recursion; returns the direction -H*pg."""
-    q = pg.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * np.dot(s, q)
-        alphas.append(a)
-        q -= a * y
-    s_last, y_last, _ = pairs[-1]
-    q *= np.dot(s_last, y_last) / np.dot(y_last, y_last)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * np.dot(y, q)
-        q += (a - b) * s
-    return -q
+def _active_set(x: np.ndarray, grad: np.ndarray, c1: float) -> np.ndarray | slice:
+    """The coordinates where x or the pseudo-gradient can be nonzero, as a
+    sorted index array; every coordinate when c1 = 0, where the direction
+    is not sign-projected."""
+    if not c1:
+        return slice(None)
+    return np.flatnonzero((x != 0) | (np.abs(grad) > c1))
+
+
+def _overlap(active: np.ndarray | slice, idx: np.ndarray | slice):
+    """(positions in active, mask over idx) of the coordinates both sets hold."""
+    if isinstance(idx, slice):  # c1 = 0: both are every coordinate
+        return idx, idx
+    pos = np.searchsorted(active, idx)
+    np.minimum(pos, len(active) - 1, out=pos)
+    hit = active[pos] == idx
+    return pos[hit], hit
+
+
+class _Pairs:
+    """The last MEMORY_PAIRS pairs s_i = x_{i+1} - x_i, y_i = g_{i+1} - g_i,
+    oldest first, with their Gram matrices sy[i, j] = s_i.y_j and
+    yy[i, j] = y_i.y_j. Each s_i is kept as its values on the active set of
+    its iteration, where it can be nonzero; y_i is dense."""
+
+    def __init__(self):
+        self.clear()
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def clear(self):
+        self.s: list[tuple[np.ndarray | slice, np.ndarray]] = []
+        self.y: list[np.ndarray] = []
+        self.sy = np.empty((0, 0))
+        self.yy = np.empty((0, 0))
+
+    def append(self, active: np.ndarray | slice, s: np.ndarray, y: np.ndarray, sy: float):
+        """Add the pair (s on active, y) with s.y = sy, dropping the oldest
+        pair when the memory is full."""
+        if len(self.y) == MEMORY_PAIRS:
+            del self.s[0], self.y[0]
+            self.sy, self.yy = self.sy[1:, 1:], self.yy[1:, 1:]
+        k = len(self.y)
+        sy_new = np.empty((k + 1, k + 1))
+        yy_new = np.empty((k + 1, k + 1))
+        sy_new[:k, :k], yy_new[:k, :k] = self.sy, self.yy
+        sy_new[k, :k] = [s @ y_j[active] for y_j in self.y]
+        sy_new[:k, k] = [s_i @ y[idx] for idx, s_i in self.s]
+        yy_new[k, :k] = yy_new[:k, k] = [y @ y_j for y_j in self.y]
+        sy_new[k, k], yy_new[k, k] = sy, y @ y
+        self.s.append((active, s))
+        self.y.append(y)
+        self.sy, self.yy = sy_new, yy_new
+
+    def direction(self, active: np.ndarray | slice, pg: np.ndarray) -> np.ndarray:
+        """The L-BFGS direction -H*pg on the active set, for a pseudo-gradient
+        pg that is zero off it (given there as pg's values on it). The
+        two-loop recursion runs on coefficients: q = pg - sum_i a_i y_i and
+        r = gamma*q + sum_i c_i s_i, with every dot product read off the
+        Gram matrices or gathered on the active set; -r is assembled once."""
+        k = len(self.y)
+        rho = 1.0 / np.diag(self.sy)
+        overlaps = [_overlap(active, idx) for idx, _ in self.s]
+        y_on = [y[active] for y in self.y]
+        s_pg = [s[hit] @ pg[pos] for (_, s), (pos, hit) in zip(self.s, overlaps)]
+        y_pg = [y @ pg for y in y_on]
+        a = np.zeros(k)
+        for i in reversed(range(k)):
+            a[i] = rho[i] * (s_pg[i] - self.sy[i] @ a)
+        gamma = self.sy[-1, -1] / self.yy[-1, -1]
+        c = np.zeros(k)
+        for i in range(k):
+            c[i] = a[i] - rho[i] * (gamma * (y_pg[i] - self.yy[i] @ a) + c @ self.sy[:, i])
+        d = -gamma * pg
+        for a_i, y in zip(a, y_on):
+            d += (gamma * a_i) * y
+        for c_i, (_, s), (pos, hit) in zip(c, self.s, overlaps):
+            d[pos] -= c_i * s[hit]
+        return d
 
 
 def minimize(
@@ -154,8 +241,10 @@ def minimize(
     F = f + c1 * np.sum(np.abs(x)) if c1 else f
     initial_objective = float(F)
 
-    pairs: deque = deque(maxlen=MEMORY_PAIRS)
-    pg = pseudo_gradient(x, g, c1)
+    pairs = _Pairs()
+    # pg, d, xi, s and the *_on vectors hold values on the active set only
+    active = _active_set(x, g, c1)
+    pg = pseudo_gradient(x[active], g[active], c1)
     gmax = float(np.max(np.abs(pg))) if pg.size else 0.0
     records = []
 
@@ -163,22 +252,27 @@ def minimize(
         if gmax <= config.gradient_tolerance:
             break
 
-        d = _two_loop(pg, pairs) if pairs else -pg
+        d = pairs.direction(active, pg) if pairs else -pg
         if c1:
             d = sign_project_direction(d, pg)
         if np.dot(pg, d) >= 0:
             # stale curvature produced a non-descent direction; restart
             pairs.clear()
             d = -pg
+        x_on = x[active]
         if c1:
-            xi = np.where(x != 0, np.sign(x), np.sign(d))
+            xi = np.where(x_on != 0, np.sign(x_on), np.sign(d))
 
         step = 1.0
+        evaluations = 0
         accepted = False
         for _ in range(MAX_LINE_SEARCH_TRIALS):
-            x_new = x + step * d
+            x_new_on = x_on + step * d
             if c1:
-                x_new = project_orthant(x_new, xi)
+                x_new_on = project_orthant(x_new_on, xi)
+            x_new = x.copy()
+            x_new[active] = x_new_on
+            evaluations += 1
             try:
                 f_new, g_new = objective(x_new)
             except ArithmeticError:
@@ -191,8 +285,9 @@ def minimize(
                 raise NonFiniteObjective(
                     f"objective not finite at iteration {iteration}, step {step}"
                 )
-            F_new = f_new + c1 * np.sum(np.abs(x_new)) if c1 else f_new
-            if F_new <= F + ARMIJO_CONSTANT * np.dot(pg, x_new - x):
+            s = x_new_on - x_on
+            F_new = f_new + c1 * np.sum(np.abs(x_new_on)) if c1 else f_new
+            if F_new <= F + ARMIJO_CONSTANT * np.dot(pg, s):
                 accepted = True
                 break
             step *= BACKTRACK_FACTOR
@@ -203,35 +298,36 @@ def minimize(
             )
 
         g_new = np.asarray(g_new, dtype=np.float64)
-        s = x_new - x
         y = g_new - g
-        sy = float(np.dot(s, y))
+        sy = float(np.dot(s, y[active]))
         if sy > 1e-10:
-            pairs.append((s, y, 1.0 / sy))
+            pairs.append(active, s, y, sy)
         else:
             # rejected curvature pair: drop the history so the next step
             # restarts from steepest descent instead of a stale scale
             pairs.clear()
 
         x, g, F = x_new, g_new, float(F_new)
-        pg = pseudo_gradient(x, g, c1)
+        nonzero_count = int(np.count_nonzero(x_new_on))
+        active = _active_set(x, g, c1)
+        pg = pseudo_gradient(x[active], g[active], c1)
         gmax = float(np.max(np.abs(pg))) if pg.size else 0.0
         record = IterationRecord(
             iteration=iteration,
             objective=F,
             gradient_max_norm=gmax,
             step_size=step,
-            nonzero_count=int(np.count_nonzero(x)),
+            nonzero_count=nonzero_count,
+            evaluations=evaluations,
         )
         records.append(record)
         if log is not None:
             log(
                 f"iter {record.iteration} obj {record.objective:.6f} "
                 f"gmax {record.gradient_max_norm:.6g} step {record.step_size:g} "
-                f"nnz {record.nonzero_count}"
+                f"evals {record.evaluations} nnz {record.nonzero_count}"
             )
 
     converged = gmax <= config.gradient_tolerance
     trace = IterationTrace(initial_objective, tuple(records), converged)
     return x, trace
-

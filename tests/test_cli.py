@@ -115,11 +115,16 @@ def test_unknown_tag_is_data_error(small):
         lambda doc: dict(doc, transitions=[["0.5", *row[1:]] if i == 0 else row
                                            for i, row in enumerate(doc["transitions"])]),
         lambda doc: dict(doc, begin=[True, *doc["begin"][1:]]),
+        lambda doc: dict(doc, training={"c1": "x", "c2": None, "iterations": "many",
+                                        "final_objective": []}),
+        lambda doc: dict(doc, training=dict(doc["training"], iterations=True)),
+        lambda doc: dict(doc, training=dict(doc["training"], extra=1)),
     ],
     ids=["missing-tagset", "unknown-feature-key", "incomplete-training", "top-level-list",
          "fractional-state-index", "fractional-prefix-max", "string-tagset",
          "string-attributes", "false-feature-flag", "string-feature-flag",
-         "string-state-weight", "bool-state-weight", "string-transition", "bool-begin"],
+         "string-state-weight", "bool-state-weight", "string-transition", "bool-begin",
+         "mistyped-training", "bool-training-iterations", "extra-training-key"],
 )
 def test_malformed_model_is_data_error(trained, capsys, mutate):
     tmp_path, tagset_file, corpus_file, model_file = trained
@@ -211,6 +216,15 @@ def test_tag_input_without_sentences_gives_empty_output(trained, capsys):
     capsys.readouterr()
     assert main(["tag", str(raw), "--model", model_file]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_tag_skips_a_comment_after_leading_blanks(trained, capsys):
+    tmp_path, tagset_file, corpus_file, model_file = trained
+    raw = tmp_path / "raw.txt"
+    raw.write_text(" #x korvi .\ndora ase .\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["tag", str(raw), "--model", model_file]) == 0
+    assert capsys.readouterr().out == "dora/N ase/V ./S\n"
 
 
 def test_tag_output_reparses_identically(trained, capsys):

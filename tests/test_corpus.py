@@ -14,6 +14,7 @@ from nagatag.corpus import (
     Token,
     agreement,
     parse_tagged,
+    read_raw_sentences,
     serialize_tagged,
     split_corpus,
     tag_frequencies,
@@ -83,6 +84,16 @@ def test_parse_skips_blank_and_comment_lines():
     corpus = parse_tagged(text, TAGSET)
     assert len(corpus) == 2
     assert corpus.sentences[0].words() == ("Aru",)
+
+
+@pytest.mark.parametrize("comment", [" #x korvi .", "\t# note", "   #"])
+def test_both_readers_skip_a_comment_after_blanks(tmp_path, comment):
+    # a '#' after leading blanks still starts a comment, as serialize_tagged assumes
+    corpus = parse_tagged(f"{comment}\nAru/CONJ Itu/ADJ\n", TAGSET)
+    assert [sentence.words() for sentence in corpus] == [("Aru", "Itu")]
+    raw = tmp_path / "raw.txt"
+    raw.write_text(f"{comment}\nAru Itu\n", encoding="utf-8")
+    assert read_raw_sentences(str(raw)) == [("Aru", "Itu")]
 
 
 def test_parse_errors_carry_line_numbers():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagatag.optim import (
+    MEMORY_PAIRS,
     IterationRecord,
     IterationTrace,
     LineSearchFailure,
@@ -14,6 +17,7 @@ from nagatag.optim import (
     pseudo_gradient,
     sign_project_direction,
 )
+from nagatag.optim import _active_set, _Pairs
 
 
 def quadratic(a):
@@ -170,6 +174,7 @@ def test_line_search_backtracks_from_points_the_objective_cannot_evaluate():
     x, trace = minimize(f, np.zeros(1), OptimConfig(c1=0.0, gradient_tolerance=1e-9))
     assert x[0] == pytest.approx(1.5, abs=1e-9)
     assert trace.converged and trace.records[0].step_size == 0.5
+    assert trace.records[0].evaluations == 2
     with pytest.raises(ArithmeticError):
         minimize(f, np.array([3.0]), OptimConfig())
 
@@ -210,3 +215,65 @@ def test_trace_empty_records():
     trace = IterationTrace(2.5, (), True)
     assert trace.final_objective == 2.5
     assert trace.iterations == 0
+
+
+def _two_loop(pg, pairs):
+    """The dense two-loop recursion (Nocedal & Wright, Alg. 7.4) over full-length
+    (s, y, 1 / s.y) pairs, oldest first; returns the direction -H*pg."""
+    q = pg.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * np.dot(s, q)
+        alphas.append(a)
+        q -= a * y
+    s_last, y_last, _ = pairs[-1]
+    q *= np.dot(s_last, y_last) / np.dot(y_last, y_last)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * np.dot(y, q)
+        q += (a - b) * s
+    return -q
+
+
+def _sparse_point(rng, n):
+    """A point with most coordinates 0 and a gradient with many zeros, so the
+    pseudo-gradient is sparse; coordinate 0 is nonzero so the active set is not empty."""
+    x = np.where(rng.random(n) < 0.2, rng.normal(size=n), 0.0)
+    x[0] = 1.0
+    g = np.where(rng.random(n) < 0.5, rng.normal(size=n), 0.0)
+    return x, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, MEMORY_PAIRS + 1),
+    c1=st.sampled_from([0.0, 0.5]),
+)
+def test_direction_matches_the_dense_two_loop(seed, k, c1):
+    # k = MEMORY_PAIRS + 1 fills the ring and drops its oldest pair
+    rng = np.random.default_rng(seed)
+    n = 60
+    pairs, dense = _Pairs(), []
+    for _ in range(k):
+        # s lives on the active set of its own iteration; y = Bs + noise, s.y > 0
+        active = _active_set(*_sparse_point(rng, n), c1)
+        s = np.zeros(n)
+        s[active] = rng.normal(size=n)[active]
+        y = s * rng.uniform(0.5, 2.0, size=n) + 0.1 * rng.normal(size=n)
+        if s @ y <= 0.1 * (s @ s):
+            y = s * rng.uniform(0.5, 2.0, size=n)
+        pairs.append(active, s[active], y, float(s[active] @ y[active]))
+        dense.append((s, y, 1.0 / (s @ y)))
+    x, g = _sparse_point(rng, n)
+    active = _active_set(x, g, c1)
+    pg = pseudo_gradient(x, g, c1)
+
+    expected = _two_loop(pg, dense[-MEMORY_PAIRS:])
+    got = np.zeros(n)
+    got[active] = pairs.direction(active, pg[active])
+    if c1:  # as in minimize; without L1 the whole direction must match
+        expected = sign_project_direction(expected, pg)
+        got = sign_project_direction(got, pg)
+    assert len(pairs) == min(k, MEMORY_PAIRS)
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * scale)
