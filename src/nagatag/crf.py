@@ -17,21 +17,22 @@ transition, begin and end spreads, and forward-backward checks its scale factors
 There is one encoder and every caller goes through it: _encode puts a whole
 input in one (N, A+2) CSR matrix X, one row per token, with the sentences of
 one length in a run of consecutive rows, shortest first. Column A marks each
-sentence's first token and column A+1 its last, so with W the state weights
-stacked over the begin and end weights, X @ W is every token's state score
-with its boundary scores added. Both recursions work on (B, T, K) views of
-that product, one length group at a time. Training, tag_corpus and
-nll_and_gradient batch many sentences; build_lattice, viterbi and
-sequence_log_score are the same code with B = 1, so the single-sentence and
-batched paths cannot drift apart.
-Weights and gradients share one flat layout w, with named views per block.
-A tagged batch is reduced to its observed feature counts in that layout, so
-its gold-path score is observed @ w and the L2-penalized objective is
-sum(log Z) - observed @ w + c2 * w @ w. The gradient takes its expected
-counts from _forward_backward, and build_lattice turns the same scaled
-vectors into log alpha and log beta. Gold one-hot tags and posteriors become
-feature counts in one place, _add_counts: one X.T @ U per batch gives the
-state, begin and end counts together.
+sentence's first token and column A+1 its last. Both recursions work on
+(B, T, K) views of one product with X, one length group at a time. Training,
+tag_corpus and nll_and_gradient batch many sentences; build_lattice, viterbi
+and sequence_log_score are the same code with B = 1, so the single-sentence
+and batched paths cannot drift apart.
+
+The weights are one (A+2+K, K) matrix Θ, stacked once by _theta: the A state
+rows, the begin row, the end row, then the K transition rows. Its rows follow
+X's columns, so row r < A+2 weighs column r: X @ Θ[:-K] is every token's state
+score with its boundary scores added, and X.T @ U adds the state, begin and
+end counts of per-token tag weights U into G[:-K] of a gradient G of Θ's shape.
+The optimizer works on Θ's ravel w. A tagged batch is reduced to its observed
+feature counts in that layout, so its gold-path score is observed @ w and the
+L2-penalized objective is sum(log Z) - observed @ w + c2 * w @ w. The gradient
+takes its expected counts from _forward_backward, and build_lattice turns the
+same scaled vectors into log alpha and log beta.
 """
 
 from __future__ import annotations
@@ -114,30 +115,23 @@ class Lattice:
     log_Z: float
 
 
-def _blocks(flat: np.ndarray, A: int, K: int):
-    """(state, transitions, begin, end) as views into one flat vector of
-    A*K + K*K + 2*K parameters: the layout of the optimizer and of pack()."""
-    state, trans, begin, end = np.split(flat, np.cumsum([A * K, K * K, K]))
-    return state.reshape(A, K), trans.reshape(K, K), begin, end
-
-
-def _flat(model: ModelParameters) -> np.ndarray:
-    """The model's weights in the flat layout of _blocks."""
-    return np.concatenate([
-        model.state_weights.ravel(), model.transition_weights.ravel(),
-        model.begin_weights, model.end_weights,
-    ])
+def _theta(model: ModelParameters) -> np.ndarray:
+    """The model's weights as Θ: state rows, begin, end, then transition rows."""
+    return np.vstack([model.state_weights, model.begin_weights, model.end_weights,
+                      model.transition_weights])
 
 
 class ModelGradient:
-    """A gradient in the flat parameter layout; the blocks are views into it."""
+    """A gradient in Θ's flat layout; the blocks are views into it."""
 
-    def __init__(self, flat: np.ndarray, A: int, K: int):
-        self.flat = flat
-        self.state, self.transitions, self.begin, self.end = _blocks(flat, A, K)
+    def __init__(self, flat: np.ndarray, K: int):
+        G = flat.reshape(-1, K)
+        self.state, self.begin, self.end = G[:-K - 2], G[-K - 2], G[-K - 1]
+        self.transitions = G[-K:]
 
     def pack(self) -> np.ndarray:
-        return self.flat
+        """The gradient in ModelParameters' field order: state, transitions, begin, end."""
+        return np.concatenate([self.state.ravel(), self.transitions.ravel(), self.begin, self.end])
 
 
 @dataclass
@@ -196,15 +190,17 @@ _TINY = np.finfo(float).tiny
 _MAX_SPREAD = 320.0
 
 
-def _check_spread(trans: np.ndarray, begin: np.ndarray, end: np.ndarray):
-    """Raise ArithmeticError where forward-backward could be inexact.
+def _check_spread(trans: np.ndarray, boundary: np.ndarray):
+    """Raise ArithmeticError where forward-backward could be inexact: where the
+    (K, K) transitions or either row of the (2, K) boundary, Θ's begin and end
+    rows, spans more than _MAX_SPREAD.
 
     Begin and end enter forward-backward as state scores, which the argument
     above already covers; they stay in the check because the line search
     halves its step on ArithmeticError. Left out, they let far line-search
     probes through to a full evaluation, which trained about 10% slower on
     the train-wide bench workload (5 alternating pairs, 2 vCPU)."""
-    spread = max(np.ptp(trans), np.ptp(begin), np.ptp(end))
+    spread = max(np.ptp(trans), *np.ptp(boundary, axis=1))
     if not spread <= _MAX_SPREAD:
         raise ArithmeticError(
             f"transition or boundary scores span {spread:.6g} nats; forward-backward "
@@ -269,9 +265,10 @@ def _viterbi(s3: np.ndarray, trans: np.ndarray):
 def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
     """Forward-backward for one sentence: the batched engine with B = 1.
     The lattice keeps begin in log_alpha[0] and end in log_beta[-1]."""
-    _check_spread(model.transition_weights, model.begin_weights, model.end_weights)
+    theta, K = _theta(model), model.n_tags
+    _check_spread(model.transition_weights, theta[-K - 2:-K])
     X, (group,) = _encode(model.attribute_index, [attrs])
-    s3 = group.view(X @ np.vstack([model.state_weights, model.begin_weights, model.end_weights]))
+    s3 = group.view(X @ theta[:-K])
     a, b, C, _ = _forward_backward(s3, model.transition_weights)
     log_Z = float(C[0, -1])
     with np.errstate(divide="ignore"):  # an underflowed a or b is log 0 = -inf
@@ -289,7 +286,7 @@ def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
 
 def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
     *_, observed = _prepare(model.attribute_index, model.n_tags, [(attrs, tags)])
-    return float(observed @ _flat(model))
+    return float(observed @ _theta(model).ravel())
 
 
 def posterior_marginals(lattice: Lattice, model: ModelParameters):
@@ -306,7 +303,7 @@ def posterior_marginals(lattice: Lattice, model: ModelParameters):
 def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
     """(best path, its score) of every sentence, decoded one length group at a time."""
     X, groups = _encode(model.attribute_index, attrs_list)
-    per_row = X @ np.vstack([model.state_weights, model.begin_weights, model.end_weights])
+    per_row = X @ _theta(model)[:-model.n_tags]
     decoded = {}
     for group in groups:
         best, best_scores = _viterbi(group.view(per_row), model.transition_weights)
@@ -342,8 +339,8 @@ def _prepare(
     attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]]
 ) -> tuple[sparse.csr_matrix, list[_Group], np.ndarray]:
     """Validate and encode a tagged batch, and count its observed features
-    in the flat parameter layout. The gold-path score under weights w is
-    observed @ w, so the tags themselves are not kept."""
+    in Θ's flat layout. The gold-path score under weights w is observed @ w,
+    so the tags themselves are not kept."""
     tags_list: list[Sequence[int]] = []
 
     def checked():
@@ -361,50 +358,32 @@ def _prepare(
     onehot = np.eye(K)[np.concatenate([tags_list[i] for group in groups for i in group.members])]
     views = [group.view(onehot) for group in groups]
     transitions = sum(np.einsum("bti,btj->ij", u[:, :-1], u[:, 1:]) for u in views)
-    A = len(attribute_index)
-    observed = np.zeros(A * K + K * K + 2 * K)
-    _add_counts(observed, A, K, X, onehot, transitions)
-    return X, groups, observed
+    return X, groups, np.vstack([X.T @ onehot, transitions]).ravel()
 
 
-def _add_counts(flat: np.ndarray, A: int, K: int, X: sparse.csr_matrix,
-                unary: np.ndarray, transitions: np.ndarray):
-    """Add an encoded batch's feature counts to the flat layout, from its
-    (N, K) per-token tag weights (one-hot gold tags or posteriors) and its
-    (K, K) transition counts. X's boundary columns make the one X.T @ unary
-    product the state, begin and end counts at once."""
-    state, trans, begin, end = _blocks(flat, A, K)
-    counts = X.T @ unary
-    state += counts[:A]
-    trans += transitions
-    begin += counts[A]
-    end += counts[A + 1]
-
-
-def _nll_prepared(w: np.ndarray, A: int, K: int, X: sparse.csr_matrix, groups: list[_Group],
-                  observed: np.ndarray, c2: float) -> tuple[float, ModelGradient]:
-    """sum(log Z) - observed @ w + c2 * ||w||^2 over the flat weights w, and its
-    gradient: expected counts minus observed counts plus 2 * c2 * w."""
-    state_w, trans, begin, end = _blocks(w, A, K)
-    _check_spread(trans, begin, end)
-    per_row = X @ np.vstack([state_w, begin, end])  # overwritten by the posteriors
-    grad = ModelGradient(2.0 * c2 * w - observed, A, K)
-    transitions = np.zeros((K, K))
+def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, groups: list[_Group],
+                  observed: np.ndarray, c2: float) -> tuple[float, np.ndarray]:
+    """sum(log Z) - observed @ w + c2 * ||w||^2 over the flat weights w = Θ.ravel(),
+    and its flat gradient: expected counts minus observed counts plus 2 * c2 * w."""
+    theta = w.reshape(-1, K)
+    _check_spread(theta[-K:], theta[-K - 2:-K])
+    per_row = X @ theta[:-K]  # overwritten by the posteriors
+    G = (2.0 * c2 * w - observed).reshape(-1, K)
     log_Z_sum = 0.0
     for group in groups:
         s3 = group.view(per_row)
-        a, b, C, group_transitions = _forward_backward(s3, trans)
+        a, b, C, transitions = _forward_backward(s3, theta[-K:])
         np.multiply(a, b, out=s3)
-        transitions += group_transitions
+        G[-K:] += transitions
         log_Z_sum += float(C[:, -1].sum())
-    _add_counts(grad.flat, A, K, X, per_row, transitions)
+    G[:-K] += X.T @ per_row
 
     value = log_Z_sum - float(observed @ w)
     if c2:  # w @ w overflows on large finite weights; without L2 it must not enter
         value += c2 * float(w @ w)
     if not np.isfinite(value):
         raise ArithmeticError(f"non-finite objective value: {value}")
-    return value, grad
+    return value, G.ravel()
 
 
 def nll_and_gradient(
@@ -414,10 +393,10 @@ def nll_and_gradient(
 ) -> tuple[float, ModelGradient]:
     """Regularized negative conditional log-likelihood of a batch and its
     gradient: expected counts minus observed counts plus 2*c2*w."""
-    return _nll_prepared(
-        _flat(model), model.n_attributes, model.n_tags,
-        *_prepare(model.attribute_index, model.n_tags, batch), c2,
-    )
+    K = model.n_tags
+    value, grad = _nll_prepared(_theta(model).ravel(), K,
+                                *_prepare(model.attribute_index, K, batch), c2)
+    return value, ModelGradient(grad, K)
 
 
 def build_attribute_index(
@@ -447,21 +426,20 @@ def train_model(
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
     attribute_index = build_attribute_index(corpus, feature_config)
-    A, K = len(attribute_index), len(tagset)
+    K = len(tagset)
     X, groups, observed = _prepare(attribute_index, K, (
         (sentence_attributes(sentence.words(), feature_config), sentence.tags())
         for sentence in corpus
     ))
 
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = _nll_prepared(w, A, K, X, groups, observed, optim_config.c2)
-        return value, grad.flat
-
-    w_star, trace = minimize(objective, np.zeros_like(observed), optim_config, log=log)
+    w_star, trace = minimize(lambda w: _nll_prepared(w, K, X, groups, observed, optim_config.c2),
+                             np.zeros_like(observed), optim_config, log=log)
     training = TrainingMeta(
         optim_config.c1, optim_config.c2, trace.iterations, trace.final_objective
     )
-    model = ModelParameters(tagset, attribute_index, *_blocks(w_star, A, K), training=training)
+    theta = w_star.reshape(-1, K)
+    model = ModelParameters(tagset, attribute_index, theta[:-K - 2], theta[-K:],
+                            theta[-K - 2], theta[-K - 1], training=training)
     return model, trace
 
 
@@ -504,7 +482,7 @@ def load_model(path: str) -> tuple[ModelParameters, FeatureConfig]:
             raise ValueError("model file nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {doc.get('format_version')!r}")
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
@@ -531,13 +509,22 @@ def _string_list(doc: dict, key: str) -> list[str]:
     return value
 
 
-def _weights(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as a float array of JSON numbers. numpy alone would parse a
-    string such as "0.5", and would turn true into 1.0 in a list of floats."""
-    values = np.asarray(doc[key], dtype=object)
-    if not all(type(v) in (int, float) for v in values.flat):
-        raise ValueError(f"{key} must hold only JSON numbers")
-    return values.astype(np.float64)
+def _weights(value, field: str, *shape: int):
+    """value as floats, if it is JSON lists of the given shape around JSON
+    numbers that fit a float64 (a bare number for no shape). This is checked in
+    plain Python before numpy sees the value: numpy would parse a string such
+    as "0.5", turn true into 1.0, and raise RuntimeError on lists nested past
+    32 levels and OverflowError on integers beyond float range."""
+    if shape:
+        if not (isinstance(value, list) and len(value) == shape[0]):
+            raise ValueError(f"{field} must be a JSON array of shape {shape}")
+        return np.array([_weights(v, field, *shape[1:]) for v in value]).reshape(shape)
+    if type(value) not in (int, float):
+        raise ValueError(f"{field} must hold only JSON numbers")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ValueError(f"{field} holds a number beyond float range") from None
 
 
 def _feature_config(fields) -> FeatureConfig:
@@ -581,10 +568,9 @@ def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
     for a, k, w in records:
         if not (type(a) is int and type(k) is int and 0 <= a < A and 0 <= k < K):
             raise ValueError(f"state weight index must be an int in range: [{a}, {k}]")
-        if type(w) not in (int, float):
-            raise ValueError(f"state weight must be a JSON number: {w!r}")
-        state[a, k] = w
-    trans, begin, end = (_weights(doc, key) for key in ("transitions", "begin", "end"))
+        state[a, k] = _weights(w, "state_weights")
+    trans = _weights(doc["transitions"], "transitions", K, K)
+    begin, end = (_weights(doc[key], key, K) for key in ("begin", "end"))
     training = _training(doc.get("training"))
     model = ModelParameters(
         tagset=tagset,

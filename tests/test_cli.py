@@ -1,5 +1,6 @@
 """End-to-end CLI tests: every subcommand through main(argv) on tmp files."""
 
+import functools
 import json
 import os
 import subprocess
@@ -119,12 +120,20 @@ def test_unknown_tag_is_data_error(small):
                                         "final_objective": []}),
         lambda doc: dict(doc, training=dict(doc["training"], iterations=True)),
         lambda doc: dict(doc, training=dict(doc["training"], extra=1)),
+        # past numpy's 32 array dimensions
+        lambda doc: dict(doc, begin=functools.reduce(lambda v, _: [v], range(33), 0.0)),
+        # JSON integers beyond float range
+        lambda doc: dict(doc, transitions=[[10**400, *row[1:]] if i == 0 else row
+                                           for i, row in enumerate(doc["transitions"])]),
+        lambda doc: dict(doc, state_weights=[[0, 0, 10**400]]),
+        lambda doc: dict(doc, format_version=True),
     ],
     ids=["missing-tagset", "unknown-feature-key", "incomplete-training", "top-level-list",
          "fractional-state-index", "fractional-prefix-max", "string-tagset",
          "string-attributes", "false-feature-flag", "string-feature-flag",
          "string-state-weight", "bool-state-weight", "string-transition", "bool-begin",
-         "mistyped-training", "bool-training-iterations", "extra-training-key"],
+         "mistyped-training", "bool-training-iterations", "extra-training-key",
+         "deep-begin", "huge-int-transition", "huge-int-state-weight", "bool-format-version"],
 )
 def test_malformed_model_is_data_error(trained, capsys, mutate):
     tmp_path, tagset_file, corpus_file, model_file = trained

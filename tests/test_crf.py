@@ -1,11 +1,15 @@
 import dataclasses
+import functools
 import itertools
+import json
 import math
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -821,3 +825,91 @@ def test_load_rejects_bad_documents(tmp_path):
         json.dump(bad, fh)
     with pytest.raises(ValueError):
         load_model(bad_path)
+
+
+def nested(depth, leaf=0.0):
+    """leaf inside depth levels of one-element JSON lists."""
+    return functools.reduce(lambda value, _: [value], range(depth), leaf)
+
+
+HUGE = 10**400  # a JSON integer beyond float range
+
+
+@functools.cache
+def small_model_document():
+    """A valid saved model with two tags and two attributes, as parsed JSON."""
+    model = ModelParameters(
+        TagSet(("N", "V")), {"a": 0, "b": 1},
+        np.array([[0.5, 0.0], [0.0, -1.0]]), np.array([[0.1, -0.2], [0.3, 0.0]]),
+        np.array([0.1, 0.0]), np.array([0.0, -0.5]), training=TrainingMeta(0.1, 0.1, 3, 1.5),
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "model.json")
+        save_model(path, model, FeatureConfig())
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def load_document(doc):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("begin", nested(33)),
+        ("begin", [HUGE, 0.0]),
+        ("end", [0.0, -HUGE]),
+        ("transitions", [[0.0, HUGE], [0.0, 0.0]]),
+        ("state_weights", [[0, 0, HUGE]]),
+        ("format_version", True),
+        ("format_version", 1.0),
+    ],
+    ids=["deep-begin", "huge-int-begin", "huge-int-end", "huge-int-transition",
+         "huge-int-state-weight", "bool-format-version", "float-format-version"],
+)
+def test_load_rejects_weights_numpy_cannot_take(field, value):
+    # numpy raised RuntimeError past 32 dimensions and OverflowError on the
+    # integers; each is a ValueError that names the field
+    match = "model format" if field == "format_version" else field
+    with pytest.raises(ValueError, match=match):
+        load_document(dict(small_model_document(), **{field: value}))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.integers(2**1024, HUGE) | st.integers(-HUGE, -(2**1024))
+    | st.integers(33, 80).map(nested),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(small_model_document())),
+       st.sampled_from(["delete", "replace", "element"]), st.integers(0, 3), json_values)
+@example("begin", "replace", 0, nested(33))
+@example("begin", "element", 0, HUGE)
+@example("state_weights", "element", 0, [0, 1, -HUGE])
+def test_mutated_model_file_loads_or_raises_value_error(key, how, index, value):
+    # delete one top-level key, or replace its value, or one element of a
+    # list- or object-valued key, with an arbitrary JSON value
+    doc = dict(small_model_document())
+    old = doc[key]
+    if how == "delete":
+        del doc[key]
+    elif how == "element" and isinstance(old, list) and old:
+        doc[key] = [value if i == index % len(old) else item for i, item in enumerate(old)]
+    elif how == "element" and isinstance(old, dict) and old:
+        doc[key] = dict(old, **{sorted(old)[index % len(old)]: value})
+    else:
+        doc[key] = value
+    try:
+        load_document(doc)
+    except ValueError:
+        pass
