@@ -4,8 +4,8 @@ gradient, Viterbi decoding, training driver, and model persistence.
 Scores factor as begin[y0] + sum_t state(x,t,yt) + sum_t trans[y(t-1),yt]
 + end[yT-1], with state scores summing one weight per active attribute.
 Begin and end are state features of a sentence's first and last position, so
-neither recursion handles them apart: they take only (B, T, K) state scores
-and the transitions. Viterbi, _viterbi, runs in the log domain as a max-plus
+neither recursion handles them apart: they take only (N, K) state scores and
+the transitions. Viterbi, _viterbi, runs in the log domain as a max-plus
 recursion. Forward-backward, _forward_backward, runs in the exp domain on
 max-shifted scores, rescaling each position's forward vector to sum 1
 (Rabiner 1989; Sutton & McCallum 2012, section 4.1): a step is one
@@ -13,15 +13,18 @@ max-shifted scores, rescaling each position's forward vector to sum 1
 underflow could make that inexact it raises ArithmeticError instead:
 _check_spread, run once per objective call and per lattice, bounds the
 transition, begin and end spreads, and forward-backward checks its scale factors.
+Viterbi raises ArithmeticError where a sum of finite weights overflows.
 
 There is one encoder and every caller goes through it: _encode puts a whole
-input in one (N, A+2) CSR matrix X, one row per token, with the sentences of
-one length in a run of consecutive rows, shortest first. Column A marks each
-sentence's first token and column A+1 its last. Both recursions work on
-(B, T, K) views of one product with X, one length group at a time. Training,
-tag_corpus and nll_and_gradient batch many sentences; build_lattice, viterbi
-and sequence_log_score are the same code with B = 1, so the single-sentence
-and batched paths cannot drift apart.
+input in one (N, A+2) CSR matrix X, one row per token, with the rows packed
+time-major as PyTorch's pack_padded_sequence packs them: step t holds
+position t of every sentence longer than t, in input order. Column A marks
+each sentence's first token and column A+1 its last. _Packing records each
+step's run of rows and each row's predecessor, so both recursions make one
+pass over the whole input, one step per position of the longest sentence,
+on one product with X. Training, tag_corpus and nll_and_gradient batch many
+sentences; build_lattice, viterbi and sequence_log_score are the same code on
+one sentence, so the single-sentence and batched paths cannot drift apart.
 
 The weights are one (A+2+K, K) matrix Θ, stacked once by _theta: the A state
 rows, the begin row, the end row, then the K transition rows. Its rows follow
@@ -40,7 +43,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, fields as dataclass_fields
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -134,48 +137,52 @@ class ModelGradient:
         return np.concatenate([self.state.ravel(), self.transitions.ravel(), self.begin, self.end])
 
 
-@dataclass
-class _Group:
-    """All sentences of one length: a run of consecutive rows of the encoded matrix."""
+class _Packing(NamedTuple):
+    """Where an input's tokens sit among the rows of its encoded matrix. The
+    rows are time-major: step t holds row t of every sentence longer than t,
+    in input order, so each step is one run of consecutive rows."""
 
-    rows: slice
-    members: np.ndarray  # (B,) position of each sentence in the encoded list
-
-    def view(self, per_row: np.ndarray) -> np.ndarray:
-        """This group's rows of an (N, K) array, as a (B, T, K) view into it."""
-        return per_row[self.rows].reshape(len(self.members), -1, per_row.shape[1])
+    steps: list[slice]
+    prev: np.ndarray  # (N,) past step 0, the row of the same sentence's previous token
+    order: np.ndarray  # (N,) the row of each token, counted sentence after sentence
+    ends: np.ndarray  # (S,) where each sentence ends in that count
 
 
 def _encode(attribute_index: dict[str, int],
-            attrs_list: Iterable[Attrs]) -> tuple[sparse.csr_matrix, list[_Group]]:
-    """One (N, A+2) CSR matrix for the whole input, one row per token, and its
-    length groups, shortest first, each a run of consecutive rows. Column A
-    marks a sentence's first token and column A+1 its last. This is the only
-    place attribute strings become indices; attributes outside the vocabulary
-    have no column and score 0. The input is read once, so it may be a generator."""
+            attrs_list: Iterable[Attrs]) -> tuple[sparse.csr_matrix, _Packing]:
+    """One (N, A+2) CSR matrix for the whole input, one row per token in the
+    time-major order _Packing describes, and that packing. Column A marks a
+    sentence's first token and column A+1 its last. This is the only place
+    attribute strings become indices; attributes outside the vocabulary have
+    no column and score 0. The input is read once, so it may be a generator."""
     A = len(attribute_index)
-    by_len: dict[int, tuple[list[int], list[int], list[int]]] = {}
-    for i, attrs in enumerate(attrs_list):
+    steps: list[tuple[list[int], list[int]]] = []  # per step: column ids, row sizes
+    lengths = []
+    for attrs in attrs_list:
         if len(attrs) == 0:
             raise ValueError("cannot encode an empty sentence")
-        members, cols, sizes = by_len.setdefault(len(attrs), ([], [], []))
-        members.append(i)
+        lengths.append(len(attrs))
+        steps.extend(([], []) for _ in range(len(attrs) - len(steps)))
         rows = [sorted(attribute_index[a] for a in position if a in attribute_index)
                 for position in attrs]
         # A and A + 1 exceed every attribute column, so each row stays sorted
         rows[0].append(A)
         rows[-1].append(A + 1)
-        # flat lists per group rather than one list per row: keeping 38,000 row
+        # flat lists per step rather than one list per row: keeping 38,000 row
         # lists alive to the end raised peak RSS in train-wide training by ~10 MB
-        cols.extend(itertools.chain.from_iterable(rows))
-        sizes.extend(map(len, rows))
-    groups, cols, sizes = [], [], []
-    for _, (members, group_cols, group_sizes) in sorted(by_len.items()):
-        groups.append(_Group(slice(len(sizes), len(sizes) + len(group_sizes)), np.asarray(members)))
-        cols += group_cols
-        sizes += group_sizes
-    indptr = np.cumsum([0] + sizes)
-    return sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(sizes), A + 2)), groups
+        for (cols, sizes), row in zip(steps, rows):
+            cols += row
+            sizes.append(len(row))
+    ends = np.cumsum(lengths, dtype=np.intp)
+    # the token of each row: tokens stably sorted by their position in the sentence
+    token = np.argsort(np.arange(sum(lengths)) - np.repeat(ends - lengths, lengths), kind="stable")
+    order = np.argsort(token)
+    bounds = np.cumsum([0] + [len(sizes) for _, sizes in steps])
+    packing = _Packing([slice(*pair) for pair in itertools.pairwise(bounds)],
+                       order[token - 1], order, ends)
+    cols = list(itertools.chain.from_iterable(cols for cols, _ in steps))
+    indptr = np.cumsum([0, *itertools.chain.from_iterable(sizes for _, sizes in steps)])
+    return sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(order), A + 2)), packing
 
 
 _TINY = np.finfo(float).tiny
@@ -208,77 +215,84 @@ def _check_spread(trans: np.ndarray, boundary: np.ndarray):
         )
 
 
-def _forward_backward(s3: np.ndarray, trans: np.ndarray):
-    """Scaled exp-domain forward-backward over (B, T, K) state scores, whose
-    first and last positions already hold the begin and end scores.
+def _forward_backward(s: np.ndarray, trans: np.ndarray, packing: _Packing):
+    """Scaled exp-domain forward-backward over (N, K) state scores in the
+    packed row order, whose first and last rows of each sentence already hold
+    the begin and end scores. s is overwritten.
 
-    Every score array is shifted by its maximum and exponentiated, so each
-    step is one (B, K) @ (K, K) product: h = (a[:, t-1] @ G) * E[:, t], whose
-    row sums z_t scale a[:, t] = h / z_t to sum 1. Returns the scaled forward
-    and backward vectors a, b (B, T, K), whose product is the unary
-    posteriors; the cumulative log scales C (B, T), with log alpha = log a + C
-    and log Z = C[:, -1]; and the (K, K) expected transition counts summed
-    over the group. Raises ArithmeticError when a scale factor is below the
-    smallest normal float (non-finite scores); the callers bound the
-    transition spread with _check_spread.
+    Every score array is shifted by its row maxima and exponentiated, so each
+    step is one (B, K) @ (K, K) product: h = (a[prev] @ G) * E[cur], whose row
+    sums z scale a[cur] = h / z to sum 1. Returns the scaled forward and
+    backward vectors a, b (N, K), whose product is the unary posteriors; each
+    row's log scale c (N,), whose running sum over a sentence's rows is log
+    alpha - log a and whose sum over them is log Z; and the (K, K) expected
+    transition counts summed over the input. Raises ArithmeticError when a
+    scale factor is below the smallest normal float (non-finite scores); the
+    callers bound the transition spread with _check_spread.
     """
-    B, T, K = s3.shape
-    s_max = s3.max(axis=2)
-    E = np.exp(s3 - s_max[:, :, None])
+    steps, prev = packing.steps, packing.prev
+    s_max = s.max(axis=1, keepdims=True)
+    E = np.exp(np.subtract(s, s_max, out=s), out=s)
     G = np.exp(trans - trans.max())
-    a = np.empty(s3.shape)
-    z = np.empty((B, T))
-    for t in range(T):
-        h = (a[:, t - 1] @ G) * E[:, t] if t else E[:, 0]
-        z[:, t] = h.sum(axis=1)
-        a[:, t] = h / z[:, t, None]
+    a = np.empty_like(E)
+    z = np.empty(len(E))
+    for t, cur in enumerate(steps):
+        h = (a[prev[cur]] @ G) * E[cur] if t else E[cur]
+        z[cur] = h.sum(axis=1)
+        a[cur] = h / z[cur, None]
     if not (z >= _TINY).all():
         raise ArithmeticError("forward-backward scale factor underflow")
-    C = np.cumsum(np.log(z) + s_max, axis=1) + trans.max() * np.arange(T)
+    c = np.log(z) + s_max[:, 0]
+    c[steps[0].stop:] += trans.max()
 
-    r = E / z[:, :, None]  # E_t / z_t: b[:, t-1] = (r[:, t] * b[:, t]) @ G.T
-    b = np.empty(s3.shape)
-    b[:, -1] = 1.0
-    for t in range(T - 1, 0, -1):
-        b[:, t - 1] = (r[:, t] * b[:, t]) @ G.T
-    w = (r[:, 1:] * b[:, 1:]).reshape(-1, K)
-    transitions = G * (a[:, :-1].reshape(-1, K).T @ w)
-    return a, b, C, transitions
+    r = np.divide(E, z[:, None], out=E)  # E / z: b[prev] = (r[cur] * b[cur]) @ G.T
+    b = np.ones_like(r)
+    transitions = np.zeros_like(G)
+    for cur in reversed(steps[1:]):
+        w = r[cur] * b[cur]
+        b[prev[cur]] = w @ G.T
+        transitions += a[prev[cur]].T @ w
+    return a, b, c, G * transitions
 
 
-def _viterbi(s3: np.ndarray, trans: np.ndarray):
-    """Best (B, T) paths and their (B,) scores over (B, T, K) state scores,
-    begin and end included, by the max-product recursion
-    delta[:, t] = s3[:, t] + max(delta[:, t-1, :, None] + trans, axis=1).
-    The backtrack recomputes each decision from delta, so ties pick the
-    lowest tag index (argmax returns the first maximizer)."""
-    delta = s3.copy()
-    for t in range(1, s3.shape[1]):
-        delta[:, t] += np.max(delta[:, t - 1, :, None] + trans, axis=1)
-    paths = np.empty(s3.shape[:2], dtype=np.int64)
-    paths[:, -1] = np.argmax(delta[:, -1], axis=1)
-    for t in range(s3.shape[1] - 1, 0, -1):
-        paths[:, t - 1] = np.argmax(delta[:, t - 1] + trans[:, paths[:, t]].T, axis=1)
-    return paths, delta[:, -1].max(axis=1)
+def _viterbi(delta: np.ndarray, trans: np.ndarray, packing: _Packing):
+    """Best tags and best scores per row, by the max-product recursion
+    delta[cur] += max(delta[prev, :, None] + trans, axis=1) on delta, which
+    holds the (N, K) state scores in the packed row order, begin and end
+    included, and is overwritten. A sentence's best score is its last row's.
+    The backtrack starts from every row's own argmax, which is final on a
+    sentence's last row, and recomputes each earlier decision from delta, so
+    ties pick the lowest tag index (argmax returns the first maximizer).
+    Raises ArithmeticError when a delta entry is not finite: finite weights
+    whose sum overflows have no best path in floats."""
+    steps, prev = packing.steps, packing.prev
+    for cur in steps[1:]:
+        delta[cur] += np.max(delta[prev[cur], :, None] + trans, axis=1)
+    if not np.isfinite(delta).all():
+        raise ArithmeticError("Viterbi scores overflow")
+    paths = np.argmax(delta, axis=1)
+    for cur in reversed(steps[1:]):
+        paths[prev[cur]] = np.argmax(delta[prev[cur]] + trans[:, paths[cur]].T, axis=1)
+    return paths, delta.max(axis=1)
 
 
 def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
-    """Forward-backward for one sentence: the batched engine with B = 1.
+    """Forward-backward for one sentence: the batched engine with N = T rows.
     The lattice keeps begin in log_alpha[0] and end in log_beta[-1]."""
     theta, K = _theta(model), model.n_tags
     _check_spread(model.transition_weights, theta[-K - 2:-K])
-    X, (group,) = _encode(model.attribute_index, [attrs])
-    s3 = group.view(X @ theta[:-K])
-    a, b, C, _ = _forward_backward(s3, model.transition_weights)
-    log_Z = float(C[0, -1])
+    X, packing = _encode(model.attribute_index, [attrs])
+    a, b, c, _ = _forward_backward(X @ theta[:-K], model.transition_weights, packing)
+    C = np.cumsum(c)
+    log_Z = float(C[-1])
     with np.errstate(divide="ignore"):  # an underflowed a or b is log 0 = -inf
-        log_alpha = np.log(a[0]) + C[0, :, None]
-        log_beta = np.log(b[0]) + (log_Z - C[0])[:, None]
+        log_alpha = np.log(a) + C[:, None]
+        log_beta = np.log(b) + (log_Z - C)[:, None]
     log_alpha[-1] -= model.end_weights
     log_beta[-1] += model.end_weights
     # cross-check: the backward recursion must reproduce the same mass,
     # sum_k a[0] * b[0] = 1
-    backward_Z = log_Z + float(np.log(a[0, 0] @ b[0, 0]))
+    backward_Z = log_Z + float(np.log(a[0] @ b[0]))
     if not abs(backward_Z - log_Z) <= 1e-9 * max(1.0, abs(log_Z)):
         raise ArithmeticError(f"forward/backward disagree on log_Z: {log_Z} vs {backward_Z}")
     return Lattice(X[:, :-2] @ model.state_weights, log_alpha, log_beta, log_Z)
@@ -301,18 +315,16 @@ def posterior_marginals(lattice: Lattice, model: ModelParameters):
 
 
 def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
-    """(best path, its score) of every sentence, decoded one length group at a time."""
-    X, groups = _encode(model.attribute_index, attrs_list)
-    per_row = X @ _theta(model)[:-model.n_tags]
-    decoded = {}
-    for group in groups:
-        best, best_scores = _viterbi(group.view(per_row), model.transition_weights)
-        decoded.update(zip(group.members.tolist(), zip(best, best_scores)))
-    return [decoded[i] for i in range(len(decoded))]
+    """(best path, its score) of every sentence, from one Viterbi pass over the
+    whole input."""
+    X, packing = _encode(model.attribute_index, attrs_list)
+    paths, scores = _viterbi(X @ _theta(model)[:-model.n_tags], model.transition_weights, packing)
+    return list(zip(np.split(paths[packing.order], packing.ends[:-1]),
+                    scores[packing.order[packing.ends - 1]]))
 
 
 def viterbi(model: ModelParameters, attrs: Attrs) -> tuple[list[int], float]:
-    """Best tag sequence and its log score: the batched decoder with B = 1.
+    """Best tag sequence and its log score: the batched decoder on one sentence.
     Ties pick the lowest tag index."""
     ((path, score),) = _decode(model, [attrs])
     return path.tolist(), float(score)
@@ -321,7 +333,7 @@ def viterbi(model: ModelParameters, attrs: Attrs) -> tuple[list[int], float]:
 def tag_corpus(
     model: ModelParameters, config: FeatureConfig, sentences: Sequence[Sequence[str]]
 ) -> TaggedCorpus:
-    """Viterbi tags for every sentence, decoded in groups of one length."""
+    """Viterbi tags for every sentence, from one pass over the whole corpus."""
     decoded = _decode(model, (sentence_attributes(words, config) for words in sentences))
     return TaggedCorpus(tuple(
         Sentence(tuple(Token(w, y) for w, y in zip(words, path.tolist())))
@@ -337,7 +349,7 @@ def tag_sentence(
 
 def _prepare(
     attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]]
-) -> tuple[sparse.csr_matrix, list[_Group], np.ndarray]:
+) -> tuple[sparse.csr_matrix, _Packing, np.ndarray]:
     """Validate and encode a tagged batch, and count its observed features
     in Θ's flat layout. The gold-path score under weights w is observed @ w,
     so the tags themselves are not kept."""
@@ -352,33 +364,29 @@ def _prepare(
             tags_list.append(tags)
             yield attrs
 
-    X, groups = _encode(attribute_index, checked())
+    X, packing = _encode(attribute_index, checked())
     if not tags_list:
         raise ValueError("batch must be non-empty")
-    onehot = np.eye(K)[np.concatenate([tags_list[i] for group in groups for i in group.members])]
-    views = [group.view(onehot) for group in groups]
-    transitions = sum(np.einsum("bti,btj->ij", u[:, :-1], u[:, 1:]) for u in views)
-    return X, groups, np.vstack([X.T @ onehot, transitions]).ravel()
+    tags = np.empty_like(packing.order)
+    tags[packing.order] = np.concatenate(tags_list)
+    onehot = np.eye(K)[tags]
+    later = slice(packing.steps[0].stop, None)  # every row with a predecessor
+    transitions = onehot[packing.prev[later]].T @ onehot[later]
+    return X, packing, np.vstack([X.T @ onehot, transitions]).ravel()
 
 
-def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, groups: list[_Group],
+def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, packing: _Packing,
                   observed: np.ndarray, c2: float) -> tuple[float, np.ndarray]:
     """sum(log Z) - observed @ w + c2 * ||w||^2 over the flat weights w = Θ.ravel(),
     and its flat gradient: expected counts minus observed counts plus 2 * c2 * w."""
     theta = w.reshape(-1, K)
     _check_spread(theta[-K:], theta[-K - 2:-K])
-    per_row = X @ theta[:-K]  # overwritten by the posteriors
+    a, b, c, transitions = _forward_backward(X @ theta[:-K], theta[-K:], packing)
     G = (2.0 * c2 * w - observed).reshape(-1, K)
-    log_Z_sum = 0.0
-    for group in groups:
-        s3 = group.view(per_row)
-        a, b, C, transitions = _forward_backward(s3, theta[-K:])
-        np.multiply(a, b, out=s3)
-        G[-K:] += transitions
-        log_Z_sum += float(C[:, -1].sum())
-    G[:-K] += X.T @ per_row
+    G[-K:] += transitions
+    G[:-K] += X.T @ np.multiply(a, b, out=a)
 
-    value = log_Z_sum - float(observed @ w)
+    value = float(c.sum()) - float(observed @ w)
     if c2:  # w @ w overflows on large finite weights; without L2 it must not enter
         value += c2 * float(w @ w)
     if not np.isfinite(value):
@@ -427,12 +435,12 @@ def train_model(
         raise ValueError("training corpus is empty")
     attribute_index = build_attribute_index(corpus, feature_config)
     K = len(tagset)
-    X, groups, observed = _prepare(attribute_index, K, (
+    X, packing, observed = _prepare(attribute_index, K, (
         (sentence_attributes(sentence.words(), feature_config), sentence.tags())
         for sentence in corpus
     ))
 
-    w_star, trace = minimize(lambda w: _nll_prepared(w, K, X, groups, observed, optim_config.c2),
+    w_star, trace = minimize(lambda w: _nll_prepared(w, K, X, packing, observed, optim_config.c2),
                              np.zeros_like(observed), optim_config, log=log)
     training = TrainingMeta(
         optim_config.c1, optim_config.c2, trace.iterations, trace.final_objective

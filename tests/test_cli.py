@@ -1,6 +1,8 @@
 """End-to-end CLI tests: every subcommand through main(argv) on tmp files."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -9,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nagatag.cli import main
 from nagatag.corpus import TagSet, parse_tagged, read_corpus, serialize_tagged
 from nagatag.crf import ModelParameters, save_model
 from nagatag.datagen import SynthConfig, generate
-from nagatag.features import FeatureConfig
+from nagatag.features import FeatureConfig, sentence_attributes
 
 SMALL_TAGS = ("N", "V", "S")
 
@@ -268,6 +272,66 @@ def test_huge_affix_lengths_tag_like_the_trained_ones(trained):
         for model in (model_file, str(huge))
     ]
     assert outputs[0] == outputs[1] == "dora/N ase/V ./S\nsaki/N loi/V dora/N ./S\n"
+
+
+def test_overflowing_state_scores_are_data_error(tmp_path, capsys):
+    # N has three weights of 1e308 on the token and ADJ two, so N is the best
+    # tag, but both sums overflow to inf and tie. Tagging must not print a tag.
+    tagset = TagSet()
+    attributes = sorted(sentence_attributes(("dora",))[0])[:3]
+    state = np.zeros((3, len(tagset)))
+    state[:, tagset.index("N")] = 1e308
+    state[:2, tagset.index("ADJ")] = 1e308
+    model = ModelParameters(tagset, {a: i for i, a in enumerate(attributes)}, state,
+                            np.zeros((len(tagset),) * 2), np.zeros(len(tagset)), np.zeros(len(tagset)))
+    model_file = tmp_path / "model.json"
+    save_model(str(model_file), model, FeatureConfig())
+    raw = tmp_path / "raw.txt"
+    raw.write_text("dora\n", encoding="utf-8")
+    assert main(["tag", str(raw), "--model", str(model_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "nagatag: error:" in err
+
+
+def fuzz_bytes(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=24).map(b"".join)
+
+
+FUZZ_PIECES = tuple(piece.encode() for piece in (
+    "dora", "saki", "ase", ".", "/", "N", "V", "S", "ADJ", "é", " ", "\t", "\n", "\r", "#", "0",
+    "\ufeff")) + (b"\xff", b"\x00")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(("tag", "eval", "stats", "split", "agreement")),
+       first=fuzz_bytes(FUZZ_PIECES), second=fuzz_bytes(FUZZ_PIECES),
+       tagset=st.none() | fuzz_bytes((b"N", b"V", b"S", b"ADJ", b"n", b" ", b"\n", b"#")),
+       json_format=st.booleans())
+def test_random_files_exit_with_a_documented_code(trained, command, first, second, tagset,
+                                                 json_format):
+    # Whatever the files hold, a command ends with 0, 1 or 2 and no traceback.
+    tmp_path, _, _, model_file = trained
+    files = [tmp_path / "fuzz-first.txt", tmp_path / "fuzz-second.txt", tmp_path / "fuzz-tags.txt"]
+    for path, data in zip(files, (first, second, tagset or b"")):
+        path.write_bytes(data)
+    argv = {
+        "tag": ["tag", files[0], "--model", model_file],
+        "eval": ["eval", files[0], "--model", model_file],
+        "stats": ["stats", files[0]],
+        "split": ["split", files[0], tmp_path / "fuzz-train.txt", tmp_path / "fuzz-test.txt"],
+        "agreement": ["agreement", files[0], files[1]],
+    }[command]
+    if tagset is not None and command in ("stats", "split", "agreement"):
+        argv += ["--tagset", files[2]]
+    if json_format and command in ("eval", "stats", "agreement"):
+        argv += ["--format", "json"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_eval_text_and_json(trained, capsys):

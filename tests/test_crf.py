@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -366,7 +367,7 @@ def test_training_backtracks_from_a_probe_forward_backward_cannot_evaluate():
 def wide_weight_batches(draw):
     """(model, batch, scale): a model with K <= 4 and weights uniform in
     [-scale, scale], scale up to 1000, and one to three tagged sentences of
-    length T <= 5 (sentences of one length share a group)."""
+    length T <= 5, lengths repeating or not."""
     k = draw(st.integers(2, 4))
     scale = draw(st.one_of(st.floats(0.1, 50.0), st.floats(50.0, 1000.0)))
     npr = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -488,6 +489,26 @@ def test_nll_additive_over_partitions():
     assert v_all == pytest.approx(v_single, abs=1e-8)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.integers(2, 4),
+       st.integers(0, 2**32 - 1))
+@example([3, 1, 5, 1, 2, 5], 3, 0)  # length-1 sentences between longer ones
+@example([1, 1, 1], 2, 1)  # one step only: no transitions to count
+def test_batch_value_and_gradient_are_sums_over_singletons(lengths, k, seed):
+    # The encoder interleaves the sentences of a batch row by row; pairing a
+    # token with another sentence's tag or predecessor shows up as a batch
+    # that differs from its sentences taken one at a time.
+    rng = random.Random(seed)
+    model = random_model(rng, k=k)
+    batch = [(random_attrs(rng, model, t_len), tuple(rng.randrange(k) for _ in range(t_len)))
+             for t_len in lengths]
+    value, grad = nll_and_gradient(model, batch)
+    singles = [nll_and_gradient(model, [sentence]) for sentence in batch]
+    assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-9)
+    summed = sum(g.pack() for _, g in singles)
+    assert np.allclose(grad.pack(), summed, rtol=1e-9, atol=1e-9 * np.abs(summed).max())
+
+
 def test_nll_validation():
     model = zero_model(small_tagset(2), {"x": 0})
     with pytest.raises(ValueError):
@@ -560,6 +581,71 @@ def test_viterbi_matches_enumeration():
 def test_viterbi_rejects_empty():
     with pytest.raises(ValueError):
         viterbi(zero_model(small_tagset(2), {}), [])
+
+
+def exact_path_scores(model, attrs):
+    """Path scores in exact rational arithmetic, so sums of weights near the
+    float range neither overflow nor round."""
+    k = model.n_tags
+    state = [[sum(Fraction(model.state_weights[model.attribute_index[a], y])
+                  for a in position if a in model.attribute_index) for y in range(k)]
+             for position in attrs]
+    return {
+        path: Fraction(model.begin_weights[path[0]]) + Fraction(model.end_weights[path[-1]])
+        + sum(state[t][y] for t, y in enumerate(path))
+        + sum(Fraction(model.transition_weights[y, z]) for y, z in zip(path, path[1:]))
+        for path in itertools.product(range(k), repeat=len(attrs))
+    }
+
+
+@st.composite
+def huge_weight_models(draw):
+    """(model, attrs): K <= 3, three attributes, T <= 4, and weights anywhere
+    in [-1e308, 1e308], so that sums of a few of them can overflow."""
+    k = draw(st.integers(2, 3))
+
+    def weights(*shape):
+        values = draw(st.lists(st.floats(-1e308, 1e308), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+        return np.array(values).reshape(shape)
+
+    model = ModelParameters(small_tagset(k), {"a0": 0, "a1": 1, "a2": 2},
+                            weights(3, k), weights(k, k), weights(k), weights(k))
+    attrs = [draw(st.sets(st.sampled_from(["a0", "a1", "a2"])))
+             for _ in range(draw(st.integers(1, 4)))]
+    return model, attrs
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_weight_models())
+@example((ModelParameters(small_tagset(2), {"a0": 0, "a1": 1, "a2": 2},
+                          np.array([[1e308, 1e308], [1e308, 1e308], [0.0, 1e308]]),
+                          np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
+          [{"a0", "a1", "a2"}]))
+def test_viterbi_matches_exact_enumeration_or_raises(case):
+    # Where float sums overflow, inf ties inf and argmax would return the
+    # first tag, whatever the exact scores say; the decoder must raise
+    # ArithmeticError instead. Where no sum can reach the float range it must
+    # not raise.
+    model, attrs = case
+    scores = exact_path_scores(model, attrs)
+    best = max(scores.values())
+
+    def largest(weights):
+        return Fraction(np.abs(weights).max())
+
+    # the largest term of every kind at every position: bounds each float sum
+    bound = (len(attrs) * (sum(map(largest, model.state_weights)) + largest(model.transition_weights))
+             + largest(model.begin_weights) + largest(model.end_weights))
+    try:
+        path, score = viterbi(model, attrs)
+    except ArithmeticError:
+        assert bound > Fraction(1e307)
+        return
+    assert math.isfinite(score)
+    tolerance = bound * Fraction(1e-12)
+    assert abs(Fraction(score) - best) <= tolerance
+    assert best - scores[tuple(path)] <= tolerance
 
 
 # Property tests: random small models over real feature strings, scored on
