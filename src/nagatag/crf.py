@@ -26,16 +26,19 @@ on one product with X. Training, tag_corpus and nll_and_gradient batch many
 sentences; build_lattice, viterbi and sequence_log_score are the same code on
 one sentence, so the single-sentence and batched paths cannot drift apart.
 
-The weights are one (A+2+K, K) matrix Θ, stacked once by _theta: the A state
-rows, the begin row, the end row, then the K transition rows. Its rows follow
-X's columns, so row r < A+2 weighs column r: X @ Θ[:-K] is every token's state
-score with its boundary scores added, and X.T @ U adds the state, begin and
-end counts of per-token tag weights U into G[:-K] of a gradient G of Θ's shape.
-The optimizer works on Θ's ravel w. A tagged batch is reduced to its observed
-feature counts in that layout, so its gold-path score is observed @ w and the
-L2-penalized objective is sum(log Z) - observed @ w + c2 * w @ w. The gradient
-takes its expected counts from _forward_backward, and build_lattice turns the
-same scaled vectors into log alpha and log beta.
+The weights are one (A+2+K, K) matrix Θ, held by ModelParameters.weights:
+the A state rows, the begin row, the end row, then the K transition rows.
+state_weights, begin_weights, end_weights and transition_weights are views of
+those rows, not copies. Θ's rows follow X's columns, so row r < A+2 weighs
+column r: X @ Θ[:-K] is every token's state score with its boundary scores
+added, and X.T @ U adds the state, begin and end counts of per-token tag
+weights U into G[:-K] of a gradient G of Θ's shape. The optimizer works on
+Θ's ravel w, and a trained model holds the optimizer's result reshaped. A
+tagged batch is reduced to its observed feature counts in that layout, so its
+gold-path score is observed @ w and the L2-penalized objective is
+sum(log Z) - observed @ w + c2 * w @ w. The gradient takes its expected
+counts from _forward_backward, and build_lattice turns the same scaled
+vectors into log alpha and log beta.
 """
 
 from __future__ import annotations
@@ -67,10 +70,7 @@ class TrainingMeta:
 class ModelParameters:
     tagset: TagSet
     attribute_index: dict[str, int]
-    state_weights: np.ndarray  # (A, K)
-    transition_weights: np.ndarray  # (K, K), row = previous tag
-    begin_weights: np.ndarray  # (K,)
-    end_weights: np.ndarray  # (K,)
+    weights: np.ndarray  # Θ, (A+2+K, K): state rows, begin, end, transition rows
     training: TrainingMeta | None = None
 
     def __post_init__(self):
@@ -78,16 +78,10 @@ class ModelParameters:
         A = len(self.attribute_index)
         if sorted(self.attribute_index.values()) != list(range(A)):
             raise ValueError("attribute_index must map onto 0..A-1 bijectively")
-        if self.state_weights.shape != (A, K):
-            raise ValueError(f"state_weights must be {(A, K)}, got {self.state_weights.shape}")
-        if self.transition_weights.shape != (K, K):
-            raise ValueError(f"transition_weights must be {(K, K)}")
-        if self.begin_weights.shape != (K,) or self.end_weights.shape != (K,):
-            raise ValueError(f"boundary weights must have shape ({K},)")
-        for arr in (self.state_weights, self.transition_weights,
-                    self.begin_weights, self.end_weights):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("all weights must be finite")
+        if self.weights.shape != (A + 2 + K, K):
+            raise ValueError(f"weights must be {(A + 2 + K, K)}, got {self.weights.shape}")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("all weights must be finite")
 
     @property
     def n_tags(self) -> int:
@@ -97,17 +91,26 @@ class ModelParameters:
     def n_attributes(self) -> int:
         return len(self.attribute_index)
 
+    @property
+    def state_weights(self) -> np.ndarray:  # (A, K)
+        return self.weights[:self.n_attributes]
+
+    @property
+    def begin_weights(self) -> np.ndarray:  # (K,)
+        return self.weights[self.n_attributes]
+
+    @property
+    def end_weights(self) -> np.ndarray:  # (K,)
+        return self.weights[self.n_attributes + 1]
+
+    @property
+    def transition_weights(self) -> np.ndarray:  # (K, K), row = previous tag
+        return self.weights[self.n_attributes + 2:]
+
 
 def zero_model(tagset: TagSet, attribute_index: dict[str, int]) -> ModelParameters:
     A, K = len(attribute_index), len(tagset)
-    return ModelParameters(
-        tagset=tagset,
-        attribute_index=dict(attribute_index),
-        state_weights=np.zeros((A, K)),
-        transition_weights=np.zeros((K, K)),
-        begin_weights=np.zeros(K),
-        end_weights=np.zeros(K),
-    )
+    return ModelParameters(tagset, dict(attribute_index), np.zeros((A + 2 + K, K)))
 
 
 @dataclass(frozen=True)
@@ -116,25 +119,6 @@ class Lattice:
     log_alpha: np.ndarray  # (T, K)
     log_beta: np.ndarray  # (T, K)
     log_Z: float
-
-
-def _theta(model: ModelParameters) -> np.ndarray:
-    """The model's weights as Θ: state rows, begin, end, then transition rows."""
-    return np.vstack([model.state_weights, model.begin_weights, model.end_weights,
-                      model.transition_weights])
-
-
-class ModelGradient:
-    """A gradient in Θ's flat layout; the blocks are views into it."""
-
-    def __init__(self, flat: np.ndarray, K: int):
-        G = flat.reshape(-1, K)
-        self.state, self.begin, self.end = G[:-K - 2], G[-K - 2], G[-K - 1]
-        self.transitions = G[-K:]
-
-    def pack(self) -> np.ndarray:
-        """The gradient in ModelParameters' field order: state, transitions, begin, end."""
-        return np.concatenate([self.state.ravel(), self.transitions.ravel(), self.begin, self.end])
 
 
 class _Packing(NamedTuple):
@@ -197,17 +181,16 @@ _TINY = np.finfo(float).tiny
 _MAX_SPREAD = 320.0
 
 
-def _check_spread(trans: np.ndarray, boundary: np.ndarray):
-    """Raise ArithmeticError where forward-backward could be inexact: where the
-    (K, K) transitions or either row of the (2, K) boundary, Θ's begin and end
-    rows, spans more than _MAX_SPREAD.
+def _check_spread(theta: np.ndarray, K: int):
+    """Raise ArithmeticError where forward-backward could be inexact: where Θ's
+    (K, K) transitions or its begin or end row spans more than _MAX_SPREAD.
 
     Begin and end enter forward-backward as state scores, which the argument
     above already covers; they stay in the check because the line search
     halves its step on ArithmeticError. Left out, they let far line-search
     probes through to a full evaluation, which trained about 10% slower on
     the train-wide bench workload (5 alternating pairs, 2 vCPU)."""
-    spread = max(np.ptp(trans), *np.ptp(boundary, axis=1))
+    spread = max(np.ptp(theta[-K:]), *np.ptp(theta[-K - 2:-K], axis=1))
     if not spread <= _MAX_SPREAD:
         raise ArithmeticError(
             f"transition or boundary scores span {spread:.6g} nats; forward-backward "
@@ -279,10 +262,10 @@ def _viterbi(delta: np.ndarray, trans: np.ndarray, packing: _Packing):
 def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
     """Forward-backward for one sentence: the batched engine with N = T rows.
     The lattice keeps begin in log_alpha[0] and end in log_beta[-1]."""
-    theta, K = _theta(model), model.n_tags
-    _check_spread(model.transition_weights, theta[-K - 2:-K])
+    theta, K = model.weights, model.n_tags
+    _check_spread(theta, K)
     X, packing = _encode(model.attribute_index, [attrs])
-    a, b, c, _ = _forward_backward(X @ theta[:-K], model.transition_weights, packing)
+    a, b, c, _ = _forward_backward(X @ theta[:-K], theta[-K:], packing)
     C = np.cumsum(c)
     log_Z = float(C[-1])
     with np.errstate(divide="ignore"):  # an underflowed a or b is log 0 = -inf
@@ -300,7 +283,7 @@ def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
 
 def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
     *_, observed = _prepare(model.attribute_index, model.n_tags, [(attrs, tags)])
-    return float(observed @ _theta(model).ravel())
+    return float(observed @ model.weights.ravel())
 
 
 def posterior_marginals(lattice: Lattice, model: ModelParameters):
@@ -318,7 +301,7 @@ def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
     """(best path, its score) of every sentence, from one Viterbi pass over the
     whole input."""
     X, packing = _encode(model.attribute_index, attrs_list)
-    paths, scores = _viterbi(X @ _theta(model)[:-model.n_tags], model.transition_weights, packing)
+    paths, scores = _viterbi(X @ model.weights[:-model.n_tags], model.transition_weights, packing)
     return list(zip(np.split(paths[packing.order], packing.ends[:-1]),
                     scores[packing.order[packing.ends - 1]]))
 
@@ -380,7 +363,7 @@ def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, packing: _Packing
     """sum(log Z) - observed @ w + c2 * ||w||^2 over the flat weights w = Θ.ravel(),
     and its flat gradient: expected counts minus observed counts plus 2 * c2 * w."""
     theta = w.reshape(-1, K)
-    _check_spread(theta[-K:], theta[-K - 2:-K])
+    _check_spread(theta, K)
     a, b, c, transitions = _forward_backward(X @ theta[:-K], theta[-K:], packing)
     G = (2.0 * c2 * w - observed).reshape(-1, K)
     G[-K:] += transitions
@@ -398,13 +381,15 @@ def nll_and_gradient(
     model: ModelParameters,
     batch: list[tuple[Attrs, Sequence[int]]],
     c2: float = 0.0,
-) -> tuple[float, ModelGradient]:
+) -> tuple[float, np.ndarray]:
     """Regularized negative conditional log-likelihood of a batch and its
-    gradient: expected counts minus observed counts plus 2*c2*w."""
+    gradient: expected counts minus observed counts plus 2*c2*w. The gradient
+    has model.weights' shape and row order, so dataclasses.replace(model,
+    weights=gradient) reads its blocks through the same views."""
     K = model.n_tags
-    value, grad = _nll_prepared(_theta(model).ravel(), K,
+    value, grad = _nll_prepared(model.weights.ravel(), K,
                                 *_prepare(model.attribute_index, K, batch), c2)
-    return value, ModelGradient(grad, K)
+    return value, grad.reshape(model.weights.shape)
 
 
 def build_attribute_index(
@@ -445,10 +430,7 @@ def train_model(
     training = TrainingMeta(
         optim_config.c1, optim_config.c2, trace.iterations, trace.final_objective
     )
-    theta = w_star.reshape(-1, K)
-    model = ModelParameters(tagset, attribute_index, theta[:-K - 2], theta[-K:],
-                            theta[-K - 2], theta[-K - 1], training=training)
-    return model, trace
+    return ModelParameters(tagset, attribute_index, w_star.reshape(-1, K), training), trace
 
 
 FORMAT_VERSION = 1
@@ -572,21 +554,17 @@ def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
     if not (isinstance(records, list)
             and all(isinstance(record, list) and len(record) == 3 for record in records)):
         raise ValueError("state_weights must be a JSON list of [attribute, tag, weight] triples")
-    state = np.zeros((A, K))
+    weights = np.zeros((A + 2 + K, K))  # Θ: state rows, begin, end, transition rows
+    seen: set[tuple[int, int]] = set()
     for a, k, w in records:
         if not (type(a) is int and type(k) is int and 0 <= a < A and 0 <= k < K):
             raise ValueError(f"state weight index must be an int in range: [{a}, {k}]")
-        state[a, k] = _weights(w, "state_weights")
-    trans = _weights(doc["transitions"], "transitions", K, K)
-    begin, end = (_weights(doc[key], key, K) for key in ("begin", "end"))
+        if (a, k) in seen:
+            raise ValueError(f"duplicate state_weights record for [{a}, {k}] in model file")
+        seen.add((a, k))
+        weights[a, k] = _weights(w, "state_weights")
+    weights[A + 2:] = _weights(doc["transitions"], "transitions", K, K)
+    weights[A], weights[A + 1] = (_weights(doc[key], key, K) for key in ("begin", "end"))
     training = _training(doc.get("training"))
-    model = ModelParameters(
-        tagset=tagset,
-        attribute_index={a: i for i, a in enumerate(attributes)},
-        state_weights=state,
-        transition_weights=trans,
-        begin_weights=begin,
-        end_weights=end,
-        training=training,
-    )
+    model = ModelParameters(tagset, {a: i for i, a in enumerate(attributes)}, weights, training)
     return model, feature_config

@@ -5,6 +5,7 @@ file (exhaustive enumeration, finite differences, direct run-length formula)
 or is a frozen published figure. Nothing is copied from the library's output.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -31,6 +32,7 @@ from nagatag.crf import (
     tag_sentence,
     train_model,
     viterbi,
+    zero_model,
 )
 from nagatag.datagen import SynthConfig, generate
 from nagatag.evaluation import ConfusionMatrix, confusion, report
@@ -56,14 +58,11 @@ def _random_instance(rng: np.random.Generator, max_T=6, max_K=5):
     T = int(rng.integers(1, max_T + 1))
     A = int(rng.integers(2, 7))
     names = [f"a{i}" for i in range(A)]
-    model = ModelParameters(
-        tagset=TagSet(tuple("ABCDE"[:K])),
-        attribute_index={n: i for i, n in enumerate(names)},
-        state_weights=rng.uniform(-2, 2, size=(A, K)),
-        transition_weights=rng.uniform(-2, 2, size=(K, K)),
-        begin_weights=rng.uniform(-2, 2, size=K),
-        end_weights=rng.uniform(-2, 2, size=K),
-    )
+    model = zero_model(TagSet(tuple("ABCDE"[:K])), {n: i for i, n in enumerate(names)})
+    model.state_weights[:] = rng.uniform(-2, 2, size=(A, K))
+    model.transition_weights[:] = rng.uniform(-2, 2, size=(K, K))
+    model.begin_weights[:] = rng.uniform(-2, 2, size=K)
+    model.end_weights[:] = rng.uniform(-2, 2, size=K)
     attrs = []
     for _ in range(T):
         active = [n for n in names if rng.random() < 0.5]
@@ -224,7 +223,7 @@ def test_criterion_2_gradient_matches_finite_differences(capsys):
     h = 1e-5
     for trial in range(50):
         model, _ = _random_instance(rng, max_T=4, max_K=4)
-        A, K = model.n_attributes, model.n_tags
+        K = model.n_tags
         names = list(model.attribute_index)
         batch = []
         for _ in range(int(rng.integers(1, 4))):
@@ -237,24 +236,10 @@ def test_criterion_2_gradient_matches_finite_differences(capsys):
         c2 = (0.0, 0.1, 0.3)[trial % 3]
 
         def value(w):
-            m = ModelParameters(
-                tagset=model.tagset,
-                attribute_index=model.attribute_index,
-                state_weights=w[: A * K].reshape(A, K),
-                transition_weights=w[A * K : A * K + K * K].reshape(K, K),
-                begin_weights=w[A * K + K * K : A * K + K * K + K],
-                end_weights=w[A * K + K * K + K :],
-            )
+            m = dataclasses.replace(model, weights=w.reshape(model.weights.shape))
             return nll_and_gradient(m, batch, c2)[0]
 
-        w0 = np.concatenate(
-            [
-                model.state_weights.ravel(),
-                model.transition_weights.ravel(),
-                model.begin_weights,
-                model.end_weights,
-            ]
-        )
+        w0 = model.weights.ravel()
         numeric = np.zeros_like(w0)
         for i in range(w0.size):
             wp, wm = w0.copy(), w0.copy()
@@ -262,16 +247,19 @@ def test_criterion_2_gradient_matches_finite_differences(capsys):
             wm[i] -= h
             numeric[i] = (value(wp) - value(wm)) / (2 * h)
         _, grad = nll_and_gradient(model, batch, c2)
-        analytic = grad.pack()
+        # each block read through its view of a model holding the gradient
+        numeric = dataclasses.replace(model, weights=numeric.reshape(grad.shape))
+        analytic = dataclasses.replace(model, weights=grad)
         blocks = {
-            "state": (0, A * K),
-            "transitions": (A * K, A * K + K * K),
-            "begin": (A * K + K * K, A * K + K * K + K),
-            "end": (A * K + K * K + K, w0.size),
+            "state": "state_weights",
+            "transitions": "transition_weights",
+            "begin": "begin_weights",
+            "end": "end_weights",
         }
-        for name, (lo, hi) in blocks.items():
-            diff = np.max(np.abs(numeric[lo:hi] - analytic[lo:hi]))
-            scale = max(np.max(np.abs(numeric[lo:hi])), 1e-2)
+        for name, view in blocks.items():
+            fd, exact = getattr(numeric, view), getattr(analytic, view)
+            diff = np.max(np.abs(fd - exact))
+            scale = max(np.max(np.abs(fd)), 1e-2)
             if diff / scale > 1e-4:
                 problems.append(
                     f"trial {trial} block {name}: rel err {diff / scale:.2e}"

@@ -9,14 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nagatag.cli import main
 from nagatag.corpus import TagSet, parse_tagged, read_corpus, serialize_tagged
-from nagatag.crf import ModelParameters, save_model
+from nagatag.crf import save_model, zero_model
 from nagatag.datagen import SynthConfig, generate
 from nagatag.features import FeatureConfig, sentence_attributes
 
@@ -131,13 +130,15 @@ def test_unknown_tag_is_data_error(small):
                                            for i, row in enumerate(doc["transitions"])]),
         lambda doc: dict(doc, state_weights=[[0, 0, 10**400]]),
         lambda doc: dict(doc, format_version=True),
+        lambda doc: dict(doc, state_weights=doc["state_weights"] + doc["state_weights"][:1]),
     ],
     ids=["missing-tagset", "unknown-feature-key", "incomplete-training", "top-level-list",
          "fractional-state-index", "fractional-prefix-max", "string-tagset",
          "string-attributes", "false-feature-flag", "string-feature-flag",
          "string-state-weight", "bool-state-weight", "string-transition", "bool-begin",
          "mistyped-training", "bool-training-iterations", "extra-training-key",
-         "deep-begin", "huge-int-transition", "huge-int-state-weight", "bool-format-version"],
+         "deep-begin", "huge-int-transition", "huge-int-state-weight", "bool-format-version",
+         "duplicate-state-record"],
 )
 def test_malformed_model_is_data_error(trained, capsys, mutate):
     tmp_path, tagset_file, corpus_file, model_file = trained
@@ -153,8 +154,8 @@ def test_malformed_model_is_data_error(trained, capsys, mutate):
 
 @pytest.mark.parametrize(
     "records",
-    [[[0, 0]], [[0, 0, 1.0, 2]], "abc", {"a": 1}],
-    ids=["pair", "four-fields", "string", "object"],
+    [[[0, 0]], [[0, 0, 1.0, 2]], "abc", {"a": 1}, [[0, 0, 1.0], [0, 0, 1.0]]],
+    ids=["pair", "four-fields", "string", "object", "duplicate"],
 )
 def test_malformed_state_weights_name_the_field(trained, capsys, records):
     tmp_path, tagset_file, corpus_file, model_file = trained
@@ -279,11 +280,9 @@ def test_overflowing_state_scores_are_data_error(tmp_path, capsys):
     # tag, but both sums overflow to inf and tie. Tagging must not print a tag.
     tagset = TagSet()
     attributes = sorted(sentence_attributes(("dora",))[0])[:3]
-    state = np.zeros((3, len(tagset)))
-    state[:, tagset.index("N")] = 1e308
-    state[:2, tagset.index("ADJ")] = 1e308
-    model = ModelParameters(tagset, {a: i for i, a in enumerate(attributes)}, state,
-                            np.zeros((len(tagset),) * 2), np.zeros(len(tagset)), np.zeros(len(tagset)))
+    model = zero_model(tagset, {a: i for i, a in enumerate(attributes)})
+    model.state_weights[:, tagset.index("N")] = 1e308
+    model.state_weights[:2, tagset.index("ADJ")] = 1e308
     model_file = tmp_path / "model.json"
     save_model(str(model_file), model, FeatureConfig())
     raw = tmp_path / "raw.txt"
@@ -526,14 +525,10 @@ def test_agreement_json_document(small, capsys):
 
 def test_transitions_json_document(tmp_path, capsys):
     tagset = TagSet(SMALL_TAGS)
-    model = ModelParameters(
-        tagset=tagset,
-        attribute_index={"word=dora": 0},
-        state_weights=np.zeros((1, 3)),
-        transition_weights=np.array([[0.5, 2.0, -1.0], [0.25, -3.0, 1.5], [0.0, 0.75, -0.5]]),
-        begin_weights=np.array([1.0, -2.0, 0.5]),
-        end_weights=np.array([-1.0, 0.0, 3.0]),
-    )
+    model = zero_model(tagset, {"word=dora": 0})
+    model.transition_weights[:] = [[0.5, 2.0, -1.0], [0.25, -3.0, 1.5], [0.0, 0.75, -0.5]]
+    model.begin_weights[:] = [1.0, -2.0, 0.5]
+    model.end_weights[:] = [-1.0, 0.0, 3.0]
     model_file = tmp_path / "model.json"
     save_model(str(model_file), model, FeatureConfig())
     assert main(["transitions", "--model", str(model_file), "--top-n", "2",

@@ -39,16 +39,27 @@ def small_tagset(k):
     return TagSet(tuple("ABCDEFGH"[:k]))
 
 
+def model_of(tagset, attribute_index, state, transitions, begin, end, training=None):
+    """A model whose four weight blocks hold the given values: zero_model, each
+    block written through its view of Θ, then checked as a constructed model is."""
+    model = zero_model(tagset, attribute_index)
+    model.state_weights[:] = state
+    model.transition_weights[:] = transitions
+    model.begin_weights[:] = begin
+    model.end_weights[:] = end
+    return dataclasses.replace(model, training=training)
+
+
 def random_model(rng, k=4, n_attrs=6, scale=0.8):
     attribute_index = {f"a{i}": i for i in range(n_attrs)}
     npr = np.random.default_rng(rng.randrange(2**32))
-    return ModelParameters(
-        tagset=small_tagset(k),
-        attribute_index=attribute_index,
-        state_weights=scale * npr.normal(size=(n_attrs, k)),
-        transition_weights=scale * npr.normal(size=(k, k)),
-        begin_weights=scale * npr.normal(size=k),
-        end_weights=scale * npr.normal(size=k),
+    return model_of(
+        small_tagset(k),
+        attribute_index,
+        scale * npr.normal(size=(n_attrs, k)),
+        scale * npr.normal(size=(k, k)),
+        scale * npr.normal(size=k),
+        scale * npr.normal(size=k),
     )
 
 
@@ -205,16 +216,17 @@ def test_nll_uniform_single_token():
     model = zero_model(tagset, {"x": 0, "y": 1})
     batch = [([{"x", "y"}], (2,))]
     value, grad = nll_and_gradient(model, batch, c2=0.0)
+    grad = dataclasses.replace(model, weights=grad)
     assert value == pytest.approx(math.log(4), abs=1e-12)
     # both active attributes: expected 1/4 everywhere, observed 1 at gold
     expected = np.full((2, 4), 0.25)
     expected[:, 2] -= 1.0
-    assert np.allclose(grad.state, expected, atol=1e-12)
+    assert np.allclose(grad.state_weights, expected, atol=1e-12)
     begin_expected = np.full(4, 0.25)
     begin_expected[2] -= 1.0
-    assert np.allclose(grad.begin, begin_expected, atol=1e-12)
-    assert np.allclose(grad.end, begin_expected, atol=1e-12)
-    assert np.allclose(grad.transitions, 0.0, atol=1e-12)
+    assert np.allclose(grad.begin_weights, begin_expected, atol=1e-12)
+    assert np.allclose(grad.end_weights, begin_expected, atol=1e-12)
+    assert np.allclose(grad.transition_weights, 0.0, atol=1e-12)
 
 
 def test_nll_matches_enumeration():
@@ -255,13 +267,13 @@ def test_nll_nonnegative_without_regularizer():
 def test_nll_without_regularizer_ignores_weight_norm():
     # ||w||^2 overflows here although every weight is finite; with c2 = 0 the
     # objective must not depend on it
-    model = ModelParameters(
-        tagset=small_tagset(2),
-        attribute_index={"x": 0, "y": 1},
-        state_weights=np.array([[1e200, -1e200], [-1e200, 1e200]]),
-        transition_weights=np.zeros((2, 2)),
-        begin_weights=np.zeros(2),
-        end_weights=np.zeros(2),
+    model = model_of(
+        small_tagset(2),
+        {"x": 0, "y": 1},
+        np.array([[1e200, -1e200], [-1e200, 1e200]]),
+        np.zeros((2, 2)),
+        np.zeros(2),
+        np.zeros(2),
     )
     value, _ = nll_and_gradient(model, [([{"x"}, {"y"}], (0, 1))], c2=0.0)
     assert value == 0.0
@@ -277,7 +289,7 @@ def test_wide_score_spread_is_exact_or_raises(s, may_raise):
     # Past 320 nats of transition spread the engine may raise ArithmeticError,
     # but it must never return another number.
     weights = np.array([[0.0, -s], [-s, 0.0]])
-    model = ModelParameters(
+    model = model_of(
         TagSet(("A", "B")), {"x": 0, "y": 1}, weights, weights.copy(), np.zeros(2), np.zeros(2)
     )
     batch = [([{"x"}, {"y"}], (0, 1))]
@@ -290,7 +302,8 @@ def test_wide_score_spread_is_exact_or_raises(s, may_raise):
     assert value == pytest.approx(math.log(3), abs=1e-9)
     assert log_z == pytest.approx(math.log(3) - s, rel=1e-12)
     # each of AA, AB, BB has posterior 1/3; the gold path observes A -> B once
-    assert np.allclose(grad.transitions, [[1 / 3, -2 / 3], [0.0, 1 / 3]], atol=1e-12)
+    assert np.allclose(dataclasses.replace(model, weights=grad).transition_weights,
+                       [[1 / 3, -2 / 3], [0.0, 1 / 3]], atol=1e-12)
 
 
 def test_best_path_through_an_underflowing_score_is_not_lost():
@@ -299,7 +312,7 @@ def test_best_path_through_an_underflowing_score_is_not_lost():
     # begin, later state and end scores more than make up for it. Every scale
     # factor stays a normal float, and a check on them alone gave log Z 991.1
     # (the path BBBB). The engine must give the right value or raise.
-    model = ModelParameters(
+    model = model_of(
         TagSet(("A", "B")), {f"p{t}": t for t in range(4)},
         np.array([[-157.1, -727.8], [-312.4, 575.1], [119.8, 224.6], [-123.7, -250.7]]),
         np.array([[597.6, -122.8], [-97.9, 597.4]]),
@@ -322,10 +335,10 @@ def test_spread_guard_raises_on_a_wide_transition_begin_or_end_block(block):
     # nats in any one of the three blocks both entry points raise, and below
     # it both match the enumeration.
     def model_spanning(spread):
-        blocks = {"transition_weights": np.zeros((2, 2)),
-                  "begin_weights": np.zeros(2), "end_weights": np.zeros(2)}
-        blocks[block].flat[-1] = -spread
-        return ModelParameters(TagSet(("A", "B")), {"x": 0}, np.array([[0.5, 0.0]]), **blocks)
+        model = zero_model(TagSet(("A", "B")), {"x": 0})
+        model.state_weights[:] = [[0.5, 0.0]]
+        getattr(model, block).flat[-1] = -spread
+        return model
 
     attrs, gold = [{"x"}, set(), {"x"}], (0, 0, 1)
     wide = model_spanning(400.0)
@@ -352,10 +365,7 @@ def test_training_backtracks_from_a_probe_forward_backward_cannot_evaluate():
     batch = [(sentence_attributes(s.words()), s.tags()) for s in corpus]
     zero = zero_model(tagset, build_attribute_index(corpus))
     _, grad = nll_and_gradient(zero, batch)
-    probe = dataclasses.replace(
-        zero, state_weights=-grad.state, transition_weights=-grad.transitions,
-        begin_weights=-grad.begin, end_weights=-grad.end,
-    )
+    probe = dataclasses.replace(zero, weights=-grad)
     with pytest.raises(ArithmeticError):
         nll_and_gradient(probe, batch)
     _, trace = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.0, c2=0.1))
@@ -375,7 +385,7 @@ def wide_weight_batches(draw):
     def weights(*shape):
         return scale * npr.uniform(-1.0, 1.0, size=shape)
 
-    model = ModelParameters(
+    model = model_of(
         small_tagset(k), {"a0": 0, "a1": 1, "a2": 2},
         weights(3, k), weights(k, k), weights(k), weights(k),
     )
@@ -418,7 +428,8 @@ def test_nll_and_transition_gradient_match_enumeration_at_wide_scales(case):
         return
     # relative to the size of the log Z and gold scores it is the difference of
     assert abs(value - oracle_value) <= 1e-9 * len(batch) * magnitude
-    assert np.allclose(grad.transitions, expected - observed, rtol=0, atol=1e-9)
+    assert np.allclose(dataclasses.replace(model, weights=grad).transition_weights,
+                       expected - observed, rtol=0, atol=1e-9)
 
 
 def test_gradient_matches_finite_differences():
@@ -433,26 +444,11 @@ def test_gradient_matches_finite_differences():
             batch.append((attrs, gold))
         c2 = 0.2
         _, grad = nll_and_gradient(model, batch, c2=c2)
-        analytic = grad.pack()
-
-        a, k = model.n_attributes, model.n_tags
-        w0 = np.concatenate(
-            [
-                model.state_weights.ravel(),
-                model.transition_weights.ravel(),
-                model.begin_weights,
-                model.end_weights,
-            ]
-        )
+        analytic = grad.ravel()
+        w0 = model.weights.ravel()
 
         def value_at(w):
-            state = w[: a * k].reshape(a, k).copy()
-            trans = w[a * k : a * k + k * k].reshape(k, k).copy()
-            begin = w[a * k + k * k : a * k + k * k + k].copy()
-            end = w[a * k + k * k + k :].copy()
-            m = ModelParameters(
-                model.tagset, model.attribute_index, state, trans, begin, end
-            )
+            m = dataclasses.replace(model, weights=w.reshape(model.weights.shape))
             v, _ = nll_and_gradient(m, batch, c2=c2)
             return v
 
@@ -477,13 +473,13 @@ def test_nll_additive_over_partitions():
         batch.append((attrs, gold))
     v_all, g_all = nll_and_gradient(model, batch, c2=0.0)
     v_split = 0.0
-    g_split = np.zeros_like(g_all.pack())
+    g_split = np.zeros_like(g_all)
     for part in (batch[:3], batch[3:]):
         v, g = nll_and_gradient(model, part, c2=0.0)
         v_split += v
-        g_split += g.pack()
+        g_split += g
     assert v_all == pytest.approx(v_split, abs=1e-8)
-    assert np.allclose(g_all.pack(), g_split, atol=1e-8)
+    assert np.allclose(g_all, g_split, atol=1e-8)
     # singleton partition: batched path equals per-sentence path
     v_single = sum(nll_and_gradient(model, [b], c2=0.0)[0] for b in batch)
     assert v_all == pytest.approx(v_single, abs=1e-8)
@@ -505,8 +501,8 @@ def test_batch_value_and_gradient_are_sums_over_singletons(lengths, k, seed):
     value, grad = nll_and_gradient(model, batch)
     singles = [nll_and_gradient(model, [sentence]) for sentence in batch]
     assert value == pytest.approx(sum(v for v, _ in singles), rel=1e-9)
-    summed = sum(g.pack() for _, g in singles)
-    assert np.allclose(grad.pack(), summed, rtol=1e-9, atol=1e-9 * np.abs(summed).max())
+    summed = sum(g for _, g in singles)
+    assert np.allclose(grad, summed, rtol=1e-9, atol=1e-9 * np.abs(summed).max())
 
 
 def test_nll_validation():
@@ -528,7 +524,7 @@ def test_state_score_shift_leaves_marginals_and_path():
     unary, pairwise = posterior_marginals(lattice, model)
     path, _ = viterbi(model, attrs)
 
-    shifted = ModelParameters(
+    shifted = model_of(
         model.tagset,
         model.attribute_index,
         model.state_weights + np.where(
@@ -609,8 +605,8 @@ def huge_weight_models(draw):
                                max_size=math.prod(shape)))
         return np.array(values).reshape(shape)
 
-    model = ModelParameters(small_tagset(k), {"a0": 0, "a1": 1, "a2": 2},
-                            weights(3, k), weights(k, k), weights(k), weights(k))
+    model = model_of(small_tagset(k), {"a0": 0, "a1": 1, "a2": 2},
+                     weights(3, k), weights(k, k), weights(k), weights(k))
     attrs = [draw(st.sets(st.sampled_from(["a0", "a1", "a2"])))
              for _ in range(draw(st.integers(1, 4)))]
     return model, attrs
@@ -618,9 +614,9 @@ def huge_weight_models(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(huge_weight_models())
-@example((ModelParameters(small_tagset(2), {"a0": 0, "a1": 1, "a2": 2},
-                          np.array([[1e308, 1e308], [1e308, 1e308], [0.0, 1e308]]),
-                          np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
+@example((model_of(small_tagset(2), {"a0": 0, "a1": 1, "a2": 2},
+                   np.array([[1e308, 1e308], [1e308, 1e308], [0.0, 1e308]]),
+                   np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
           [{"a0", "a1", "a2"}]))
 def test_viterbi_matches_exact_enumeration_or_raises(case):
     # Where float sums overflow, inf ties inf and argmax would return the
@@ -672,7 +668,7 @@ def models_and_sentences(draw):
     def half_integers(*shape):
         return npr.integers(-3, 4, size=shape) / 2.0
 
-    model = ModelParameters(
+    model = model_of(
         small_tagset(k), {a: i for i, a in enumerate(vocab)},
         half_integers(len(vocab), k), half_integers(k, k), half_integers(k), half_integers(k),
     )
@@ -733,16 +729,35 @@ def test_tag_sentence_basics():
 
 
 def test_model_parameter_validation():
+    # one attribute and two tags: Θ is (1 + 2 + 2, 2)
     tagset = small_tagset(2)
-    with pytest.raises(ValueError):
-        ModelParameters(tagset, {"x": 0, "y": 0}, np.zeros((2, 2)),
-                        np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        ModelParameters(tagset, {"x": 0}, np.zeros((2, 2)),
-                        np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        ModelParameters(tagset, {"x": 0}, np.zeros((1, 2)),
-                        np.zeros((2, 2)), np.full(2, np.nan), np.zeros(2))
+    ModelParameters(tagset, {"x": 0}, np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="bijectively"):
+        ModelParameters(tagset, {"x": 0, "y": 0}, np.zeros((6, 2)))
+    with pytest.raises(ValueError, match=r"weights must be \(5, 2\)"):
+        ModelParameters(tagset, {"x": 0}, np.zeros((6, 2)))  # wrong in A
+    with pytest.raises(ValueError, match=r"weights must be \(5, 2\)"):
+        ModelParameters(tagset, {"x": 0}, np.zeros((5, 3)))  # wrong in K
+    for block in ("state_weights", "begin_weights", "end_weights", "transition_weights"):
+        model = zero_model(tagset, {"x": 0})
+        getattr(model, block).flat[-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ModelParameters(tagset, {"x": 0}, model.weights)
+
+
+def test_a_model_holds_one_contiguous_theta_that_its_blocks_view(tmp_path):
+    # The four block names are views of Θ, not copies, so nothing stacks or
+    # copies the weights on the way to the objective, a lattice or the decoder.
+    _, trained, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=5)
+    path = str(tmp_path / "model.json")
+    save_model(path, trained, FeatureConfig())
+    loaded, _ = load_model(path)
+    for model in (trained, loaded, zero_model(small_tagset(3), {"a0": 0, "a1": 1})):
+        A, K = model.n_attributes, model.n_tags
+        assert model.weights.shape == (A + 2 + K, K)
+        assert model.weights.flags.c_contiguous
+        for block in ("state_weights", "begin_weights", "end_weights", "transition_weights"):
+            assert np.shares_memory(getattr(model, block), model.weights)
 
 
 TRAIN_TEXT = (
@@ -924,7 +939,7 @@ HUGE = 10**400  # a JSON integer beyond float range
 @functools.cache
 def small_model_document():
     """A valid saved model with two tags and two attributes, as parsed JSON."""
-    model = ModelParameters(
+    model = model_of(
         TagSet(("N", "V")), {"a": 0, "b": 1},
         np.array([[0.5, 0.0], [0.0, -1.0]]), np.array([[0.1, -0.2], [0.3, 0.0]]),
         np.array([0.1, 0.0]), np.array([0.0, -0.5]), training=TrainingMeta(0.1, 0.1, 3, 1.5),
