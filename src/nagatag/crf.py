@@ -25,6 +25,11 @@ pass over the whole input, one step per position of the longest sentence,
 on one product with X. Training, tag_corpus and nll_and_gradient batch many
 sentences; build_lattice, viterbi and sequence_log_score are the same code on
 one sentence, so the single-sentence and batched paths cannot drift apart.
+Training featurizes once: train_model encodes in _encode's growing mode,
+which gives each attribute not yet in the vocabulary the next column, in
+first-seen order, and at the end renumbers the vocabulary in place to sorted
+order and the columns with it. A trained model's attribute_index is therefore
+the sorted vocabulary that build_attribute_index, kept as the oracle, gives.
 
 The weights are one (A+2+K, K) matrix Θ, held by ModelParameters.weights:
 the A state rows, the begin row, the end row, then the K transition rows.
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
@@ -52,7 +58,7 @@ import numpy as np
 from scipy import sparse
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token
-from nagatag.features import FeatureConfig, sentence_attributes
+from nagatag.features import FeatureConfig, attribute_lists, sentence_attributes
 from nagatag.optim import IterationTrace, OptimConfig, minimize
 
 Attrs = Sequence[Collection[str]]
@@ -82,6 +88,15 @@ class ModelParameters:
             raise ValueError(f"weights must be {(A + 2 + K, K)}, got {self.weights.shape}")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("all weights must be finite")
+
+    def __eq__(self, other):
+        # the generated __eq__ compares weights with ==, whose array result
+        # has no truth value
+        if not isinstance(other, ModelParameters):
+            return NotImplemented
+        return (self.tagset == other.tagset and self.attribute_index == other.attribute_index
+                and self.training == other.training
+                and np.array_equal(self.weights, other.weights))
 
     @property
     def n_tags(self) -> int:
@@ -132,30 +147,42 @@ class _Packing(NamedTuple):
     ends: np.ndarray  # (S,) where each sentence ends in that count
 
 
-def _encode(attribute_index: dict[str, int],
-            attrs_list: Iterable[Attrs]) -> tuple[sparse.csr_matrix, _Packing]:
+def _encode(attribute_index: dict[str, int], attrs_list: Iterable[Attrs],
+            grow: bool = False) -> tuple[sparse.csr_matrix, _Packing]:
     """One (N, A+2) CSR matrix for the whole input, one row per token in the
     time-major order _Packing describes, and that packing. Column A marks a
     sentence's first token and column A+1 its last. This is the only place
-    attribute strings become indices; attributes outside the vocabulary have
-    no column and score 0. The input is read once, so it may be a generator."""
-    A = len(attribute_index)
-    steps: list[tuple[list[int], list[int]]] = []  # per step: column ids, row sizes
+    attribute strings become indices. The input is read once, so it may be a
+    generator, and a position's attributes may come in any order: each row's
+    columns are sorted at the end.
+
+    Attributes outside the vocabulary have no column and score 0, unless grow
+    is set. Then attribute_index grows as the input is read: an unseen
+    attribute gets the next id, in first-seen order. At the end the dict is
+    renumbered in place to sorted order, and the columns with it, so it
+    equals what build_attribute_index gives for the same input, and X is the
+    matrix a fixed-vocabulary pass over that index would build. A ValueError
+    partway leaves it grown in first-seen ids."""
+    get, setdefault = attribute_index.get, attribute_index.setdefault
+    # 4-byte buffers: a list holds an 8-byte pointer per nonzero, and past
+    # 256 each id is also a 28-byte int object kept alive to the end
+    steps: list[tuple[array, array]] = []  # per step: column ids, row sizes
     lengths = []
     for attrs in attrs_list:
         if len(attrs) == 0:
             raise ValueError("cannot encode an empty sentence")
         lengths.append(len(attrs))
-        steps.extend(([], []) for _ in range(len(attrs) - len(steps)))
-        rows = [sorted(attribute_index[a] for a in position if a in attribute_index)
-                for position in attrs]
-        # A and A + 1 exceed every attribute column, so each row stays sorted
-        rows[0].append(A)
-        rows[-1].append(A + 1)
-        # flat lists per step rather than one list per row: keeping 38,000 row
-        # lists alive to the end raised peak RSS in train-wide training by ~10 MB
+        steps.extend((array("i"), array("i")) for _ in range(len(attrs) - len(steps)))
+        if grow:
+            rows = [[setdefault(a, len(attribute_index)) for a in position] for position in attrs]
+        else:
+            rows = [[i for i in map(get, position) if i is not None] for position in attrs]
+        # the markers, counted from the end: A is not known until a growing
+        # vocabulary has seen the whole input
+        rows[0].append(-2)
+        rows[-1].append(-1)
         for (cols, sizes), row in zip(steps, rows):
-            cols += row
+            cols.extend(row)
             sizes.append(len(row))
     ends = np.cumsum(lengths, dtype=np.intp)
     # the token of each row: tokens stably sorted by their position in the sentence
@@ -164,9 +191,26 @@ def _encode(attribute_index: dict[str, int],
     bounds = np.cumsum([0] + [len(sizes) for _, sizes in steps])
     packing = _Packing([slice(*pair) for pair in itertools.pairwise(bounds)],
                        order[token - 1], order, ends)
-    cols = list(itertools.chain.from_iterable(cols for cols, _ in steps))
-    indptr = np.cumsum([0, *itertools.chain.from_iterable(sizes for _, sizes in steps)])
-    return sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(order), A + 2)), packing
+
+    A = len(attribute_index)
+    column = np.arange(A + 2, dtype=np.intc)  # id -> column; -2 and -1 index the markers
+    if grow:
+        ranked = sorted(attribute_index)
+        column[np.fromiter(map(attribute_index.__getitem__, ranked), np.intc, A)] = np.arange(A)
+        # refilled rather than updated, so it also iterates in sorted order:
+        # save_model's sort by value is then linear
+        attribute_index.clear()
+        attribute_index.update(zip(ranked, range(A)))
+    cols, sizes = array("i"), array("i")
+    for step_cols, step_sizes in steps:
+        cols += step_cols
+        sizes += step_sizes
+    indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(np.frombuffer(sizes, dtype=np.intc), out=indptr[1:])
+    X = sparse.csr_matrix((np.ones(len(cols)), column[np.frombuffer(cols, dtype=np.intc)], indptr),
+                          shape=(len(order), A + 2))
+    X.sort_indices()
+    return X, packing
 
 
 _TINY = np.finfo(float).tiny
@@ -317,7 +361,7 @@ def tag_corpus(
     model: ModelParameters, config: FeatureConfig, sentences: Sequence[Sequence[str]]
 ) -> TaggedCorpus:
     """Viterbi tags for every sentence, from one pass over the whole corpus."""
-    decoded = _decode(model, (sentence_attributes(words, config) for words in sentences))
+    decoded = _decode(model, (attribute_lists(words, config) for words in sentences))
     return TaggedCorpus(tuple(
         Sentence(tuple(Token(w, y) for w, y in zip(words, path.tolist())))
         for words, (path, _) in zip(sentences, decoded)
@@ -331,11 +375,13 @@ def tag_sentence(
 
 
 def _prepare(
-    attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]]
+    attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]],
+    grow: bool = False,
 ) -> tuple[sparse.csr_matrix, _Packing, np.ndarray]:
     """Validate and encode a tagged batch, and count its observed features
     in Θ's flat layout. The gold-path score under weights w is observed @ w,
-    so the tags themselves are not kept."""
+    so the tags themselves are not kept. grow is _encode's: training grows
+    its vocabulary in the same pass."""
     tags_list: list[Sequence[int]] = []
 
     def checked():
@@ -347,7 +393,7 @@ def _prepare(
             tags_list.append(tags)
             yield attrs
 
-    X, packing = _encode(attribute_index, checked())
+    X, packing = _encode(attribute_index, checked(), grow)
     if not tags_list:
         raise ValueError("batch must be non-empty")
     tags = np.empty_like(packing.order)
@@ -418,12 +464,12 @@ def train_model(
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
-    attribute_index = build_attribute_index(corpus, feature_config)
+    attribute_index: dict[str, int] = {}
     K = len(tagset)
     X, packing, observed = _prepare(attribute_index, K, (
-        (sentence_attributes(sentence.words(), feature_config), sentence.tags())
+        (attribute_lists(sentence.words(), feature_config), sentence.tags())
         for sentence in corpus
-    ))
+    ), grow=True)
 
     w_star, trace = minimize(lambda w: _nll_prepared(w, K, X, packing, observed, optim_config.c2),
                              np.zeros_like(observed), optim_config, log=log)

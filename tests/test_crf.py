@@ -18,6 +18,8 @@ from nagatag.corpus import TaggedCorpus, TagSet, parse_tagged
 from nagatag.crf import (
     ModelParameters,
     TrainingMeta,
+    _encode,
+    _prepare,
     build_attribute_index,
     build_lattice,
     load_model,
@@ -31,7 +33,7 @@ from nagatag.crf import (
     viterbi,
     zero_model,
 )
-from nagatag.features import FeatureConfig, sentence_attributes
+from nagatag.features import FeatureConfig, attribute_lists, sentence_attributes
 from nagatag.optim import OptimConfig
 
 
@@ -829,6 +831,42 @@ def test_build_attribute_index_sorted_and_complete():
     assert "is_first=true" in index
 
 
+def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
+    # single-token sentences carry both markers on one row
+    tagset = TagSet(("N", "V", "S"))
+    corpus = parse_tagged(TRAIN_TEXT + "dora/N\n./S\nMoyna/N ghor-ghor/N 12/N ./S\n", tagset)
+    index = build_attribute_index(corpus)
+    model, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, max_iterations=3))
+    assert model.attribute_index == index
+
+    batch = [(sentence_attributes(s.words()), s.tags()) for s in corpus]
+    X, packing, observed = _prepare(index, len(tagset), batch)
+    grown: dict[str, int] = {}
+    X_grown, packing_grown, observed_grown = _prepare(
+        grown, len(tagset), [(attribute_lists(s.words()), s.tags()) for s in corpus], grow=True)
+    assert list(grown.items()) == list(index.items())  # sorted iteration order too
+    assert X_grown.shape == X.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(X_grown, name), getattr(X, name))
+    assert np.array_equal(packing_grown.order, packing.order)
+    assert np.array_equal(observed_grown, observed)
+
+
+def test_growing_encoder_rejects_an_empty_sentence_and_encodes_no_sentences():
+    with pytest.raises(ValueError):
+        _encode({}, [[["word=a"]], []], grow=True)
+    X, packing = _encode({}, [], grow=True)
+    assert X.shape == (0, 2) and packing.steps == []
+
+
+def test_models_compare_by_value():
+    tagset = small_tagset(2)
+    assert zero_model(tagset, {"x": 0}) == zero_model(tagset, {"x": 0})
+    other = zero_model(tagset, {"x": 0})
+    other.transition_weights[1, 0] = 0.5
+    assert zero_model(tagset, {"x": 0}) != other
+
+
 def test_save_load_round_trip(tmp_path):
     _, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=30)
     path = str(tmp_path / "model.json")
@@ -836,13 +874,7 @@ def test_save_load_round_trip(tmp_path):
     loaded, feature_config = load_model(path)
 
     assert feature_config == FeatureConfig(prefix_max=2)
-    assert loaded.tagset.names == model.tagset.names
-    assert loaded.attribute_index == model.attribute_index
-    assert np.array_equal(loaded.state_weights, model.state_weights)
-    assert np.array_equal(loaded.transition_weights, model.transition_weights)
-    assert np.array_equal(loaded.begin_weights, model.begin_weights)
-    assert np.array_equal(loaded.end_weights, model.end_weights)
-    assert loaded.training == model.training
+    assert loaded == model
 
 
 def test_load_accepts_layout_with_template_flags(tmp_path):

@@ -2,9 +2,12 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nagatag.features import (
     FeatureConfig,
+    attribute_lists,
     binarize,
     extract_token_features,
     sentence_attributes,
@@ -145,3 +148,19 @@ def test_sentence_attributes_covers_every_position():
     assert len(per_token) == len(SENTENCE)
     for t, attrs in enumerate(per_token):
         assert attrs == binarize(extract_token_features(SENTENCE, t))
+
+
+# one-character words, capitals, titlecase letters (ǅ is neither upper nor
+# lower), hyphens, digits, "/" and non-ASCII letters
+WORDS = st.lists(st.text("aZǅǆǄ-7٣/əÄ.", min_size=1, max_size=7), min_size=1, max_size=5)
+
+
+@given(WORDS, st.integers(1, 6), st.integers(1, 6))
+@example(["ǅa", "-", "a/b", "12", "X"], 3, 4)
+def test_attribute_lists_give_the_oracle_sets(words, prefix_max, suffix_max):
+    config = FeatureConfig(prefix_max, suffix_max)
+    per_position = attribute_lists(words, config)
+    assert len(per_position) == len(words)
+    for t, attrs in enumerate(per_position):
+        assert len(set(attrs)) == len(attrs)
+        assert set(attrs) == set(binarize(extract_token_features(words, t, config)))
