@@ -78,7 +78,7 @@ class Token:
     tag: int
 
     def __post_init__(self):
-        if not self.word or any(c.isspace() for c in self.word):
+        if not self.word or self.word.split() != [self.word]:
             raise ValueError(f"token word must be non-empty without whitespace: {self.word!r}")
         if self.tag < 0:
             raise ValueError(f"negative tag index: {self.tag}")

@@ -28,8 +28,14 @@ one sentence, so the single-sentence and batched paths cannot drift apart.
 Training featurizes once: train_model encodes in _encode's growing mode,
 which gives each attribute not yet in the vocabulary the next column, in
 first-seen order, and at the end renumbers the vocabulary in place to sorted
-order and the columns with it. A trained model's attribute_index is therefore
-the sorted vocabulary that build_attribute_index, kept as the oracle, gives.
+order and the columns with it, so the vocabulary is the sorted one that
+build_attribute_index, kept as the oracle, gives. A trained model keeps only
+the attributes the optimizer left a nonzero weight, as CRFsuite's model
+writer does (Okazaki 2007): its attribute_index is that vocabulary restricted
+to them and renumbered in order, and Θ keeps their rows. A dropped row was
+all zero and added +0.0 to every score, so tags and scores are those of the
+full model, and a file holding the full model still loads and tags the same.
+With L1 most rows end zero, so this shrinks what tag loads and encodes.
 
 The weights are one (A+2+K, K) matrix Θ, held by ModelParameters.weights:
 the A state rows, the begin row, the end row, then the K transition rows.
@@ -38,7 +44,7 @@ those rows, not copies. Θ's rows follow X's columns, so row r < A+2 weighs
 column r: X @ Θ[:-K] is every token's state score with its boundary scores
 added, and X.T @ U adds the state, begin and end counts of per-token tag
 weights U into G[:-K] of a gradient G of Θ's shape. The optimizer works on
-Θ's ravel w, and a trained model holds the optimizer's result reshaped. A
+Θ's ravel w, and a trained model holds the rows of its result that it keeps. A
 tagged batch is reduced to its observed feature counts in that layout, so its
 gold-path score is observed @ w and the L2-penalized objective is
 sum(log Z) - observed @ w + c2 * w @ w. The gradient takes its expected
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from array import array
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
@@ -326,8 +333,11 @@ def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
 
 
 def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
+    """The score of one tag path, correctly rounded: math.fsum, unlike a dot
+    product, gives the same bits wherever Θ holds zero rows."""
     *_, observed = _prepare(model.attribute_index, model.n_tags, [(attrs, tags)])
-    return float(observed @ model.weights.ravel())
+    (used,) = observed.nonzero()
+    return math.fsum(observed[used] * model.weights.ravel()[used])
 
 
 def posterior_marginals(lattice: Lattice, model: ModelParameters):
@@ -461,6 +471,12 @@ def train_model(
     The smooth objective handed to the optimizer carries the L2 term
     (optim_config.c2); the L1 term (optim_config.c1) is applied inside
     the optimizer itself.
+
+    The model's attribute_index is the sorted vocabulary that
+    build_attribute_index gives, restricted to the attributes with a nonzero
+    state weight and renumbered 0..A'-1 in the same order; with c1 = 0 every
+    one is kept. log, if given, gets each iteration's line, then the
+    vocabulary size and the number of attributes kept.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
@@ -476,7 +492,15 @@ def train_model(
     training = TrainingMeta(
         optim_config.c1, optim_config.c2, trace.iterations, trace.final_objective
     )
-    return ModelParameters(tagset, attribute_index, w_star.reshape(-1, K), training), trace
+    theta = w_star.reshape(-1, K)
+    kept = theta.any(axis=1)
+    kept[len(attribute_index):] = True  # begin, end and transition rows
+    # the index iterates in value order, so its keys line up with Θ's rows
+    attributes = list(itertools.compress(attribute_index, kept))
+    if log is not None:
+        log(f"{len(attribute_index)} attributes seen, {len(attributes)} kept")
+    return ModelParameters(tagset, dict(zip(attributes, range(len(attributes)))), theta[kept],
+                           training), trace
 
 
 FORMAT_VERSION = 1

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from nagatag.cli import main
 from nagatag.corpus import TagSet, parse_tagged, read_corpus, serialize_tagged
-from nagatag.crf import save_model, zero_model
+from nagatag.crf import build_attribute_index, load_model, save_model, zero_model
 from nagatag.datagen import SynthConfig, generate
 from nagatag.features import FeatureConfig, sentence_attributes
 
@@ -205,6 +206,19 @@ def test_train_warns_when_not_converged(small, capsys):
                  "--max-iter", "1"])
     assert code == 0
     assert "nagatag: warning: not converged" in capsys.readouterr().err
+
+
+def test_train_reports_attributes_seen_and_kept(small, capsys):
+    tmp_path, tagset_file, corpus_file = small
+    model_file = str(tmp_path / "model.json")
+    assert main(["train", corpus_file, "--model", model_file, "--tagset", tagset_file,
+                 "--c1", "0.1", "--max-iter", "30"]) == 0
+    seen, kept = map(int, re.search(r"(\d+) attributes seen, (\d+) kept",
+                                    capsys.readouterr().err).groups())
+    corpus = read_corpus(corpus_file, TagSet(SMALL_TAGS))
+    assert seen == len(build_attribute_index(corpus))
+    assert kept == load_model(model_file)[0].n_attributes
+    assert 0 < kept < seen
 
 
 def test_train_then_tag_round_trip(trained, capsys):

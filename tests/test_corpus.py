@@ -79,6 +79,21 @@ def test_parse_splits_on_last_slash():
     assert corpus.sentences[0].tokens[0] == Token("km/h", TAGSET.index("N"))
 
 
+def test_token_rejects_exactly_the_words_holding_whitespace():
+    def rejected(word):
+        try:
+            Token(word, 0)
+        except ValueError:
+            return True
+        return False
+
+    characters = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    space = [c for c in characters if c.isspace()]
+    assert [c for c in characters if rejected(c)] == space
+    assert [c for c in characters if rejected(f"a{c}b")] == space
+    assert rejected("")
+
+
 def test_parse_skips_blank_and_comment_lines():
     text = "# header comment\n\nAru/CONJ\n   \n# another\nItu/ADJ\n"
     corpus = parse_tagged(text, TAGSET)

@@ -14,10 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from nagatag.cli import main
 from nagatag.corpus import TaggedCorpus, TagSet, parse_tagged
 from nagatag.crf import (
     ModelParameters,
     TrainingMeta,
+    _decode,
     _encode,
     _prepare,
     build_attribute_index,
@@ -836,8 +838,15 @@ def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
     tagset = TagSet(("N", "V", "S"))
     corpus = parse_tagged(TRAIN_TEXT + "dora/N\n./S\nMoyna/N ghor-ghor/N 12/N ./S\n", tagset)
     index = build_attribute_index(corpus)
-    model, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, max_iterations=3))
-    assert model.attribute_index == index
+    model, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, max_iterations=30))
+    # the oracle's vocabulary less the attributes whose rows ended all zero,
+    # renumbered in the same order
+    kept = [a for a in index if a in model.attribute_index]
+    assert list(model.attribute_index.items()) == list(zip(kept, range(len(kept))))
+    assert 0 < len(kept) < len(index)
+    assert model.state_weights.any(axis=1).all()
+    dense, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.0, max_iterations=3))
+    assert list(dense.attribute_index.items()) == list(index.items())
 
     batch = [(sentence_attributes(s.words()), s.tags()) for s in corpus]
     X, packing, observed = _prepare(index, len(tagset), batch)
@@ -850,6 +859,63 @@ def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
         assert np.array_equal(getattr(X_grown, name), getattr(X, name))
     assert np.array_equal(packing_grown.order, packing.order)
     assert np.array_equal(observed_grown, observed)
+
+
+def unpruned(model, index):
+    """model with its state rows scattered back into a zero Θ over the full
+    vocabulary index: the model training would give without pruning."""
+    full = zero_model(model.tagset, index)
+    full.state_weights[[index[a] for a in model.attribute_index]] = model.state_weights
+    full.weights[-model.n_tags - 2:] = model.weights[-model.n_tags - 2:]
+    return dataclasses.replace(full, training=model.training)
+
+
+def test_pruned_and_full_models_give_bitwise_equal_paths_and_scores():
+    tagset = TagSet(("N", "V", "S"))
+    corpus = parse_tagged(TRAIN_TEXT, tagset)
+    index = build_attribute_index(corpus)
+    model, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, max_iterations=30))
+    full = unpruned(model, index)
+    assert model.n_attributes < full.n_attributes
+
+    unseen = parse_tagged("Moyna/N ghor-ghor/N ase/V 12/N ./S\nkolom/N\n", tagset)
+    sentences = [s for c in (corpus, unseen) for s in c]
+    attrs_list = [attribute_lists(s.words()) for s in sentences]
+    for (path, score), (full_path, full_score) in zip(_decode(model, attrs_list),
+                                                      _decode(full, attrs_list), strict=True):
+        assert np.array_equal(path, full_path)
+        assert score.hex() == full_score.hex()
+    for sentence, attrs in zip(sentences, attrs_list):
+        assert (sequence_log_score(model, attrs, sentence.tags()).hex()
+                == sequence_log_score(full, attrs, sentence.tags()).hex())
+
+
+def test_a_model_without_state_weights_saves_loads_and_tags(tmp_path):
+    _, model, _ = train_tiny(c1=100.0, max_iterations=5)
+    assert model.attribute_index == {} and model.weights.shape == (5, 3)
+    path = str(tmp_path / "model.json")
+    save_model(path, model, FeatureConfig())
+    loaded, config = load_model(path)
+    assert loaded == model
+    tagged = tag_corpus(loaded, config, [("dora", "ase", "."), ("kolom",)])
+    assert [len(s) for s in tagged] == [3, 1]
+
+
+def test_a_full_size_model_file_still_loads_and_tags_as_the_pruned_one(tmp_path):
+    corpus, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=30)
+    full = unpruned(model, build_attribute_index(corpus))
+    assert model.n_attributes < full.n_attributes
+    raw = tmp_path / "raw.txt"
+    raw.write_text("dora ase .\nMoyna ghor-ghor bonaise 12 .\nkolom\n", encoding="utf-8")
+    outputs = []
+    for name, saved in (("pruned", model), ("full", full)):
+        path = str(tmp_path / f"{name}.json")
+        save_model(path, saved, FeatureConfig())
+        assert load_model(path)[0] == saved
+        out = tmp_path / f"{name}.txt"
+        assert main(["tag", str(raw), "--model", path, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_growing_encoder_rejects_an_empty_sentence_and_encodes_no_sentences():
