@@ -25,17 +25,31 @@ pass over the whole input, one step per position of the longest sentence,
 on one product with X. Training, tag_corpus and nll_and_gradient batch many
 sentences; build_lattice, viterbi and sequence_log_score are the same code on
 one sentence, so the single-sentence and batched paths cannot drift apart.
-Training featurizes once: train_model encodes in _encode's growing mode,
-which gives each attribute not yet in the vocabulary the next column, in
-first-seen order, and at the end renumbers the vocabulary in place to sorted
-order and the columns with it, so the vocabulary is the sorted one that
-build_attribute_index, kept as the oracle, gives. A trained model keeps only
-the attributes the optimizer left a nonzero weight, as CRFsuite's model
-writer does (Okazaki 2007): its attribute_index is that vocabulary restricted
-to them and renumbered in order, and Θ keeps their rows. A dropped row was
-all zero and added +0.0 to every score, so tags and scores are those of the
-full model, and a file holding the full model still loads and tags the same.
-With L1 most rows end zero, so this shrinks what tag loads and encodes.
+
+The encoder reads attributes one family at a time, as
+features.attribute_families gives them for words: every attribute sharing a
+key (the part up to and including the first "=", or the whole attribute where
+it has none), as the tokens that have one and their values. Its vocabulary is
+split the same way, one dict from value to column per key, so each value is
+one dict lookup and no "key=value" string is built per token. A model splits
+its attribute_index once, ModelParameters.vocabulary. Generic attribute sets,
+as build_lattice, viterbi, nll_and_gradient and sequence_log_score take them,
+go through _columns, which splits each string at its first "=", into the
+same encoder. Families come in increasing key order and, when a vocabulary
+grows, each family's values are numbered in sorted order after the previous
+family's. No key is a proper prefix of another unless the shorter holds no
+"=", and then it is a whole attribute and sorts first. So this is the sorted
+order of the "key=value" strings: the grown vocabulary is the one
+build_attribute_index, kept as the oracle, gives, and X has the columns and
+the per-row column order of a string-keyed encoder. Training featurizes once,
+in that growing mode, and renders as strings only the attributes it keeps. A
+trained model keeps only the attributes the optimizer left a nonzero weight,
+as CRFsuite's model writer does (Okazaki 2007): its attribute_index is that
+vocabulary restricted to them and renumbered in order, and Θ keeps their
+rows. A dropped row was all zero and added +0.0 to every score, so tags and
+scores are those of the full model, and a file holding the full model still
+loads and tags the same. With L1 most rows end zero, so this shrinks what tag
+loads and encodes, and a family with no attribute in the model is skipped.
 
 The weights are one (A+2+K, K) matrix Θ, held by ModelParameters.weights:
 the A state rows, the begin row, the end row, then the K transition rows.
@@ -54,10 +68,10 @@ vectors into log alpha and log beta.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from array import array
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
@@ -65,10 +79,11 @@ import numpy as np
 from scipy import sparse
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token
-from nagatag.features import FeatureConfig, attribute_lists, sentence_attributes
+from nagatag.features import FeatureConfig, Family, attribute_families, sentence_attributes
 from nagatag.optim import IterationTrace, OptimConfig, minimize
 
 Attrs = Sequence[Collection[str]]
+Vocabulary = dict[str, dict[str, int]]  # family key -> value -> column
 
 
 @dataclass(frozen=True)
@@ -104,6 +119,11 @@ class ModelParameters:
         return (self.tagset == other.tagset and self.attribute_index == other.attribute_index
                 and self.training == other.training
                 and np.array_equal(self.weights, other.weights))
+
+    @functools.cached_property
+    def vocabulary(self) -> Vocabulary:
+        """attribute_index split by family, once per model."""
+        return _vocabulary(self.attribute_index)
 
     @property
     def n_tags(self) -> int:
@@ -154,70 +174,103 @@ class _Packing(NamedTuple):
     ends: np.ndarray  # (S,) where each sentence ends in that count
 
 
-def _encode(attribute_index: dict[str, int], attrs_list: Iterable[Attrs],
+def _encode(vocabulary: Vocabulary, lengths: Sequence[int], families: Iterable[Family],
             grow: bool = False) -> tuple[sparse.csr_matrix, _Packing]:
-    """One (N, A+2) CSR matrix for the whole input, one row per token in the
-    time-major order _Packing describes, and that packing. Column A marks a
-    sentence's first token and column A+1 its last. This is the only place
-    attribute strings become indices. The input is read once, so it may be a
-    generator, and a position's attributes may come in any order: each row's
-    columns are sorted at the end.
+    """One (N, A+2) CSR matrix for a whole input of sentences of the given
+    lengths, one row per token in the time-major order _Packing describes,
+    and that packing. Column A marks a sentence's first token and column A+1
+    its last. This is the only place attributes become columns. families is
+    the input's attributes as attribute_families and _columns give them: one
+    family at a time, in increasing key order, with each token's values next
+    to each other. It is read once, and each family's values are dropped once
+    they are mapped; the columns go straight into int32 CSR arrays.
 
-    Attributes outside the vocabulary have no column and score 0, unless grow
-    is set. Then attribute_index grows as the input is read: an unseen
-    attribute gets the next id, in first-seen order. At the end the dict is
-    renumbered in place to sorted order, and the columns with it, so it
-    equals what build_attribute_index gives for the same input, and X is the
-    matrix a fixed-vocabulary pass over that index would build. A ValueError
-    partway leaves it grown in first-seen ids."""
-    get, setdefault = attribute_index.get, attribute_index.setdefault
-    # 4-byte buffers: a list holds an 8-byte pointer per nonzero, and past
-    # 256 each id is also a 28-byte int object kept alive to the end
-    steps: list[tuple[array, array]] = []  # per step: column ids, row sizes
-    lengths = []
-    for attrs in attrs_list:
-        if len(attrs) == 0:
-            raise ValueError("cannot encode an empty sentence")
-        lengths.append(len(attrs))
-        steps.extend((array("i"), array("i")) for _ in range(len(attrs) - len(steps)))
-        if grow:
-            rows = [[setdefault(a, len(attribute_index)) for a in position] for position in attrs]
-        else:
-            rows = [[i for i in map(get, position) if i is not None] for position in attrs]
-        # the markers, counted from the end: A is not known until a growing
-        # vocabulary has seen the whole input
-        rows[0].append(-2)
-        rows[-1].append(-1)
-        for (cols, sizes), row in zip(steps, rows):
-            cols.extend(row)
-            sizes.append(len(row))
-    ends = np.cumsum(lengths, dtype=np.intp)
+    Each family's values are looked up in its own dict, vocabulary[key]; an
+    attribute outside the vocabulary has no column and scores 0. With grow
+    set, vocabulary must start empty: each family's values are made unique,
+    sorted and numbered on from the previous family's, and the family dicts
+    go into vocabulary only once the whole input is read, so a ValueError
+    leaves it empty. The module docstring says why that is the sorted order of
+    the "key=value" strings. A row's columns are sorted, X.sort_indices()
+    seeing to it where the vocabulary is not numbered in sorted order, and an
+    attribute that comes twice at a position is counted twice."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if not lengths.all():
+        raise ValueError("cannot encode an empty sentence")
+    ends = np.cumsum(lengths)
     # the token of each row: tokens stably sorted by their position in the sentence
-    token = np.argsort(np.arange(sum(lengths)) - np.repeat(ends - lengths, lengths), kind="stable")
+    token = np.argsort(np.arange(lengths.sum()) - np.repeat(ends - lengths, lengths), kind="stable")
     order = np.argsort(token)
-    bounds = np.cumsum([0] + [len(sizes) for _, sizes in steps])
+    bounds = np.cumsum([0, *len(lengths) - np.cumsum(np.bincount(lengths))[:-1]])
     packing = _Packing([slice(*pair) for pair in itertools.pairwise(bounds)],
                        order[token - 1], order, ends)
 
-    A = len(attribute_index)
-    column = np.arange(A + 2, dtype=np.intc)  # id -> column; -2 and -1 index the markers
-    if grow:
-        ranked = sorted(attribute_index)
-        column[np.fromiter(map(attribute_index.__getitem__, ranked), np.intc, A)] = np.arange(A)
-        # refilled rather than updated, so it also iterates in sorted order:
-        # save_model's sort by value is then linear
-        attribute_index.clear()
-        attribute_index.update(zip(ranked, range(A)))
-    cols, sizes = array("i"), array("i")
-    for step_cols, step_sizes in steps:
-        cols += step_cols
-        sizes += step_sizes
-    indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
-    np.cumsum(np.frombuffer(sizes, dtype=np.intc), out=indptr[1:])
-    X = sparse.csr_matrix((np.ones(len(cols)), column[np.frombuffer(cols, dtype=np.intc)], indptr),
-                          shape=(len(order), A + 2))
+    row = order.astype(np.intc)  # token -> row
+    blocks = []  # per family: the rows of its attributes and their columns
+    grown: Vocabulary = {}
+    A = 0 if grow else sum(map(len, vocabulary.values()))
+    previous = None
+    for key, tokens, values in families:
+        if previous is not None and not previous < key:
+            raise ValueError(f"attribute families out of key order: {previous!r}, {key!r}")
+        previous = key
+        if grow:
+            column = grown[key] = dict(zip(sorted(set(values)), itertools.count(A)))
+            A += len(column)
+        elif (column := vocabulary.get(key)) is None:
+            continue
+        cols = np.fromiter(map(column.get, values, itertools.repeat(-1)), np.intc, len(values))
+        known = cols >= 0
+        blocks.append((row[tokens][known], cols[known]))
+    vocabulary.update(grown)
+    blocks.append((row[ends - lengths], np.full(len(ends), A, np.intc)))
+    blocks.append((row[ends - 1], np.full(len(ends), A + 1, np.intc)))
+
+    N = len(row)
+    indptr = np.zeros(N + 1, dtype=np.intc)
+    for rows, _ in blocks:
+        indptr[1:] += np.bincount(rows, minlength=N)
+    np.cumsum(indptr, out=indptr)
+    cursor = indptr[:-1].copy()  # where each row's next column goes
+    indices = np.empty(indptr[-1], dtype=np.intc)
+    for rows, cols in blocks:
+        # a family's values at one token sit next to each other: the k-th goes k places on
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        k = np.arange(len(rows)) - np.repeat(starts, np.diff(starts, append=len(rows)))
+        indices[cursor[rows] + k] = cols
+        cursor += np.bincount(rows, minlength=N)
+    X = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(N, A + 2))
     X.sort_indices()
     return X, packing
+
+
+def _columns(attrs_list: Iterable[Attrs]) -> tuple[list[int], list[Family]]:
+    """Generic attribute sets as _encode's input: the sentence lengths, and
+    each attribute split at its first "=" into its family's key (the part up
+    to and including the "=", or the whole attribute where it has none) and
+    its value."""
+    lengths: list[int] = []
+    by_key: dict[str, tuple[list[int], list[str]]] = {}
+    t = 0
+    for attrs in attrs_list:
+        for position in attrs:
+            for a in position:
+                key, eq, value = a.partition("=")
+                tokens, values = by_key.setdefault(key + eq, ([], []))
+                tokens.append(t)
+                values.append(value)
+            t += 1
+        lengths.append(len(attrs))
+    return lengths, [(key, *by_key[key]) for key in sorted(by_key)]
+
+
+def _vocabulary(attribute_index: dict[str, int]) -> Vocabulary:
+    """An attribute index split by family, as _encode reads it."""
+    vocabulary: Vocabulary = {}
+    for a, i in attribute_index.items():
+        key, eq, value = a.partition("=")
+        vocabulary.setdefault(key + eq, {})[value] = i
+    return vocabulary
 
 
 _TINY = np.finfo(float).tiny
@@ -315,7 +368,7 @@ def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
     The lattice keeps begin in log_alpha[0] and end in log_beta[-1]."""
     theta, K = model.weights, model.n_tags
     _check_spread(theta, K)
-    X, packing = _encode(model.attribute_index, [attrs])
+    X, packing = _encode(model.vocabulary, *_columns([attrs]))
     a, b, c, _ = _forward_backward(X @ theta[:-K], theta[-K:], packing)
     C = np.cumsum(c)
     log_Z = float(C[-1])
@@ -335,7 +388,7 @@ def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
 def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
     """The score of one tag path, correctly rounded: math.fsum, unlike a dot
     product, gives the same bits wherever Θ holds zero rows."""
-    *_, observed = _prepare(model.attribute_index, model.n_tags, [(attrs, tags)])
+    *_, observed = _prepare(model.vocabulary, model.n_tags, *_columns([attrs]), [tags])
     (used,) = observed.nonzero()
     return math.fsum(observed[used] * model.weights.ravel()[used])
 
@@ -351,10 +404,10 @@ def posterior_marginals(lattice: Lattice, model: ModelParameters):
     return unary, pairwise
 
 
-def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
+def _decode(model: ModelParameters, lengths: Sequence[int], families: Iterable[Family]):
     """(best path, its score) of every sentence, from one Viterbi pass over the
-    whole input."""
-    X, packing = _encode(model.attribute_index, attrs_list)
+    whole input, given as _encode takes it."""
+    X, packing = _encode(model.vocabulary, lengths, families)
     paths, scores = _viterbi(X @ model.weights[:-model.n_tags], model.transition_weights, packing)
     return list(zip(np.split(paths[packing.order], packing.ends[:-1]),
                     scores[packing.order[packing.ends - 1]]))
@@ -363,7 +416,7 @@ def _decode(model: ModelParameters, attrs_list: Iterable[Attrs]):
 def viterbi(model: ModelParameters, attrs: Attrs) -> tuple[list[int], float]:
     """Best tag sequence and its log score: the batched decoder on one sentence.
     Ties pick the lowest tag index."""
-    ((path, score),) = _decode(model, [attrs])
+    ((path, score),) = _decode(model, *_columns([attrs]))
     return path.tolist(), float(score)
 
 
@@ -371,7 +424,7 @@ def tag_corpus(
     model: ModelParameters, config: FeatureConfig, sentences: Sequence[Sequence[str]]
 ) -> TaggedCorpus:
     """Viterbi tags for every sentence, from one pass over the whole corpus."""
-    decoded = _decode(model, (attribute_lists(words, config) for words in sentences))
+    decoded = _decode(model, list(map(len, sentences)), attribute_families(sentences, config))
     return TaggedCorpus(tuple(
         Sentence(tuple(Token(w, y) for w, y in zip(words, path.tolist())))
         for words, (path, _) in zip(sentences, decoded)
@@ -385,27 +438,22 @@ def tag_sentence(
 
 
 def _prepare(
-    attribute_index: dict[str, int], K: int, batch: Iterable[tuple[Attrs, Sequence[int]]],
-    grow: bool = False,
+    vocabulary: Vocabulary, K: int, lengths: Sequence[int], families: Iterable[Family],
+    tags_list: Sequence[Sequence[int]], grow: bool = False,
 ) -> tuple[sparse.csr_matrix, _Packing, np.ndarray]:
-    """Validate and encode a tagged batch, and count its observed features
+    """Validate a tagged batch, then encode it, and count its observed features
     in Θ's flat layout. The gold-path score under weights w is observed @ w,
-    so the tags themselves are not kept. grow is _encode's: training grows
-    its vocabulary in the same pass."""
-    tags_list: list[Sequence[int]] = []
-
-    def checked():
-        for attrs, tags in batch:
-            if len(attrs) != len(tags):
-                raise ValueError(f"{len(tags)} tags for {len(attrs)} positions")
-            if any(not 0 <= y < K for y in tags):
-                raise ValueError("tag index out of range")
-            tags_list.append(tags)
-            yield attrs
-
-    X, packing = _encode(attribute_index, checked(), grow)
+    so the tags themselves are not kept. The input is _encode's, with the
+    tags of each sentence; grow is _encode's: training grows its vocabulary
+    in the same pass."""
     if not tags_list:
         raise ValueError("batch must be non-empty")
+    for n, tags in zip(lengths, tags_list, strict=True):
+        if len(tags) != n:
+            raise ValueError(f"{len(tags)} tags for {n} positions")
+        if any(not 0 <= y < K for y in tags):
+            raise ValueError("tag index out of range")
+    X, packing = _encode(vocabulary, lengths, families, grow)
     tags = np.empty_like(packing.order)
     tags[packing.order] = np.concatenate(tags_list)
     onehot = np.eye(K)[tags]
@@ -443,8 +491,9 @@ def nll_and_gradient(
     has model.weights' shape and row order, so dataclasses.replace(model,
     weights=gradient) reads its blocks through the same views."""
     K = model.n_tags
-    value, grad = _nll_prepared(model.weights.ravel(), K,
-                                *_prepare(model.attribute_index, K, batch), c2)
+    prepared = _prepare(model.vocabulary, K, *_columns(attrs for attrs, _ in batch),
+                        [tags for _, tags in batch])
+    value, grad = _nll_prepared(model.weights.ravel(), K, *prepared, c2)
     return value, grad.reshape(model.weights.shape)
 
 
@@ -480,12 +529,12 @@ def train_model(
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
-    attribute_index: dict[str, int] = {}
+    vocabulary: Vocabulary = {}
     K = len(tagset)
-    X, packing, observed = _prepare(attribute_index, K, (
-        (attribute_lists(sentence.words(), feature_config), sentence.tags())
-        for sentence in corpus
-    ), grow=True)
+    sentences = [sentence.words() for sentence in corpus]
+    X, packing, observed = _prepare(
+        vocabulary, K, list(map(len, sentences)), attribute_families(sentences, feature_config),
+        [sentence.tags() for sentence in corpus], grow=True)
 
     w_star, trace = minimize(lambda w: _nll_prepared(w, K, X, packing, observed, optim_config.c2),
                              np.zeros_like(observed), optim_config, log=log)
@@ -494,11 +543,18 @@ def train_model(
     )
     theta = w_star.reshape(-1, K)
     kept = theta.any(axis=1)
-    kept[len(attribute_index):] = True  # begin, end and transition rows
-    # the index iterates in value order, so its keys line up with Θ's rows
-    attributes = list(itertools.compress(attribute_index, kept))
+    A = len(theta) - K - 2
+    kept[A:] = True  # begin, end and transition rows
+    # each family's values iterate in column order, after the previous family's:
+    # only the kept ones are rendered
+    attributes: list[str] = []
+    start = 0
+    for key, column in vocabulary.items():
+        values = list(column)
+        attributes += [key + values[i] for i in np.flatnonzero(kept[start:start + len(values)])]
+        start += len(values)
     if log is not None:
-        log(f"{len(attribute_index)} attributes seen, {len(attributes)} kept")
+        log(f"{A} attributes seen, {len(attributes)} kept")
     return ModelParameters(tagset, dict(zip(attributes, range(len(attributes)))), theta[kept],
                            training), trace
 

@@ -8,20 +8,33 @@ characters. The affix lengths are the only settings; the model file records
 them. The CRF consumes these as "key=value" indicator strings, so a token's
 observable content is exactly its attribute set.
 
-There is one template, written twice: extract_token_features builds the
-feature map of one token, which binarize renders, and attribute_lists writes
-every position's "key=value" strings directly, in template order, with no
-per-token dict, rendering or sort. The first is the oracle the tests hold the
-second to; training and tagging read the second. sentence_attributes is its
-sorted form.
+There is one template, written twice. extract_token_features builds the
+feature map of one token, which binarize renders; sentence_attributes does so
+at every position of a sentence. That is the oracle the tests hold the second
+writing to, attribute_families, which training and tagging read. It goes over
+a whole input one attribute family at a time. A family is every attribute
+that shares a key, the part up to and including the "=" ("word=",
+"is_first=", "prefix-2=", ...), and it comes as the tokens that have one and
+their values: the words themselves for word=, prev_word= and next_word=, one
+shared "true" or "false" object per flag, and the affix slices. No per-token
+attribute string is built. Families come in increasing key order and no key
+is a prefix of another, so key order, then value order within a family, is
+the sorted order of the "key=value" strings.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 FeatureMap = dict[str, "bool | str"]
+# (key, tokens, values): every attribute "key" + values[i] of token tokens[i]
+Family = tuple[str, Sequence[int], Sequence[str]]
+_FLAG = ("false", "true")  # one shared object per flag value
 
 
 @dataclass(frozen=True)
@@ -77,44 +90,62 @@ def binarize(fm: FeatureMap) -> tuple[str, ...]:
     ))
 
 
-def attribute_lists(
-    sentence: Sequence[str], config: FeatureConfig = FeatureConfig()
-) -> list[list[str]]:
-    """Every position's attributes as "key=value" strings in template order,
-    unsorted and duplicate-free: the same set as
-    binarize(extract_token_features(sentence, t, config)) at each position t,
-    written without building the feature map."""
-    last = len(sentence) - 1
+def attribute_families(
+    sentences: Sequence[Sequence[str]], config: FeatureConfig = FeatureConfig()
+) -> Iterator[Family]:
+    """The template over a whole input, one family at a time, in increasing
+    key order: (key, tokens, values), where tokens counts the input's tokens
+    sentence after sentence and values[i] is the value at tokens[i]. A token
+    has at most one value per family, so rendered at one position,
+    key + value over the families gives the sorted
+    binarize(extract_token_features(sentence, t, config)). Each family's
+    values are made only when the caller asks for it."""
+    words = list(itertools.chain.from_iterable(sentences))
+    lengths = np.fromiter(map(len, words), np.intp, len(words))
+    every = np.arange(len(words))
+    ends = list(itertools.accumulate(map(len, sentences)))
+    firsts = [end - len(s) for end, s in zip(ends, sentences) if s]
+    lasts = [end - 1 for end, s in zip(ends, sentences) if s]
+
+    def edge(at: list[int], inside: list[str], outside: str) -> tuple[np.ndarray, list[str]]:
+        for t in at:
+            inside[t] = outside
+        return every, inside
+
+    def affix(k: int, cut: slice) -> tuple[np.ndarray, list[str]]:
+        # prefix-k and suffix-k only where the word has k characters
+        return np.flatnonzero(lengths >= k), [w[cut] for w in words if len(w) >= k]
+
+    families: dict[str, Callable[[], tuple[np.ndarray, list[str]]]] = {
+        "word=": lambda: (every, words),
+        "is_first=": lambda: edge(firsts, [_FLAG[False]] * len(words), _FLAG[True]),
+        "is_last=": lambda: edge(lasts, [_FLAG[False]] * len(words), _FLAG[True]),
+        "is_capitalized=": lambda: (every, [_FLAG[w[:1].isupper()] for w in words]),
+        "is_all_caps=": lambda: (every, [_FLAG[w.isupper()] for w in words]),
+        "is_all_lower=": lambda: (every, [_FLAG[w.islower()] for w in words]),
+        # a rest that is all lower holds no capital: the test of each
+        # character runs only where it might find one
+        "capitals_inside=": lambda: (every, [
+            _FLAG[not w[1:].islower() and any(map(str.isupper, w[1:]))] for w in words]),
+        "has_hyphen=": lambda: (every, [_FLAG["-" in w] for w in words]),
+        "is_numeric=": lambda: (every, [_FLAG[w.isdecimal()] for w in words]),
+        "prev_word=": lambda: edge(firsts, ([""] + words)[:len(words)], ""),
+        "next_word=": lambda: edge(lasts, (words + [""])[1:], ""),
+    }
     # keys only up to the longest word: a model file may ask for 10**12
-    longest = max(map(len, sentence), default=0)
-    prefixes = [f"prefix-{k}=" for k in range(1, min(config.prefix_max, longest) + 1)]
-    suffixes = [f"suffix-{k}=" for k in range(1, min(config.suffix_max, longest) + 1)]
-    out = []
-    for t, word in enumerate(sentence):
-        attrs = [
-            "word=" + word,
-            "is_first=true" if t == 0 else "is_first=false",
-            "is_last=true" if t == last else "is_last=false",
-            "is_capitalized=true" if word[:1].isupper() else "is_capitalized=false",
-            "is_all_caps=true" if word.isupper() else "is_all_caps=false",
-            "is_all_lower=true" if word.islower() else "is_all_lower=false",
-            "capitals_inside=true" if any(map(str.isupper, word[1:]))
-            else "capitals_inside=false",
-            "has_hyphen=true" if "-" in word else "has_hyphen=false",
-            "is_numeric=true" if word.isdecimal() else "is_numeric=false",
-            "prev_word=" + sentence[t - 1] if t > 0 else "prev_word=",
-            "next_word=" + sentence[t + 1] if t < last else "next_word=",
-        ]
-        # prefix-k only when the word actually has k characters
-        attrs += [key + word[:k] for k, key in enumerate(prefixes, 1) if k <= len(word)]
-        attrs += [key + word[-k:] for k, key in enumerate(suffixes, 1) if k <= len(word)]
-        out.append(attrs)
-    return out
+    longest = int(lengths.max(initial=0))
+    for k in range(1, min(config.prefix_max, longest) + 1):
+        families[f"prefix-{k}="] = functools.partial(affix, k, slice(k))
+    for k in range(1, min(config.suffix_max, longest) + 1):
+        families[f"suffix-{k}="] = functools.partial(affix, k, slice(-k, None))
+    for key in sorted(families):
+        yield key, *families[key]()
 
 
 def sentence_attributes(
     sentence: Sequence[str], config: FeatureConfig = FeatureConfig()
 ) -> tuple[tuple[str, ...], ...]:
     """Binarized attribute sets for every position of a sentence, each sorted:
-    the sorted form of attribute_lists."""
-    return tuple(tuple(sorted(attrs)) for attrs in attribute_lists(sentence, config))
+    the oracle, one feature map per token."""
+    return tuple(binarize(extract_token_features(sentence, t, config))
+                 for t in range(len(sentence)))

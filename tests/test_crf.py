@@ -6,12 +6,14 @@ import math
 import os
 import random
 import tempfile
+from array import array
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.special import logsumexp
 
 from nagatag.cli import main
@@ -19,9 +21,12 @@ from nagatag.corpus import TaggedCorpus, TagSet, parse_tagged
 from nagatag.crf import (
     ModelParameters,
     TrainingMeta,
+    _columns,
     _decode,
     _encode,
+    _Packing,
     _prepare,
+    _vocabulary,
     build_attribute_index,
     build_lattice,
     load_model,
@@ -35,7 +40,7 @@ from nagatag.crf import (
     viterbi,
     zero_model,
 )
-from nagatag.features import FeatureConfig, attribute_lists, sentence_attributes
+from nagatag.features import FeatureConfig, attribute_families, sentence_attributes
 from nagatag.optim import OptimConfig
 
 
@@ -848,12 +853,17 @@ def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
     dense, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.0, max_iterations=3))
     assert list(dense.attribute_index.items()) == list(index.items())
 
-    batch = [(sentence_attributes(s.words()), s.tags()) for s in corpus]
-    X, packing, observed = _prepare(index, len(tagset), batch)
-    grown: dict[str, int] = {}
+    tags = [s.tags() for s in corpus]
+    X, packing, observed = _prepare(_vocabulary(index), len(tagset),
+                                    *_columns(sentence_attributes(s.words()) for s in corpus), tags)
+    grown: dict[str, dict[str, int]] = {}
+    sentences = [s.words() for s in corpus]
     X_grown, packing_grown, observed_grown = _prepare(
-        grown, len(tagset), [(attribute_lists(s.words()), s.tags()) for s in corpus], grow=True)
-    assert list(grown.items()) == list(index.items())  # sorted iteration order too
+        grown, len(tagset), [len(words) for words in sentences], attribute_families(sentences), tags,
+        grow=True)
+    # sorted iteration order too
+    assert [(key + value, i) for key, column in grown.items() for value, i in column.items()] \
+        == list(index.items())
     assert X_grown.shape == X.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(X_grown, name), getattr(X, name))
@@ -880,12 +890,15 @@ def test_pruned_and_full_models_give_bitwise_equal_paths_and_scores():
 
     unseen = parse_tagged("Moyna/N ghor-ghor/N ase/V 12/N ./S\nkolom/N\n", tagset)
     sentences = [s for c in (corpus, unseen) for s in c]
-    attrs_list = [attribute_lists(s.words()) for s in sentences]
-    for (path, score), (full_path, full_score) in zip(_decode(model, attrs_list),
-                                                      _decode(full, attrs_list), strict=True):
+    words = [s.words() for s in sentences]
+    lengths = [len(w) for w in words]
+    for (path, score), (full_path, full_score) in zip(
+            _decode(model, lengths, attribute_families(words)),
+            _decode(full, lengths, attribute_families(words)), strict=True):
         assert np.array_equal(path, full_path)
         assert score.hex() == full_score.hex()
-    for sentence, attrs in zip(sentences, attrs_list):
+    for sentence in sentences:
+        attrs = sentence_attributes(sentence.words())
         assert (sequence_log_score(model, attrs, sentence.tags()).hex()
                 == sequence_log_score(full, attrs, sentence.tags()).hex())
 
@@ -919,10 +932,112 @@ def test_a_full_size_model_file_still_loads_and_tags_as_the_pruned_one(tmp_path)
 
 
 def test_growing_encoder_rejects_an_empty_sentence_and_encodes_no_sentences():
+    grown: dict[str, dict[str, int]] = {}
     with pytest.raises(ValueError):
-        _encode({}, [[["word=a"]], []], grow=True)
-    X, packing = _encode({}, [], grow=True)
+        _encode(grown, *_columns([[["word=a"]], []]), grow=True)
+    assert grown == {}  # checked before the vocabulary is touched
+    X, packing = _encode(grown, *_columns([]), grow=True)
     assert X.shape == (0, 2) and packing.steps == []
+
+
+def _encode_oracle(attribute_index: dict[str, int], attrs_list, grow: bool = False):
+    """The string-keyed encoder _encode replaced, as the reference it is held
+    to: every attribute string looked up whole, with setdefault when growing
+    in first-seen order and one renumbering to sorted order at the end."""
+    get, setdefault = attribute_index.get, attribute_index.setdefault
+    steps: list[tuple[array, array]] = []  # per step: column ids, row sizes
+    lengths = []
+    for attrs in attrs_list:
+        if len(attrs) == 0:
+            raise ValueError("cannot encode an empty sentence")
+        lengths.append(len(attrs))
+        steps.extend((array("i"), array("i")) for _ in range(len(attrs) - len(steps)))
+        if grow:
+            rows = [[setdefault(a, len(attribute_index)) for a in position] for position in attrs]
+        else:
+            rows = [[i for i in map(get, position) if i is not None] for position in attrs]
+        rows[0].append(-2)
+        rows[-1].append(-1)
+        for (cols, sizes), row in zip(steps, rows):
+            cols.extend(row)
+            sizes.append(len(row))
+    ends = np.cumsum(lengths, dtype=np.intp)
+    token = np.argsort(np.arange(sum(lengths)) - np.repeat(ends - lengths, lengths), kind="stable")
+    order = np.argsort(token)
+    bounds = np.cumsum([0] + [len(sizes) for _, sizes in steps])
+    packing = _Packing([slice(*pair) for pair in itertools.pairwise(bounds)],
+                       order[token - 1], order, ends)
+
+    A = len(attribute_index)
+    column = np.arange(A + 2, dtype=np.intc)  # id -> column; -2 and -1 index the markers
+    if grow:
+        ranked = sorted(attribute_index)
+        column[np.fromiter(map(attribute_index.__getitem__, ranked), np.intc, A)] = np.arange(A)
+        attribute_index.clear()
+        attribute_index.update(zip(ranked, range(A)))
+    cols, sizes = array("i"), array("i")
+    for step_cols, step_sizes in steps:
+        cols += step_cols
+        sizes += step_sizes
+    indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(np.frombuffer(sizes, dtype=np.intc), out=indptr[1:])
+    X = sparse.csr_matrix((np.ones(len(cols)), column[np.frombuffer(cols, dtype=np.intc)], indptr),
+                          shape=(len(order), A + 2))
+    X.sort_indices()
+    return X, packing
+
+
+# Attributes with and without "=", an empty key or value, a second "=", and
+# keys that sort differently with and without their "=" ("a-b=" < "a=" but
+# "a" < "a-b"). A position may hold several values of one family and one
+# attribute twice.
+ORACLE_ATTRIBUTES = ("a", "a=", "a=1", "a=1=2", "a=-", "=v", "=", "", "x", "x=", "x=a",
+                     "a-b", "a-b=1", "ab=2", "b=a=")
+ORACLE_INPUTS = st.lists(st.lists(st.lists(st.sampled_from(ORACLE_ATTRIBUTES), max_size=5),
+                                  min_size=1, max_size=4), max_size=4)
+
+
+def assert_same_encoding(encoded, expected):
+    (X, packing), (X_expected, packing_expected) = encoded, expected
+    assert X.shape == X_expected.shape
+    assert np.array_equal(X.toarray(), X_expected.toarray())
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(X, name), getattr(X_expected, name))
+    assert packing.steps == packing_expected.steps
+    for name in ("prev", "order", "ends"):
+        assert np.array_equal(getattr(packing, name), getattr(packing_expected, name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ORACLE_INPUTS, st.data())
+@example([[["a", "a=", "a=1", "a=1=2", "=v", ""], ["x", "x=", "a=1", "a=1"]],
+          [["a-b=1", "a=1", "a=-", "a"]]], None)
+def test_family_encoder_agrees_with_the_string_oracle(attrs_list, data):
+    index: dict[str, int] = {}
+    expected = _encode_oracle(index, attrs_list, grow=True)
+    grown: dict[str, dict[str, int]] = {}
+    encoded = _encode(grown, *_columns(attrs_list), grow=True)
+    assert [(key + value, i) for key, column in grown.items() for value, i in column.items()] \
+        == list(index.items())
+    assert_same_encoding(encoded, expected)
+
+    # a fixed vocabulary: any attributes, seen in the input or not, numbered in any order
+    if data is None:
+        chosen, ids = ["a=1", "a", "x=", "zz=9", "a=-", "a-b=1"], [3, 5, 0, 1, 4, 2]
+    else:
+        chosen = data.draw(st.lists(st.sampled_from(ORACLE_ATTRIBUTES + ("zz=9",)), unique=True))
+        ids = data.draw(st.permutations(range(len(chosen))))
+    fixed = dict(zip(chosen, ids))
+    assert_same_encoding(_encode(_vocabulary(fixed), *_columns(attrs_list)),
+                         _encode_oracle(fixed, attrs_list))
+
+
+def test_a_model_splits_its_index_by_family_once():
+    model = zero_model(small_tagset(2), {"word=a": 1, "is_first=true": 0, "x": 2, "x=": 3})
+    assert model.vocabulary == {"word=": {"a": 1}, "is_first=": {"true": 0}, "x": {"": 2},
+                                "x=": {"": 3}}
+    tag_corpus(model, FeatureConfig(), [("a", "b")])
+    assert model.vocabulary is model.vocabulary
 
 
 def test_models_compare_by_value():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nagatag.features import (
     FeatureConfig,
-    attribute_lists,
+    attribute_families,
     binarize,
     extract_token_features,
     sentence_attributes,
@@ -151,16 +151,23 @@ def test_sentence_attributes_covers_every_position():
 
 
 # one-character words, capitals, titlecase letters (ǅ is neither upper nor
-# lower), hyphens, digits, "/" and non-ASCII letters
-WORDS = st.lists(st.text("aZǅǆǄ-7٣/əÄ.", min_size=1, max_size=7), min_size=1, max_size=5)
+# lower), hyphens, digits, "/", "=" and non-ASCII letters
+WORDS = st.lists(st.text("aZǅǆǄ-7٣/=əÄ.", min_size=1, max_size=7), min_size=1, max_size=5)
 
 
-@given(WORDS, st.integers(1, 6), st.integers(1, 6))
-@example(["ǅa", "-", "a/b", "12", "X"], 3, 4)
-def test_attribute_lists_give_the_oracle_sets(words, prefix_max, suffix_max):
+@given(st.lists(WORDS, min_size=1, max_size=4), st.integers(1, 9), st.integers(1, 9))
+@example([["ǅa", "-", "a/b", "12", "X"], ["x"], ["=", "a=b", "aǅ"]], 3, 4)
+def test_attribute_families_give_the_oracle_sets(sentences, prefix_max, suffix_max):
+    # several sentences in one pass: prev_word and next_word stop at each edge
     config = FeatureConfig(prefix_max, suffix_max)
-    per_position = attribute_lists(words, config)
-    assert len(per_position) == len(words)
-    for t, attrs in enumerate(per_position):
-        assert len(set(attrs)) == len(attrs)
-        assert set(attrs) == set(binarize(extract_token_features(words, t, config)))
+    positions = [(words, t) for words in sentences for t in range(len(words))]
+    rendered: list[list[str]] = [[] for _ in positions]
+    keys = []
+    for key, tokens, values in attribute_families(sentences, config):
+        keys.append(key)
+        assert len(tokens) == len(values)
+        for t, value in zip(tokens, values):
+            rendered[t].append(key + value)
+    assert keys == sorted(set(keys))
+    for (words, t), attrs in zip(positions, rendered):
+        assert tuple(attrs) == binarize(extract_token_features(words, t, config))
