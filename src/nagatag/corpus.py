@@ -8,6 +8,10 @@ sentences, and a line whose first non-blank character is ``#`` is a comment
 (the synthetic generator writes its config as such a header). Every tag must
 belong to the tagset: an unknown tag is always a CorpusError, never
 relabelled.
+
+In memory a Sentence is two tuples of equal length, its words and their
+integer tags (indices into the tagset), and a TaggedCorpus is a tuple of
+sentences; no object is made per token.
 """
 
 from __future__ import annotations
@@ -73,33 +77,32 @@ class TagSet:
 
 
 @dataclass(frozen=True)
-class Token:
-    word: str
-    tag: int
-
-    def __post_init__(self):
-        if not self.word or self.word.split() != [self.word]:
-            raise ValueError(f"token word must be non-empty without whitespace: {self.word!r}")
-        if self.tag < 0:
-            raise ValueError(f"negative tag index: {self.tag}")
-
-
-@dataclass(frozen=True)
 class Sentence:
-    tokens: tuple[Token, ...]
+    """A sentence is its words and their tags, two tuples of equal length
+    given positionally: Sentence(words, tags)."""
+
+    _words: tuple[str, ...]
+    _tags: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.tokens:
+        if not self._words:
             raise ValueError("sentence must contain at least one token")
+        if len(self._tags) != len(self._words):
+            raise ValueError(f"{len(self._words)} words for {len(self._tags)} tags")
+        for word in self._words:
+            if not word or word.split() != [word]:
+                raise ValueError(f"token word must be non-empty without whitespace: {word!r}")
+        if min(self._tags) < 0:
+            raise ValueError(f"negative tag index: {min(self._tags)}")
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self._words)
 
     def words(self) -> tuple[str, ...]:
-        return tuple(t.word for t in self.tokens)
+        return self._words
 
     def tags(self) -> tuple[int, ...]:
-        return tuple(t.tag for t in self.tokens)
+        return self._tags
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ class TaggedCorpus:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Token-level disagreement between two annotations of the same text.
+    """Disagreement at the token level between two annotations of the same text.
 
     ``rate_excluding`` removes disagreements whose *reference* tag is the
     excluded tag, but keeps the full token count as denominator.
@@ -155,7 +158,7 @@ def parse_tagged(text: str, tagset: TagSet) -> TaggedCorpus:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or _is_comment(line):
             continue
-        tokens = []
+        words, tags = [], []
         for raw in line.split():
             word, sep, tag_name = raw.rpartition("/")
             if not sep:
@@ -166,8 +169,9 @@ def parse_tagged(text: str, tagset: TagSet) -> TaggedCorpus:
                 raise CorpusError(line_no, raw, "empty tag part")
             if tag_name not in tagset:
                 raise CorpusError(line_no, raw, f"tag {tag_name!r} not in tagset")
-            tokens.append(Token(word, tagset.index(tag_name)))
-        sentences.append(Sentence(tuple(tokens)))
+            words.append(word)
+            tags.append(tagset.index(tag_name))
+        sentences.append(Sentence(tuple(words), tuple(tags)))
     return TaggedCorpus(tuple(sentences))
 
 
@@ -177,12 +181,12 @@ def serialize_tagged(corpus: TaggedCorpus, tagset: TagSet) -> str:
     line, so it raises ValueError rather than being lost."""
     lines = []
     for i, sentence in enumerate(corpus.sentences):
-        first = sentence.tokens[0].word
-        if _is_comment(first):
+        words = sentence.words()
+        if _is_comment(words[0]):
             raise ValueError(
-                f"sentence {i}: first word {first!r} starts with '#' and would read as a comment"
+                f"sentence {i}: first word {words[0]!r} starts with '#' and would read as a comment"
             )
-        lines.append(" ".join(f"{t.word}/{tagset.name(t.tag)}" for t in sentence.tokens))
+        lines.append(" ".join(f"{w}/{tagset.name(t)}" for w, t in zip(words, sentence.tags())))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -190,8 +194,8 @@ def tag_frequencies(corpus: TaggedCorpus, tagset: TagSet) -> dict[str, int]:
     """Count tokens per tag; every tagset tag is present, absent ones at 0."""
     counts = dict.fromkeys(tagset.names, 0)
     for sentence in corpus.sentences:
-        for token in sentence.tokens:
-            counts[tagset.name(token.tag)] += 1
+        for tag in sentence.tags():
+            counts[tagset.name(tag)] += 1
     return counts
 
 
@@ -228,12 +232,11 @@ def tag_pairs(reference: TaggedCorpus, other: TaggedCorpus) -> Counter[tuple[int
     for i, (r, o) in enumerate(zip(reference.sentences, other.sentences)):
         if len(r) != len(o):
             raise ValueError(f"sentence {i}: length mismatch")
-        for j, (rt, ot) in enumerate(zip(r.tokens, o.tokens)):
-            if rt.word != ot.word:
-                raise ValueError(
-                    f"sentence {i}, token {j}: word mismatch {rt.word!r} vs {ot.word!r}"
-                )
-            pairs[rt.tag, ot.tag] += 1
+        rw, ow = r.words(), o.words()
+        if rw != ow:
+            j = next(j for j in range(len(rw)) if rw[j] != ow[j])
+            raise ValueError(f"sentence {i}, token {j}: word mismatch {rw[j]!r} vs {ow[j]!r}")
+        pairs.update(zip(r.tags(), o.tags()))
     return pairs
 
 

@@ -78,7 +78,7 @@ from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token
+from nagatag.corpus import Sentence, TaggedCorpus, TagSet
 from nagatag.features import FeatureConfig, Family, attribute_families, sentence_attributes
 from nagatag.optim import IterationTrace, OptimConfig, minimize
 
@@ -353,13 +353,15 @@ def _viterbi(delta: np.ndarray, trans: np.ndarray, packing: _Packing):
     Raises ArithmeticError when a delta entry is not finite: finite weights
     whose sum overflows have no best path in floats."""
     steps, prev = packing.steps, packing.prev
-    for cur in steps[1:]:
-        delta[cur] += np.max(delta[prev[cur], :, None] + trans, axis=1)
-    if not np.isfinite(delta).all():
-        raise ArithmeticError("Viterbi scores overflow")
-    paths = np.argmax(delta, axis=1)
-    for cur in reversed(steps[1:]):
-        paths[prev[cur]] = np.argmax(delta[prev[cur]] + trans[:, paths[cur]].T, axis=1)
+    # the finiteness check below reports an overflow, and the inf - inf it can lead to
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cur in steps[1:]:
+            delta[cur] += np.max(delta[prev[cur], :, None] + trans, axis=1)
+        if not np.isfinite(delta).all():
+            raise ArithmeticError("Viterbi scores overflow")
+        paths = np.argmax(delta, axis=1)
+        for cur in reversed(steps[1:]):
+            paths[prev[cur]] = np.argmax(delta[prev[cur]] + trans[:, paths[cur]].T, axis=1)
     return paths, delta.max(axis=1)
 
 
@@ -426,7 +428,7 @@ def tag_corpus(
     """Viterbi tags for every sentence, from one pass over the whole corpus."""
     decoded = _decode(model, list(map(len, sentences)), attribute_families(sentences, config))
     return TaggedCorpus(tuple(
-        Sentence(tuple(Token(w, y) for w, y in zip(words, path.tolist())))
+        Sentence(tuple(words), tuple(path.tolist()))
         for words, (path, _) in zip(sentences, decoded)
     ))
 
@@ -451,11 +453,12 @@ def _prepare(
     for n, tags in zip(lengths, tags_list, strict=True):
         if len(tags) != n:
             raise ValueError(f"{len(tags)} tags for {n} positions")
-        if any(not 0 <= y < K for y in tags):
-            raise ValueError("tag index out of range")
+    flat = np.concatenate(tags_list)
+    if not ((0 <= flat) & (flat < K)).all():
+        raise ValueError("tag index out of range")
     X, packing = _encode(vocabulary, lengths, families, grow)
     tags = np.empty_like(packing.order)
-    tags[packing.order] = np.concatenate(tags_list)
+    tags[packing.order] = flat
     onehot = np.eye(K)[tags]
     later = slice(packing.steps[0].stop, None)  # every row with a predecessor
     transitions = onehot[packing.prev[later]].T @ onehot[later]

@@ -19,7 +19,7 @@ import random
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
-from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token
+from nagatag.corpus import Sentence, TaggedCorpus, TagSet
 from nagatag.phonotactics import draw_word, to_ascii
 
 # One 2-letter marker per non-punctuation tag; equal-length distinct strings
@@ -99,7 +99,7 @@ def generate(config: SynthConfig) -> TaggedCorpus:
     sentences = []
     for _ in range(config.n_sentences):
         length = rng.randint(config.min_len, config.max_len)
-        tokens = []
+        words, tags = [], []
         for _ in range(length):
             if state is None:
                 state = rng.randrange(len(chain))
@@ -107,10 +107,9 @@ def generate(config: SynthConfig) -> TaggedCorpus:
                 state = rng.choices(states, weights=probs[state])[0]
             tag_name = chain[state]
             stem = to_ascii(draw_word(rng, rng.randint(1, 3)))
-            word = stem + marker_for[tag_name]
-            tokens.append(Token(word, config.tagset.index(tag_name)))
-        tokens.append(Token(punct_word, punct_tag))
-        sentences.append(Sentence(tuple(tokens)))
+            words.append(stem + marker_for[tag_name])
+            tags.append(config.tagset.index(tag_name))
+        sentences.append(Sentence((*words, punct_word), (*tags, punct_tag)))
     return TaggedCorpus(tuple(sentences))
 
 

@@ -1,4 +1,4 @@
-"""Token-level tagging evaluation and transition-weight inspection.
+"""Tagging evaluation at the token level, and transition-weight inspection.
 
 Produces a gold-rows confusion matrix, per-tag precision/recall/F1 with
 supports, accuracy, and macro plus support-weighted aggregates. Weighted

@@ -1,7 +1,7 @@
 import random
 import string
 
-from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token
+from nagatag.corpus import Sentence, TaggedCorpus, TagSet
 
 
 def make_random_corpus(
@@ -14,12 +14,9 @@ def make_random_corpus(
     sentences = []
     for _ in range(n_sentences):
         n = rng.randint(1, max_len)
-        tokens = tuple(
-            Token(
-                "".join(rng.choices(string.ascii_lowercase, k=rng.randint(1, 6))),
-                rng.randrange(len(tagset)),
-            )
-            for _ in range(n)
-        )
-        sentences.append(Sentence(tokens))
+        words, tags = [], []
+        for _ in range(n):
+            words.append("".join(rng.choices(string.ascii_lowercase, k=rng.randint(1, 6))))
+            tags.append(rng.randrange(len(tagset)))
+        sentences.append(Sentence(tuple(words), tuple(tags)))
     return TaggedCorpus(tuple(sentences))

@@ -11,7 +11,6 @@ from nagatag.corpus import (
     Sentence,
     TaggedCorpus,
     TagSet,
-    Token,
     agreement,
     parse_tagged,
     read_raw_sentences,
@@ -20,6 +19,9 @@ from nagatag.corpus import (
     tag_frequencies,
     write_corpus,
 )
+from nagatag.crf import tag_corpus, zero_model
+from nagatag.datagen import SynthConfig, generate
+from nagatag.features import FeatureConfig
 from tests.conftest import make_random_corpus
 
 TAGSET = TagSet()
@@ -65,9 +67,9 @@ def test_parse_sample_structure():
     assert [len(s) for s in corpus] == [10, 4, 6]
     assert corpus.token_count == 20
     first = corpus.sentences[0]
-    assert first.tokens[0] == Token("Titia", TAGSET.index("ADV"))
-    assert first.tokens[3] == Token(",", TAGSET.index("SYM"))
-    assert first.tokens[4] == Token('"', TAGSET.index("SYM"))
+    assert (first.words()[0], first.tags()[0]) == ("Titia", TAGSET.index("ADV"))
+    assert (first.words()[3], first.tags()[3]) == (",", TAGSET.index("SYM"))
+    assert (first.words()[4], first.tags()[4]) == ('"', TAGSET.index("SYM"))
     assert corpus.sentences[1].words() == ("Aru", "Ujala", "hoise", ".")
     assert corpus.sentences[2].tags() == tuple(
         TAGSET.index(t) for t in ("ADJ", "V", "N", "ADJ", "V", "SYM")
@@ -76,13 +78,13 @@ def test_parse_sample_structure():
 
 def test_parse_splits_on_last_slash():
     corpus = parse_tagged("km/h/N\n", TAGSET)
-    assert corpus.sentences[0].tokens[0] == Token("km/h", TAGSET.index("N"))
+    assert corpus.sentences[0] == Sentence(("km/h",), (TAGSET.index("N"),))
 
 
 def test_token_rejects_exactly_the_words_holding_whitespace():
     def rejected(word):
         try:
-            Token(word, 0)
+            Sentence((word,), (0,))
         except ValueError:
             return True
         return False
@@ -152,16 +154,16 @@ _words = st.text(
     min_size=1,
 )
 _corpora = st.lists(
-    st.lists(st.builds(Token, _words, st.integers(0, len(TAGSET) - 1)), min_size=1, max_size=6),
+    st.lists(st.tuples(_words, st.integers(0, len(TAGSET) - 1)), min_size=1, max_size=6),
     max_size=5,
-).map(lambda sentences: TaggedCorpus(tuple(Sentence(tuple(s)) for s in sentences)))
+).map(lambda sentences: TaggedCorpus(tuple(Sentence(*zip(*s)) for s in sentences)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_corpora)
-@example(TaggedCorpus((Sentence((Token("#x", 0), Token("y", 1))),)))
+@example(TaggedCorpus((Sentence(("#x", "y"), (0, 1)),)))
 def test_parse_inverts_serialize_on_arbitrary_tokens(corpus):
-    if any(sentence.tokens[0].word.startswith("#") for sentence in corpus):
+    if any(sentence.words()[0].startswith("#") for sentence in corpus):
         # such a line would read back as a comment, and the sentence would be lost
         with pytest.raises(ValueError, match="comment"):
             serialize_tagged(corpus, TAGSET)
@@ -172,7 +174,7 @@ def test_parse_inverts_serialize_on_arbitrary_tokens(corpus):
 def test_unwritable_corpus_leaves_file_as_it_was(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("a/N\n", encoding="utf-8")
-    corpus = TaggedCorpus((Sentence((Token("#x", 0),)),))
+    corpus = TaggedCorpus((Sentence(("#x",), (0,)),))
     with pytest.raises(ValueError, match="comment"):
         write_corpus(str(path), corpus, TAGSET)
     assert path.read_text(encoding="utf-8") == "a/N\n"
@@ -206,14 +208,14 @@ def test_split_is_deterministic_and_partitions():
     assert train_a == train_b and test_a == test_b
     assert len(train_a) == 28 and len(test_a) == 12
     as_tuples = lambda c: sorted(
-        tuple((t.word, t.tag) for t in s.tokens) for s in c
+        tuple(zip(s.words(), s.tags())) for s in c
     )
     combined = as_tuples(train_a.sentences + test_a.sentences)
     assert combined == as_tuples(corpus.sentences)
 
 
 def test_split_uses_floor_counts():
-    sentences = tuple(Sentence((Token(f"w{i}", 0),)) for i in range(749))
+    sentences = tuple(Sentence((f"w{i}",), (0,)) for i in range(749))
     corpus = TaggedCorpus(sentences)
     train, test = split_corpus(corpus, 0.7, seed=1)
     assert len(train) == 524
@@ -229,7 +231,7 @@ def test_split_different_seeds_differ():
 
 
 def test_split_validates_arguments():
-    corpus = TaggedCorpus((Sentence((Token("a", 0),)),))
+    corpus = TaggedCorpus((Sentence(("a",), (0,)),))
     with pytest.raises(ValueError):
         split_corpus(TaggedCorpus(), 0.7, seed=0)
     with pytest.raises(ValueError):
@@ -278,10 +280,44 @@ def test_agreement_report_validates_counts():
 
 def test_token_and_sentence_validation():
     with pytest.raises(ValueError):
-        Token("", 0)
+        Sentence(("",), (0,))
     with pytest.raises(ValueError):
-        Token("a b", 0)
+        Sentence(("a b",), (0,))
     with pytest.raises(ValueError):
-        Token("a", -1)
+        Sentence(("a",), (-1,))
     with pytest.raises(ValueError):
-        Sentence(())
+        Sentence((), ())
+    # every word and every tag is checked, not only the first
+    with pytest.raises(ValueError, match="without whitespace: ''$"):
+        Sentence(("a", "", "b"), (0, 0, 0))
+    with pytest.raises(ValueError, match=r"without whitespace: 'b\\tc'$"):
+        Sentence(("a", "b\tc"), (0, 0))
+    with pytest.raises(ValueError, match="^negative tag index: -2$"):
+        Sentence(("a", "b"), (0, -2))
+
+
+def test_sentence_words_and_tags_must_have_equal_length():
+    with pytest.raises(ValueError, match="^2 words for 1 tags$"):
+        Sentence(("a", "b"), (0,))
+    with pytest.raises(ValueError, match="^1 words for 2 tags$"):
+        Sentence(("a",), (0, 1))
+    with pytest.raises(ValueError):
+        Sentence((), (0,))
+    sentence = Sentence(("a", "b"), (0, 1))
+    assert (len(sentence), sentence.words(), sentence.tags()) == (2, ("a", "b"), (0, 1))
+
+
+def test_every_producer_builds_hashable_sentences_of_int_tags():
+    model = zero_model(TagSet(("N", "V")), {"word=a": 0})
+    model.state_weights[0, 1] = 1.0
+    corpora = [
+        parse_tagged(SAMPLE, TAGSET),
+        generate(SynthConfig(seed=3, n_sentences=5)),
+        tag_corpus(model, FeatureConfig(), [("a", "b"), ["c", "a"]]),
+    ]
+    for corpus in corpora:
+        assert hash(corpus) == hash(TaggedCorpus(corpus.sentences))
+        for sentence in corpus:
+            assert type(sentence.words()) is tuple and type(sentence.tags()) is tuple
+            assert all(type(t) is int for t in sentence.tags())
+    assert [s.tags() for s in corpora[2]] == [(1, 0), (0, 1)]

@@ -627,6 +627,10 @@ def huge_weight_models(draw):
                    np.array([[1e308, 1e308], [1e308, 1e308], [0.0, 1e308]]),
                    np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
           [{"a0", "a1", "a2"}]))
+@example((model_of(small_tagset(2), {"a0": 0, "a1": 1, "a2": 2},
+                   np.array([[-1e308, -1e308], [0.0, 0.0], [1e308, 0.0]]),
+                   np.zeros((2, 2)), np.array([-1e308, -1e308]), np.array([1e308, 0.0])),
+          [{"a0"}, {"a2"}]))  # -inf at every first-token tag meets +inf at the last token
 def test_viterbi_matches_exact_enumeration_or_raises(case):
     # Where float sums overflow, inf ties inf and argmax would return the
     # first tag, whatever the exact scores say; the decoder must raise
@@ -729,7 +733,7 @@ def test_tag_sentence_basics():
     model = zero_model(small_tagset(3), {})
     sentence = tag_sentence(model, FeatureConfig(), ("hello",))
     assert len(sentence) == 1
-    assert sentence.tokens[0].word == "hello"
+    assert sentence.words()[0] == "hello"
     twice = tag_sentence(model, FeatureConfig(), ("a", "b", "c"))
     again = tag_sentence(model, FeatureConfig(), ("a", "b", "c"))
     assert twice == again

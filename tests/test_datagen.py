@@ -40,21 +40,20 @@ def test_sentence_shape():
     assert len(corpus) == 40
     sym = TAGSET.index("SYM")
     for sentence in corpus:
-        content = sentence.tokens[:-1]
+        content = sentence.tags()[:-1]
         assert 5 <= len(content) <= 20
-        final = sentence.tokens[-1]
-        assert final.word == "." and final.tag == sym
+        assert sentence.words()[-1] == "." and sentence.tags()[-1] == sym
         # punctuation only at the end under the default rule
-        for token in content:
-            assert token.tag != sym
+        for tag in content:
+            assert tag != sym
 
 
 def test_tags_recoverable_from_longest_marker():
     config = SynthConfig(seed=11, n_sentences=50)
     corpus = generate(config)
     for sentence in corpus:
-        for token in sentence.tokens:
-            assert recover_tag(token.word, config.suffix_rule) == TAGSET.name(token.tag)
+        for word, tag in zip(sentence.words(), sentence.tags()):
+            assert recover_tag(word, config.suffix_rule) == TAGSET.name(tag)
 
 
 def test_recover_tag_errors_without_match():
@@ -90,8 +89,8 @@ def test_tag_distribution_approaches_stationary():
     counts = dict.fromkeys(chain, 0)
     total = 0
     for sentence in corpus:
-        for token in sentence.tokens[:-1]:
-            counts[TAGSET.name(token.tag)] += 1
+        for tag in sentence.tags()[:-1]:
+            counts[TAGSET.name(tag)] += 1
             total += 1
     assert total >= 50_000
     empirical = np.array([counts[t] / total for t in chain])

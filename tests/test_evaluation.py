@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagatag.corpus import Sentence, TaggedCorpus, TagSet, Token, agreement, parse_tagged
+from nagatag.corpus import Sentence, TaggedCorpus, TagSet, agreement, parse_tagged
 from nagatag.crf import zero_model
 from nagatag.evaluation import (
     ConfusionMatrix,
@@ -56,7 +56,7 @@ def test_total_conserves_tokens():
         gold = make_random_corpus(rng, TAGSET, rng.randint(1, 10))
         predicted = TaggedCorpus(
             tuple(
-                type(s)(tuple(type(t)(t.word, rng.randrange(len(TAGSET))) for t in s.tokens))
+                Sentence(s.words(), tuple(rng.randrange(len(TAGSET)) for _ in s.tags()))
                 for s in gold.sentences
             )
         )
@@ -70,9 +70,7 @@ def test_agreement_reads_the_confusion_counts(rng, excluded):
     reference = make_random_corpus(rng, TAGSET, rng.randint(1, 10))
     # each token keeps its tag or takes a random one, so both counts vary
     other = TaggedCorpus(tuple(
-        Sentence(tuple(
-            Token(t.word, rng.choice((t.tag, rng.randrange(len(TAGSET))))) for t in s.tokens
-        ))
+        Sentence(s.words(), tuple(rng.choice((t, rng.randrange(len(TAGSET)))) for t in s.tags()))
         for s in reference
     ))
     counts = confusion(reference, other, TAGSET).counts
@@ -100,7 +98,7 @@ def test_report_against_plain_recount():
     gold = make_random_corpus(rng, TAGSET, 25)
     predicted = TaggedCorpus(
         tuple(
-            type(s)(tuple(type(t)(t.word, rng.randrange(len(TAGSET))) for t in s.tokens))
+            Sentence(s.words(), tuple(rng.randrange(len(TAGSET)) for _ in s.tags()))
             for s in gold.sentences
         )
     )
@@ -108,9 +106,9 @@ def test_report_against_plain_recount():
     rep = report(cm)
 
     pairs = [
-        (g.tag, p.tag)
+        (g, p)
         for gs, ps in zip(gold.sentences, predicted.sentences)
-        for g, p in zip(gs.tokens, ps.tokens)
+        for g, p in zip(gs.tags(), ps.tags())
     ]
     for k, name in enumerate(TAGSET.names):
         tp = sum(1 for g, p in pairs if g == k and p == k)
@@ -129,7 +127,7 @@ def test_weighted_recall_equals_accuracy_exactly():
         gold = make_random_corpus(rng, TAGSET, rng.randint(2, 12))
         predicted = TaggedCorpus(
             tuple(
-                type(s)(tuple(type(t)(t.word, rng.randrange(len(TAGSET))) for t in s.tokens))
+                Sentence(s.words(), tuple(rng.randrange(len(TAGSET)) for _ in s.tags()))
                 for s in gold.sentences
             )
         )
