@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 from nagatag.corpus import (
@@ -120,7 +121,11 @@ def _cmd_eval(args) -> int:
     gold = read_corpus(args.input, model.tagset)
     predicted = tag_corpus(model, feature_config, [sentence.words() for sentence in gold])
     cm = confusion(gold, predicted, model.tagset)
-    rep = report(cm)
+    with warnings.catch_warnings(record=True) as caught:  # report's 0/0 warnings
+        warnings.simplefilter("always")
+        rep = report(cm)
+    for warning in caught:
+        print(f"nagatag: warning: {warning.message}", file=sys.stderr)
     doc = rep.as_dict() | {
         "confusion": {"tags": list(model.tagset.names), "counts": cm.counts.tolist()}
     }

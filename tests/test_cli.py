@@ -329,6 +329,21 @@ def test_overflowing_viterbi_sums_print_only_the_error(tmp_path):
         2, "", "nagatag: error: Viterbi scores overflow\n")
 
 
+def test_eval_prints_a_zero_over_zero_metric_as_a_warning_line(trained):
+    # the model tags dora and saki N, so no token is predicted V: V's precision is 0/0
+    tmp_path, _, _, model_file = trained
+    gold = tmp_path / "gold.txt"
+    gold.write_text("dora/V saki/N ./S\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "nagatag.cli", "eval", str(gold), "--model", model_file],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert (result.returncode, result.stderr) == (
+        0, "nagatag: warning: V: precision is 0/0, reporting 0\n")
+    assert "accuracy" in result.stdout
+
+
 def fuzz_bytes(pieces):
     return st.lists(st.sampled_from(pieces), max_size=24).map(b"".join)
 
@@ -338,9 +353,6 @@ FUZZ_PIECES = tuple(piece.encode() for piece in (
     "\ufeff")) + (b"\xff", b"\x00")
 
 
-# eval warns on a tag with no gold or no predicted tokens, which random
-# files often give; every other RuntimeWarning still fails the test
-@pytest.mark.filterwarnings("ignore:.* is 0/0, reporting 0$:RuntimeWarning")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(("tag", "eval", "stats", "split", "agreement")),

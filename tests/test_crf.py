@@ -858,16 +858,18 @@ def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
     assert list(dense.attribute_index.items()) == list(index.items())
 
     tags = [s.tags() for s in corpus]
-    X, packing, observed = _prepare(_vocabulary(index), len(tagset),
-                                    *_columns(sentence_attributes(s.words()) for s in corpus), tags)
     grown: dict[str, dict[str, int]] = {}
     sentences = [s.words() for s in corpus]
     X_grown, packing_grown, observed_grown = _prepare(
         grown, len(tagset), [len(words) for words in sentences], attribute_families(sentences), tags,
         grow=True)
-    # sorted iteration order too
-    assert [(key + value, i) for key, column in grown.items() for value, i in column.items()] \
-        == list(index.items())
+    # the oracle's attributes, numbered 0..A-1 in first-row order
+    grown_index = {key + value: i for key, column in grown.items() for value, i in column.items()}
+    assert sorted(grown_index) == list(index)
+    assert sorted(grown_index.values()) == list(range(len(index)))
+    # the matrix and counts of the fixed-vocabulary pass under the grown vocabulary
+    X, packing, observed = _prepare(_vocabulary(grown_index), len(tagset),
+                                    *_columns(sentence_attributes(s.words()) for s in corpus), tags)
     assert X_grown.shape == X.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(X_grown, name), getattr(X, name))
@@ -947,7 +949,8 @@ def test_growing_encoder_rejects_an_empty_sentence_and_encodes_no_sentences():
 def _encode_oracle(attribute_index: dict[str, int], attrs_list, grow: bool = False):
     """The string-keyed encoder _encode replaced, as the reference it is held
     to: every attribute string looked up whole, with setdefault when growing
-    in first-seen order and one renumbering to sorted order at the end."""
+    in first-seen order and one renumbering at the end, by family key, then
+    by the first packed row that holds the attribute and its place there."""
     get, setdefault = attribute_index.get, attribute_index.setdefault
     steps: list[tuple[array, array]] = []  # per step: column ids, row sizes
     lengths = []
@@ -972,17 +975,19 @@ def _encode_oracle(attribute_index: dict[str, int], attrs_list, grow: bool = Fal
     packing = _Packing([slice(*pair) for pair in itertools.pairwise(bounds)],
                        order[token - 1], order, ends)
 
-    A = len(attribute_index)
-    column = np.arange(A + 2, dtype=np.intc)  # id -> column; -2 and -1 index the markers
-    if grow:
-        ranked = sorted(attribute_index)
-        column[np.fromiter(map(attribute_index.__getitem__, ranked), np.intc, A)] = np.arange(A)
-        attribute_index.clear()
-        attribute_index.update(zip(ranked, range(A)))
-    cols, sizes = array("i"), array("i")
+    cols, sizes = array("i"), array("i")  # in packed row order
     for step_cols, step_sizes in steps:
         cols += step_cols
         sizes += step_sizes
+    A = len(attribute_index)
+    column = np.arange(A + 2, dtype=np.intc)  # id -> column; -2 and -1 index the markers
+    if grow:
+        names = list(attribute_index)
+        first_seen = [names[i] for i in dict.fromkeys(cols) if i >= 0]
+        ranked = sorted(first_seen, key=lambda a: "".join(a.partition("=")[:2]))  # stable
+        column[np.fromiter(map(attribute_index.__getitem__, ranked), np.intc, A)] = np.arange(A)
+        attribute_index.clear()
+        attribute_index.update(zip(ranked, range(A)))
     indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(np.frombuffer(sizes, dtype=np.intc), out=indptr[1:])
     X = sparse.csr_matrix((np.ones(len(cols)), column[np.frombuffer(cols, dtype=np.intc)], indptr),
@@ -1021,9 +1026,13 @@ def test_family_encoder_agrees_with_the_string_oracle(attrs_list, data):
     expected = _encode_oracle(index, attrs_list, grow=True)
     grown: dict[str, dict[str, int]] = {}
     encoded = _encode(grown, *_columns(attrs_list), grow=True)
-    assert [(key + value, i) for key, column in grown.items() for value, i in column.items()] \
-        == list(index.items())
+    grown_index = [(key + value, i) for key, column in grown.items() for value, i in column.items()]
+    assert grown_index == list(index.items())
+    assert sorted(dict(grown_index)) == sorted({a for attrs in attrs_list for position in attrs
+                                                for a in position})
     assert_same_encoding(encoded, expected)
+    # the fixed-vocabulary encode under the grown vocabulary
+    assert_same_encoding(_encode(_vocabulary(dict(grown_index)), *_columns(attrs_list)), expected)
 
     # a fixed vocabulary: any attributes, seen in the input or not, numbered in any order
     if data is None:
@@ -1034,6 +1043,36 @@ def test_family_encoder_agrees_with_the_string_oracle(attrs_list, data):
     fixed = dict(zip(chosen, ids))
     assert_same_encoding(_encode(_vocabulary(fixed), *_columns(attrs_list)),
                          _encode_oracle(fixed, attrs_list))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.text("aAb-1", min_size=1, max_size=5), min_size=1, max_size=6),
+                min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_first_row_numbering_keeps_the_products_of_the_sorted_numbering(sentences, seed):
+    lengths = [len(words) for words in sentences]
+    grown: dict[str, dict[str, int]] = {}
+    X, _ = _encode(grown, lengths, attribute_families(sentences), grow=True)
+    index = {key + value: i for key, column in grown.items() for value, i in column.items()}
+    ranked = sorted(index)
+    X_sorted, _ = _encode(_vocabulary(dict(zip(ranked, range(len(ranked))))), lengths,
+                          attribute_families(sentences))
+    A, K = len(index), 3
+    perm = np.array([index[a] for a in ranked] + [A, A + 1])  # the grown column of each sorted one
+    # weights of many magnitudes, so that summing in another order shows in the bits
+    rng = np.random.default_rng(seed)
+    theta_sorted = rng.standard_normal((A + 2, K)) * 10.0 ** rng.integers(-8, 9, (A + 2, K))
+    theta = np.empty_like(theta_sorted)
+    theta[perm] = theta_sorted
+    assert (X @ theta).tobytes() == (X_sorted @ theta_sorted).tobytes()
+    U = rng.standard_normal((X.shape[0], K)) * 10.0 ** rng.integers(-8, 9, (X.shape[0], K))
+    assert (X.T @ U)[perm].tobytes() == (X_sorted.T @ U).tobytes()
+
+    # each family's columns ascend with the first row that holds them
+    entries = X.tocoo()
+    first_row = np.full(A, X.shape[0])
+    np.minimum.at(first_row, entries.col[entries.col < A], entries.row[entries.col < A])
+    for column in grown.values():
+        assert np.all(np.diff(first_row[sorted(column.values())]) > 0)
 
 
 def test_a_model_splits_its_index_by_family_once():
