@@ -89,9 +89,13 @@ class Sentence:
             raise ValueError("sentence must contain at least one token")
         if len(self._tags) != len(self._words):
             raise ValueError(f"{len(self._words)} words for {len(self._tags)} tags")
-        for word in self._words:
-            if not word or word.split() != [word]:
-                raise ValueError(f"token word must be non-empty without whitespace: {word!r}")
+        # Splitting the space-joined words gives the words back exactly when
+        # none is empty or holds whitespace; the loop only names the first
+        # word that does not.
+        if " ".join(self._words).split() != list(self._words):
+            for word in self._words:
+                if not word or word.split() != [word]:
+                    raise ValueError(f"token word must be non-empty without whitespace: {word!r}")
         if min(self._tags) < 0:
             raise ValueError(f"negative tag index: {min(self._tags)}")
 

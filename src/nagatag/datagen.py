@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import ClassVar
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet
@@ -90,25 +91,29 @@ def generate(config: SynthConfig) -> TaggedCorpus:
     rng = random.Random(config.seed)
     chain = config.chain_tags()
     marker_for = config.marker_for()
-    probs = transition_matrix(len(chain))
     states = list(range(len(chain)))
+    # Per chain state: the cumulative weights `choices(weights=row)` would
+    # accumulate on every draw, the state's marker and its tag index.
+    cum_weights = [list(accumulate(row)) for row in transition_matrix(len(chain))]
+    markers = [marker_for[tag_name] for tag_name in chain]
+    tag_indices = [config.tagset.index(tag_name) for tag_name in chain]
     punct_word = marker_for[PUNCT_TAG]
     punct_tag = config.tagset.index(PUNCT_TAG)
+    randint, choices = rng.randint, rng.choices
 
     state: int | None = None
     sentences = []
     for _ in range(config.n_sentences):
-        length = rng.randint(config.min_len, config.max_len)
+        length = randint(config.min_len, config.max_len)
         words, tags = [], []
         for _ in range(length):
             if state is None:
                 state = rng.randrange(len(chain))
             else:
-                state = rng.choices(states, weights=probs[state])[0]
-            tag_name = chain[state]
-            stem = to_ascii(draw_word(rng, rng.randint(1, 3)))
-            words.append(stem + marker_for[tag_name])
-            tags.append(config.tagset.index(tag_name))
+                state = choices(states, cum_weights=cum_weights[state])[0]
+            stem = to_ascii(draw_word(rng, randint(1, 3)))
+            words.append(stem + markers[state])
+            tags.append(tag_indices[state])
         sentences.append(Sentence((*words, punct_word), (*tags, punct_tag)))
     return TaggedCorpus(tuple(sentences))
 

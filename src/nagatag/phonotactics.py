@@ -9,7 +9,11 @@ and nothing exceeds four syllables.
 
 Two independent implementations of the formulas live here on purpose:
 `classify` goes through compiled regexes, while `enumerate_accepted` expands
-optional slots directly. Tests hold them to exact agreement.
+optional slots directly. Tests hold them to exact agreement. `draw_word`
+accepts a drawn word by looking its skeleton up in a table that `classify`
+filled once for every template expansion (135 of them, 123 distinct), so it
+runs no regex per word. Every verdict in that table is `classify`'s, not
+`enumerate_accepted`'s, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -191,6 +195,22 @@ def enumerate_accepted(max_len: int) -> list[str]:
     return sorted(accepted)
 
 
+# Every skeleton a template can produce, mapped to the syllable counts that
+# `classify` accepts it with (none for a globally rejected one). `draw_word`
+# only produces template expansions, so this table is its whole acceptance
+# rule.
+_ACCEPTED_COUNTS = {
+    skeleton: frozenset(count for _, count in classify(skeleton).matches)
+    for template in TEMPLATES
+    for skeleton in template.expansions()
+}
+
+_CANDIDATES = {
+    count: [t for t in TEMPLATES if t.syllable_count == count]
+    for count in range(1, MAX_SYLLABLES + 1)
+}
+
+
 def draw_word(
     rng: random.Random,
     syllable_count: int,
@@ -200,25 +220,31 @@ def draw_word(
 
     Optional slots are filled with probability 1/2. Drawing repeats until
     the result passes classification, since a template instance can still
-    hit a global rule (a lone V, two bare vowels).
+    hit a global rule (a lone V, two bare vowels). The word's skeleton is
+    built while its slots are filled (the inventory classes are disjoint,
+    so it equals `to_skeleton(word)`) and accepted by one lookup in
+    `_ACCEPTED_COUNTS`, which `classify` built once.
     """
     if not 1 <= syllable_count <= MAX_SYLLABLES:
         raise ValueError(f"syllable_count must be in 1..{MAX_SYLLABLES}: {syllable_count}")
-    candidates = [t for t in TEMPLATES if t.syllable_count == syllable_count]
+    candidates = _CANDIDATES[syllable_count]
+    choice, draw = rng.choice, rng.random
+    vowels, consonants = inv.vowels, inv.consonants
     while True:
-        template = rng.choice(candidates)
-        phonemes = []
-        for slot in template.slots:
-            if slot == "V":
-                phonemes.append(rng.choice(inv.vowels))
-            elif slot == "C":
-                phonemes.append(rng.choice(inv.consonants))
-            elif rng.random() < 0.5:
-                phonemes.append(rng.choice(inv.consonants))
-        word = tuple(phonemes)
-        analysis = analyze_word(word, inv)
-        if analysis.accepted and syllable_count in {c for _, c in analysis.matches}:
-            return word
+        phonemes, skeleton = [], ""
+        for slot in choice(candidates).slots:
+            if slot == "(C)":  # the commonest slot
+                if draw() < 0.5:
+                    phonemes.append(choice(consonants))
+                    skeleton += "C"
+            elif slot == "V":
+                phonemes.append(choice(vowels))
+                skeleton += "V"
+            else:
+                phonemes.append(choice(consonants))
+                skeleton += "C"
+        if syllable_count in _ACCEPTED_COUNTS[skeleton]:
+            return tuple(phonemes)
 
 
 def generate_word(
@@ -248,4 +274,4 @@ def from_ascii(text: str) -> tuple[str, ...]:
 
 def to_ascii(phonemes: Sequence[str]) -> str:
     """Join phonemes into an ASCII word using the alias digraphs."""
-    return "".join(PHONEME_TO_ASCII.get(p, p) for p in phonemes)
+    return "".join(map(PHONEME_TO_ASCII.get, phonemes, phonemes))

@@ -296,6 +296,29 @@ def test_token_and_sentence_validation():
         Sentence(("a", "b"), (0, -2))
 
 
+# Word characters for the sentence check: plain letters, ASCII and Unicode
+# whitespace, and the separators str.split() breaks on that are easy to miss.
+_CHECK_CHARACTERS = st.one_of(
+    st.sampled_from(["a", "b", " ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.text(_CHECK_CHARACTERS, max_size=3), min_size=1, max_size=5))
+@example(["a", ""])
+@example(["a", "b\x1cc"])
+@example(["\u3000", "a"])
+def test_sentence_check_is_the_per_word_rule(words):
+    bad = [w for w in words if not w or w.split() != [w]]
+    if not bad:
+        assert Sentence(tuple(words), (0,) * len(words)).words() == tuple(words)
+        return
+    with pytest.raises(ValueError) as raised:
+        Sentence(tuple(words), (0,) * len(words))
+    assert str(raised.value) == f"token word must be non-empty without whitespace: {bad[0]!r}"
+
+
 def test_sentence_words_and_tags_must_have_equal_length():
     with pytest.raises(ValueError, match="^2 words for 1 tags$"):
         Sentence(("a", "b"), (0,))

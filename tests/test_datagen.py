@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -121,3 +122,36 @@ def test_config_header_round_trips(tmp_path):
     with open(path, encoding="utf-8") as fh:
         assert fh.readline().startswith("# {")
     assert read_corpus(path, TAGSET) == corpus
+
+
+# sha256 of serialize_tagged(generate(config)). A change to the generator
+# that is meant to leave its output alone must keep these; one that changes
+# the output on purpose updates them and says so.
+PINNED_DIGESTS = [
+    pytest.param(
+        SynthConfig(seed=7, n_sentences=1000),
+        "d7f010d2a3ee4160127abab018a4618495bfde4548ea894aab7def3aa9acd654",
+        id="seed7-len5-20",
+    ),
+    pytest.param(
+        SynthConfig(seed=11, n_sentences=2300, min_len=19, max_len=19),
+        "db4b4b8a00a979cd8823bc0b655001039f66baa3e953407aa8daa5803fc9b239",
+        id="seed11-len19",
+    ),
+    pytest.param(
+        SynthConfig(seed=3, n_sentences=200, min_len=1, max_len=1),
+        "cd31e93415f85721696b4a473698f85e2d30164baa5f62b36df31cfc9ede180a",
+        id="seed3-len1",
+    ),
+    pytest.param(
+        SynthConfig(seed=5, n_sentences=200, min_len=1, max_len=40),
+        "3ab5a5251a9f8030a0f0b97614d195628d8db51bb254fee3e28fbf9be4ba1b4d",
+        id="seed5-len1-40",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_DIGESTS)
+def test_generated_corpus_is_pinned(config, digest):
+    text = serialize_tagged(generate(config), TAGSET)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

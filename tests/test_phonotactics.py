@@ -2,10 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nagatag.phonotactics import (
+    _ACCEPTED_COUNTS,
     CONSONANTS,
     DEFAULT_INVENTORY,
+    MAX_SYLLABLES,
     TEMPLATES,
     VOWELS,
     PhonemeInventory,
@@ -193,6 +197,54 @@ def test_draw_word_advances_shared_rng():
     rng2 = random.Random(9)
     assert draw_word(rng2, 1) == first
     assert draw_word(rng2, 1) == second
+
+
+def _draw_word_oracle(rng, syllable_count, inv=DEFAULT_INVENTORY):
+    """The reference for draw_word: every draw is classified from scratch,
+    through to_skeleton and the regexes."""
+    candidates = [t for t in TEMPLATES if t.syllable_count == syllable_count]
+    while True:
+        template = rng.choice(candidates)
+        phonemes = []
+        for slot in template.slots:
+            if slot == "V":
+                phonemes.append(rng.choice(inv.vowels))
+            elif slot == "C":
+                phonemes.append(rng.choice(inv.consonants))
+            elif rng.random() < 0.5:
+                phonemes.append(rng.choice(inv.consonants))
+        word = tuple(phonemes)
+        analysis = analyze_word(word, inv)
+        if analysis.accepted and syllable_count in {c for _, c in analysis.matches}:
+            return word
+
+
+@st.composite
+def _inventories(draw):
+    symbols = draw(st.lists(st.text(min_size=1, max_size=3), min_size=2, max_size=8, unique=True))
+    n_vowels = draw(st.integers(1, len(symbols) - 1))
+    return PhonemeInventory(tuple(symbols[:n_vowels]), tuple(symbols[n_vowels:]))
+
+
+@given(
+    seed=st.integers(0, 2**64),
+    counts=st.lists(st.integers(1, MAX_SYLLABLES), min_size=1, max_size=6),
+    inv=st.one_of(st.just(DEFAULT_INVENTORY), _inventories()),
+)
+def test_draw_word_matches_the_classifying_oracle(seed, counts, inv):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for count in counts:
+        assert draw_word(rng, count, inv) == _draw_word_oracle(oracle_rng, count, inv)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_acceptance_table_is_classify_over_every_template_expansion():
+    expansions = [s for t in TEMPLATES for s in t.expansions()]
+    assert len(expansions) == 135
+    assert set(_ACCEPTED_COUNTS) == set(expansions)
+    for skeleton in expansions:
+        assert _ACCEPTED_COUNTS[skeleton] == {c for _, c in classify(skeleton).matches}
+    assert {s for s, counts in _ACCEPTED_COUNTS.items() if not counts} == {"V", "VV"}
 
 
 def test_from_ascii():
