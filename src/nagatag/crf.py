@@ -29,20 +29,23 @@ one sentence, so the single-sentence and batched paths cannot drift apart.
 The encoder reads attributes one family at a time, as
 features.attribute_families gives them for words: every attribute sharing a
 key (the part up to and including the first "=", or the whole attribute where
-it has none), as the tokens that have one and their values. Its vocabulary is
-split the same way, one dict from value to column per key, so each value is
-one dict lookup and no "key=value" string is built per token. A model splits
-its attribute_index once, ModelParameters.vocabulary. Generic attribute sets,
-as build_lattice, viterbi, nll_and_gradient and sequence_log_score take them,
-go through _columns, which splits each string at its first "=", into the
-same encoder. Families come in increasing key order, and each family's
-columns follow the previous family's. Training featurizes once and grows its
-vocabulary as it encodes, numbering each family's values in the order of the
-first packed row that holds them. So consecutive rows mostly hit nearby rows
-of Θ, and X @ Θ and X.T @ U, which read or write one Θ row per entry of X,
-stream through Θ instead of jumping about it. attribute_families gives a
-token at most one value of a family, so a row's columns still ascend family
-by family, in the order a sorted numbering gives them. Each row sum of X @ Θ
+it has none), as the tokens that have one, a code per token and the distinct
+values the codes index. Its vocabulary is split the same way, one dict from
+value to column per key, so each distinct value is one dict lookup however
+many tokens hold it, and no "key=value" string is built per token. A model
+splits its attribute_index once, ModelParameters.vocabulary. Generic
+attribute sets, as build_lattice, viterbi, nll_and_gradient and
+sequence_log_score take them, go through _columns, which splits each string
+at its first "=", into the same encoder. Families come in increasing key
+order, and each family's columns follow the previous family's. Training
+featurizes once and grows its vocabulary as it encodes, numbering each
+family's values in the order of the first packed row that holds them, with
+one np.minimum.at over the family's codes. So consecutive rows mostly hit
+nearby rows of Θ, and X @ Θ and X.T @ U, which read or write one Θ row per
+entry of X, stream through Θ instead of jumping about it.
+attribute_families gives a token at most one value of a family, so a row's
+columns still ascend family by family, in the order a sorted numbering gives
+them. Each row sum of X @ Θ
 is the same sum in the same order as under the sorted vocabulary that
 build_attribute_index, kept as the oracle, gives, and so is each entry of
 X.T @ U, which adds up its rows in row order under any numbering: the same
@@ -54,7 +57,7 @@ their rows in the same order. A dropped row was all zero and added +0.0 to
 every score, so tags and scores are those of the full model, and a file
 holding the full model still loads and tags the same. With L1 most rows end
 zero, so this shrinks what tag loads and encodes. attribute_families still
-builds the values of a family with no attribute in the model; only their
+builds the codes of a family with no attribute in the model; only their
 lookups are skipped.
 
 The weights are one (A+2+K, K) matrix Θ, held by ModelParameters.weights:
@@ -187,11 +190,13 @@ def _encode(vocabulary: Vocabulary, lengths: Sequence[int], families: Iterable[F
     and that packing. Column A marks a sentence's first token and column A+1
     its last. This is the only place attributes become columns. families is
     the input's attributes as attribute_families and _columns give them: one
-    family at a time, in increasing key order, with each token's values next
-    to each other. It is read once, and each family's values are dropped once
-    they are mapped; the columns go straight into int32 CSR arrays.
+    family at a time, in increasing key order, as codes over distinct values,
+    with each token's values next to each other. It is read once, and each
+    family is dropped once it is mapped; the columns go straight into int32
+    CSR arrays.
 
-    Each family's values are looked up in its own dict, vocabulary[key]; an
+    Each family's distinct values are looked up once in its own dict,
+    vocabulary[key], and the codes carry the columns to the tokens; an
     attribute outside the vocabulary has no column and scores 0. With grow
     set, vocabulary must start empty: each family's values are numbered on
     from the previous family's, in the order of the first row that holds
@@ -217,24 +222,32 @@ def _encode(vocabulary: Vocabulary, lengths: Sequence[int], families: Iterable[F
     grown: Vocabulary = {}
     A = 0 if grow else sum(map(len, vocabulary.values()))
     previous = None
-    for key, tokens, values in families:
+    for key, tokens, codes, values in families:
         if previous is not None and not previous < key:
             raise ValueError(f"attribute families out of key order: {previous!r}, {key!r}")
         previous = key
+        rows = row[tokens]
         if grow:
-            by_row = np.argsort(row[tokens], kind="stable").tolist()
-            column = grown[key] = dict.fromkeys(map(values.__getitem__, by_row))
-            # by_row's ints go before the column numbers are made, which reuse their
-            # memory: kept alive, they left training's peak RSS about 5 MB higher
-            # on a 40,000-token corpus
-            del by_row
-            column.update(zip(column, itertools.count(A)))  # new values, same keys
-            A += len(column)
+            # number the values in the order of their first place in (row, place in
+            # the family) order; a value no token holds gets no column
+            place = rows.astype(np.intp) * len(rows) + np.arange(len(rows))
+            beyond = len(row) * len(rows)  # past every place
+            first = np.full(len(values), beyond)
+            np.minimum.at(first, codes, place)
+            held = np.flatnonzero(first < beyond)
+            held = held[np.argsort(first[held])]
+            lookup = np.empty(len(values), np.intc)
+            lookup[held] = np.arange(A, A + len(held))
+            grown[key] = dict(zip(map(values.__getitem__, held.tolist()), range(A, A + len(held))))
+            A += len(held)
         elif (column := vocabulary.get(key)) is None:
             continue
-        cols = np.fromiter(map(column.get, values, itertools.repeat(-1)), np.intc, len(values))
+        else:
+            lookup = np.fromiter(map(column.get, values, itertools.repeat(-1)), np.intc,
+                                 len(values))
+        cols = lookup[codes]
         known = cols >= 0
-        blocks.append((row[tokens][known], cols[known]))
+        blocks.append((rows[known], cols[known]))
     vocabulary.update(grown)
     blocks.append((row[ends - lengths], np.full(len(ends), A, np.intc)))
     blocks.append((row[ends - 1], np.full(len(ends), A + 1, np.intc)))
@@ -261,20 +274,21 @@ def _columns(attrs_list: Iterable[Attrs]) -> tuple[list[int], list[Family]]:
     """Generic attribute sets as _encode's input: the sentence lengths, and
     each attribute split at its first "=" into its family's key (the part up
     to and including the "=", or the whole attribute where it has none) and
-    its value."""
+    its value, coded by its place among the family's distinct values."""
     lengths: list[int] = []
-    by_key: dict[str, tuple[list[int], list[str]]] = {}
+    by_key: dict[str, tuple[list[int], list[int], dict[str, int]]] = {}
     t = 0
     for attrs in attrs_list:
         for position in attrs:
             for a in position:
                 key, eq, value = a.partition("=")
-                tokens, values = by_key.setdefault(key + eq, ([], []))
+                tokens, codes, values = by_key.setdefault(key + eq, ([], [], {}))
                 tokens.append(t)
-                values.append(value)
+                codes.append(values.setdefault(value, len(values)))
             t += 1
         lengths.append(len(attrs))
-    return lengths, [(key, *by_key[key]) for key in sorted(by_key)]
+    return lengths, [(key, tokens, codes, list(values))
+                     for key, (tokens, codes, values) in sorted(by_key.items())]
 
 
 def _vocabulary(attribute_index: dict[str, int]) -> Vocabulary:
@@ -331,7 +345,9 @@ def _forward_backward(s: np.ndarray, trans: np.ndarray, packing: _Packing):
     callers bound the transition spread with _check_spread.
     """
     steps, prev = packing.steps, packing.prev
-    s_max = s.max(axis=1, keepdims=True)
+    s_max = s[:, :1].copy()  # row maxima, one column at a time, which is faster
+    for j in range(1, s.shape[1]):
+        np.maximum(s_max, s[:, j:j + 1], out=s_max)
     E = np.exp(np.subtract(s, s_max, out=s), out=s)
     G = np.exp(trans - trans.max())
     a = np.empty_like(E)
@@ -369,7 +385,13 @@ def _viterbi(delta: np.ndarray, trans: np.ndarray, packing: _Packing):
     # the finiteness check below reports an overflow, and the inf - inf it can lead to
     with np.errstate(over="ignore", invalid="ignore"):
         for cur in steps[1:]:
-            delta[cur] += np.max(delta[prev[cur], :, None] + trans, axis=1)
+            # the max over previous tags j, taken as K - 1 maxima of (B, K) arrays
+            # instead of over a (B, K, K) one: the same values, without the big temporary
+            before = delta[prev[cur]]
+            best = before[:, 0, None] + trans[0]
+            for j in range(1, len(trans)):
+                np.maximum(best, before[:, j, None] + trans[j], out=best)
+            delta[cur] += best
         if not np.isfinite(delta).all():
             raise ArithmeticError("Viterbi scores overflow")
         paths = np.argmax(delta, axis=1)
@@ -470,12 +492,16 @@ def _prepare(
     if not ((0 <= flat) & (flat < K)).all():
         raise ValueError("tag index out of range")
     X, packing = _encode(vocabulary, lengths, families, grow)
-    tags = np.empty_like(packing.order)
+    tags = np.empty_like(packing.order)  # the tag of each row
     tags[packing.order] = flat
-    onehot = np.eye(K)[tags]
-    later = slice(packing.steps[0].stop, None)  # every row with a predecessor
-    transitions = onehot[packing.prev[later]].T @ onehot[later]
-    return X, packing, np.vstack([X.T @ onehot, transitions]).ravel()
+    # counts of (column, tag) over X's entries and of (previous tag, tag) over
+    # the rows with a predecessor: small integers, so exact as floats
+    entry_tags = np.repeat(tags, np.diff(X.indptr))
+    later = slice(packing.steps[0].stop, None)
+    return X, packing, np.concatenate([
+        np.bincount(X.indices.astype(np.intp) * K + entry_tags, minlength=X.shape[1] * K),
+        np.bincount(tags[packing.prev[later]] * K + tags[later], minlength=K * K),
+    ], dtype=np.float64)
 
 
 def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, packing: _Packing,

@@ -14,27 +14,31 @@ at every position of a sentence. That is the oracle the tests hold the second
 writing to, attribute_families, which training and tagging read. It goes over
 a whole input one attribute family at a time. A family is every attribute
 that shares a key, the part up to and including the "=" ("word=",
-"is_first=", "prefix-2=", ...), and it comes as the tokens that have one and
-their values: the words themselves for word=, prev_word= and next_word=, one
-shared "true" or "false" object per flag, and the affix slices. No per-token
-attribute string is built. Families come in increasing key order and no key
-is a prefix of another, so key order, then value order within a family, is
-the sorted order of the "key=value" strings.
+"is_first=", "prefix-2=", ...). It comes as the tokens that have one, a code
+per token and the distinct values the codes index, so that each value is
+encoded once however many tokens hold it. The template is computed once per
+word type, not per token: a word that recurs is featurized once, each flag
+has two values and each affix family far fewer values than there are
+tokens. No per-token attribute string is built. Families come in increasing
+key order and no key is a prefix of another, so key order, then value order
+within a family, is the sorted order of the "key=value" strings.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 FeatureMap = dict[str, "bool | str"]
-# (key, tokens, values): every attribute "key" + values[i] of token tokens[i]
-Family = tuple[str, Sequence[int], Sequence[str]]
-_FLAG = ("false", "true")  # one shared object per flag value
+# (key, tokens, codes, values): every attribute "key" + values[codes[i]] of
+# token tokens[i], with values distinct
+Family = tuple[str, Sequence[int], Sequence[int], Sequence[str]]
+_FLAG = ("false", "true")  # the values of every flag family
 
 
 @dataclass(frozen=True)
@@ -94,52 +98,104 @@ def attribute_families(
     sentences: Sequence[Sequence[str]], config: FeatureConfig = FeatureConfig()
 ) -> Iterator[Family]:
     """The template over a whole input, one family at a time, in increasing
-    key order: (key, tokens, values), where tokens counts the input's tokens
-    sentence after sentence and values[i] is the value at tokens[i]. A token
-    has at most one value per family, so rendered at one position,
-    key + value over the families gives the sorted
-    binarize(extract_token_features(sentence, t, config)). Each family's
-    values are made only when the caller asks for it."""
+    key order: (key, tokens, codes, values), where tokens counts the input's
+    tokens sentence after sentence, the value at tokens[i] is
+    values[codes[i]], and a family's values are distinct. A token has at most
+    one value per family, so rendered at one position, key + value over the
+    families gives the sorted binarize(extract_token_features(sentence, t,
+    config)).
+
+    The words are numbered by type once, and every family is computed per
+    type, then spread to the tokens by those numbers: word=, prev_word= and
+    next_word= are the type numbers themselves, shifted for the neighbours,
+    with the code of "" at sentence edges (a word's own code where "" is a
+    word). The flags have the values ("false", "true"). prefix-k and suffix-k
+    go longest k first, each shorter one cut from the distinct values of the
+    next longer one and the types of exactly k characters. Each family's
+    tokens and codes are made only when the caller asks for it."""
     words = list(itertools.chain.from_iterable(sentences))
-    lengths = np.fromiter(map(len, words), np.intp, len(words))
+    types, ids = _factorize(words, len(words))
+    type_lengths = np.fromiter(map(len, types), np.intp, len(types))
+    lengths = type_lengths[ids]
+    lower = list(map(str.islower, types))
     every = np.arange(len(words))
-    ends = list(itertools.accumulate(map(len, sentences)))
-    firsts = [end - len(s) for end, s in zip(ends, sentences) if s]
-    lasts = [end - 1 for end, s in zip(ends, sentences) if s]
+    sizes = np.fromiter(map(len, sentences), np.intp, len(sentences))
+    ends = np.cumsum(sizes)
+    firsts = (ends - sizes)[sizes > 0]
+    lasts = ends[sizes > 0] - 1
+    # the neighbours' values: the types, and "" for the sentence edges where it is none
+    if 0 in type_lengths:
+        neighbours, edge = types, int(np.argmin(type_lengths))
+    else:
+        neighbours, edge = [*types, ""], len(types)
 
-    def edge(at: list[int], inside: list[str], outside: str) -> tuple[np.ndarray, list[str]]:
-        for t in at:
-            inside[t] = outside
-        return every, inside
+    def shifted(by: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        codes = np.roll(ids, by)
+        codes[at] = edge
+        return every, codes, neighbours
 
-    def affix(k: int, cut: slice) -> tuple[np.ndarray, list[str]]:
-        # prefix-k and suffix-k only where the word has k characters
-        return np.flatnonzero(lengths >= k), [w[cut] for w in words if len(w) >= k]
+    def edge_flag(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[str, str]]:
+        codes = np.zeros(len(words), np.intp)
+        codes[at] = 1
+        return every, codes, _FLAG
 
-    families: dict[str, Callable[[], tuple[np.ndarray, list[str]]]] = {
-        "word=": lambda: (every, words),
-        "is_first=": lambda: edge(firsts, [_FLAG[False]] * len(words), _FLAG[True]),
-        "is_last=": lambda: edge(lasts, [_FLAG[False]] * len(words), _FLAG[True]),
-        "is_capitalized=": lambda: (every, [_FLAG[w[:1].isupper()] for w in words]),
-        "is_all_caps=": lambda: (every, [_FLAG[w.isupper()] for w in words]),
-        "is_all_lower=": lambda: (every, [_FLAG[w.islower()] for w in words]),
-        # a rest that is all lower holds no capital: the test of each
+    def flag(per_type: Iterable[bool]) -> tuple[np.ndarray, np.ndarray, tuple[str, str]]:
+        return every, np.fromiter(per_type, np.intp, len(types))[ids], _FLAG
+
+    families: dict[str, Callable[[], tuple[np.ndarray, np.ndarray, Sequence[str]]]] = {
+        "word=": lambda: (every, ids, types),
+        "is_first=": lambda: edge_flag(firsts),
+        "is_last=": lambda: edge_flag(lasts),
+        "is_capitalized=": lambda: flag(
+            map(str.isupper, map(operator.itemgetter(slice(1)), types))),
+        "is_all_caps=": lambda: flag(map(str.isupper, types)),
+        "is_all_lower=": lambda: flag(lower),
+        # a word or rest that is all lower holds no capital: the test of each
         # character runs only where it might find one
-        "capitals_inside=": lambda: (every, [
-            _FLAG[not w[1:].islower() and any(map(str.isupper, w[1:]))] for w in words]),
-        "has_hyphen=": lambda: (every, [_FLAG["-" in w] for w in words]),
-        "is_numeric=": lambda: (every, [_FLAG[w.isdecimal()] for w in words]),
-        "prev_word=": lambda: edge(firsts, ([""] + words)[:len(words)], ""),
-        "next_word=": lambda: edge(lasts, (words + [""])[1:], ""),
+        "capitals_inside=": lambda: flag([
+            not low and not w[1:].islower() and any(map(str.isupper, w[1:]))
+            for w, low in zip(types, lower)]),
+        "has_hyphen=": lambda: flag(map(operator.contains, types, itertools.repeat("-"))),
+        "is_numeric=": lambda: flag(map(str.isdecimal, types)),
+        "prev_word=": lambda: shifted(1, firsts),
+        "next_word=": lambda: shifted(-1, lasts),
     }
+
+    def affix(k: int, codes: np.ndarray,
+              values: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        # prefix-k and suffix-k only where the word has k characters
+        tokens = np.flatnonzero(lengths >= k)
+        return tokens, codes[ids[tokens]], values
+
     # keys only up to the longest word: a model file may ask for 10**12
-    longest = int(lengths.max(initial=0))
-    for k in range(1, min(config.prefix_max, longest) + 1):
-        families[f"prefix-{k}="] = functools.partial(affix, k, slice(k))
-    for k in range(1, min(config.suffix_max, longest) + 1):
-        families[f"suffix-{k}="] = functools.partial(affix, k, slice(-k, None))
+    longest = int(type_lengths.max(initial=0))
+    for name, k_max in (("prefix", config.prefix_max), ("suffix", config.suffix_max)):
+        k_max = min(k_max, longest)
+        codes, values = np.full(len(types), -1), []  # per type, its affix's code or -1
+        for k in range(k_max, 0, -1):
+            cut = operator.itemgetter(slice(k) if name == "prefix" else slice(-k, None))
+            fresh = type_lengths >= k if k == k_max else type_lengths == k
+            n_fresh = int(np.count_nonzero(fresh))
+            longer = codes >= 0
+            # the longer affixes' values, then the fresh types, cut to k
+            values, step = _factorize(itertools.chain(
+                map(cut, values), map(cut, itertools.compress(types, fresh.tolist()))),
+                len(values) + n_fresh)
+            codes, previous = np.full(len(types), -1), codes
+            codes[longer] = step[previous[longer]]
+            codes[fresh] = step[len(step) - n_fresh:]
+            families[f"{name}-{k}="] = functools.partial(affix, k, codes, values)
     for key in sorted(families):
         yield key, *families[key]()
+
+
+def _factorize(items: Iterable[str], n: int) -> tuple[list[str], np.ndarray]:
+    """The distinct values among n items, in first-seen order, and each
+    item's place among them, from one dict pass: setdefault keeps each
+    value's first position, and the first positions are counted in order."""
+    first: dict[str, int] = {}
+    at = np.fromiter(map(first.setdefault, items, itertools.count()), np.intp, n)
+    return list(first), (np.cumsum(at == np.arange(n)) - 1)[at]
 
 
 def sentence_attributes(

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -40,6 +41,7 @@ from nagatag.crf import (
     viterbi,
     zero_model,
 )
+from nagatag.datagen import SynthConfig, generate
 from nagatag.features import FeatureConfig, attribute_families, sentence_attributes
 from nagatag.optim import OptimConfig
 
@@ -1073,6 +1075,70 @@ def test_first_row_numbering_keeps_the_products_of_the_sorted_numbering(sentence
     np.minimum.at(first_row, entries.col[entries.col < A], entries.row[entries.col < A])
     for column in grown.values():
         assert np.all(np.diff(first_row[sorted(column.values())]) > 0)
+
+
+# words over three letters, so that an input has far fewer word types than
+# tokens, and of 1 to 6 letters, around the affix lengths 3 and 4
+FEW_TYPES = st.lists(st.lists(st.text("abc", min_size=1, max_size=6), min_size=1, max_size=5),
+                     min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FEW_TYPES, st.data())
+@example([["a"], ["ab", "abc", "a", "abcabc"], ["b"], ["abc", "abc"]], None)
+def test_families_encode_as_the_oracle_encodes_their_attribute_strings(sentences, data):
+    lengths = [len(words) for words in sentences]
+    attrs_list = [sentence_attributes(words) for words in sentences]
+    index: dict[str, int] = {}
+    expected = _encode_oracle(index, attrs_list, grow=True)
+    grown: dict[str, dict[str, int]] = {}
+    assert_same_encoding(_encode(grown, lengths, attribute_families(sentences), grow=True),
+                         expected)
+    assert ([(key + value, i) for key, column in grown.items() for value, i in column.items()]
+            == list(index.items()))
+
+    # a fixed vocabulary: seen attributes and unseen ones, numbered in any order
+    candidates = sorted(index) + ["word=cab", "prefix-2=cc", "zz=9"]
+    if data is None:
+        chosen = candidates[::2]
+        ids = list(reversed(range(len(chosen))))
+    else:
+        chosen = data.draw(st.lists(st.sampled_from(candidates), unique=True))
+        ids = data.draw(st.permutations(range(len(chosen))))
+    fixed = dict(zip(chosen, ids))
+    assert_same_encoding(_encode(_vocabulary(fixed), lengths, attribute_families(sentences)),
+                         _encode_oracle(fixed, attrs_list))
+
+
+def test_encoding_and_tagging_keep_their_pinned_bytes(tmp_path):
+    """sha256 of the grown-vocabulary X and vocabulary of a seeded corpus, and
+    of `nagatag tag`'s output under seeded random weights over its
+    attributes. Neither goes through BLAS, so the pins hold on any machine."""
+    corpus = generate(SynthConfig(seed=7, n_sentences=300))
+    sentences = [s.words() for s in corpus]
+    grown: dict[str, dict[str, int]] = {}
+    X, _ = _encode(grown, [len(words) for words in sentences], attribute_families(sentences),
+                   grow=True)
+    vocabulary = [[key, value, i] for key, column in grown.items() for value, i in column.items()]
+    digests = [hashlib.sha256(data).hexdigest() for data in (
+        X.indptr.astype("<i4").tobytes(), X.indices.astype("<i4").tobytes(),
+        json.dumps(vocabulary, ensure_ascii=False).encode())]
+    assert digests == ["620d5b991be96a941203b6ff7f6d3748d935f572f6c682805e239444f16c1e43",
+                       "383e70c8b9affe43cdf3c1882054e70f6092f48f55f8f6b79fca54ff5bfb76e4",
+                       "48304fa7ace3c361dfe11795700e1bdb3ef1ac9115f9df5196c9872be565d648"]
+
+    index = build_attribute_index(corpus)
+    K = len(SynthConfig.tagset)
+    weights = np.random.default_rng(0).standard_normal((len(index) + 2 + K, K))
+    save_model(str(tmp_path / "model.json"), ModelParameters(SynthConfig.tagset, index, weights),
+               FeatureConfig())
+    raw = tmp_path / "raw.txt"
+    raw.write_text("".join(" ".join(words) + "\n" for words in sentences), encoding="utf-8")
+    out = tmp_path / "tagged.txt"
+    assert main(["tag", str(raw), "--model", str(tmp_path / "model.json"),
+                 "--output", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "443f8f5bf38b56b9cee98165c9b34d9df3dcc1ee752aae82ce26057d499db628")
 
 
 def test_a_model_splits_its_index_by_family_once():

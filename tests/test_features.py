@@ -157,17 +157,23 @@ WORDS = st.lists(st.text("aZǅǆǄ-7٣/=əÄ.", min_size=1, max_size=7), min_siz
 
 @given(st.lists(WORDS, min_size=1, max_size=4), st.integers(1, 9), st.integers(1, 9))
 @example([["ǅa", "-", "a/b", "12", "X"], ["x"], ["=", "a=b", "aǅ"]], 3, 4)
+# "" as a word: the sentence edges' prev_word and next_word share its code
+@example([["a", "", "b"], [""]], 2, 2)
+# a word that is another word's prefix, and one that is its suffix
+@example([["ab", "abc", "b"], ["abcd"]], 3, 4)
 def test_attribute_families_give_the_oracle_sets(sentences, prefix_max, suffix_max):
     # several sentences in one pass: prev_word and next_word stop at each edge
     config = FeatureConfig(prefix_max, suffix_max)
     positions = [(words, t) for words in sentences for t in range(len(words))]
     rendered: list[list[str]] = [[] for _ in positions]
     keys = []
-    for key, tokens, values in attribute_families(sentences, config):
+    for key, tokens, codes, values in attribute_families(sentences, config):
         keys.append(key)
-        assert len(tokens) == len(values)
-        for t, value in zip(tokens, values):
-            rendered[t].append(key + value)
+        assert len(tokens) == len(codes)
+        assert len(set(values)) == len(values)
+        assert all(0 <= code < len(values) for code in codes)
+        for t, code in zip(tokens, codes):
+            rendered[t].append(key + values[code])
     assert keys == sorted(set(keys))
     for (words, t), attrs in zip(positions, rendered):
         assert tuple(attrs) == binarize(extract_token_features(words, t, config))
