@@ -25,6 +25,7 @@ from nagatag.corpus import (
     split_corpus,
     tag_frequencies,
     write_corpus,
+    write_text,
 )
 from nagatag.crf import load_model, save_model, tag_corpus, train_model
 from nagatag.datagen import SynthConfig, config_header, generate
@@ -70,8 +71,7 @@ def _load_tagset(args) -> TagSet:
 
 def _emit(text: str, args):
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.output, text)
     else:
         sys.stdout.write(text)
 

@@ -16,7 +16,10 @@ sentences; no object is made per token.
 
 from __future__ import annotations
 
+import os
 import random
+import secrets
+import stat
 from collections import Counter
 from dataclasses import dataclass
 
@@ -270,11 +273,47 @@ def read_corpus(path: str, tagset: TagSet) -> TaggedCorpus:
 
 
 def write_corpus(path: str, corpus: TaggedCorpus, tagset: TagSet):
-    """The text is built before the file is opened, so a corpus that cannot
-    be written leaves the file as it was."""
-    text = serialize_tagged(corpus, tagset)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write the corpus with write_text, so a corpus that cannot be written
+    leaves the file as it was."""
+    write_text(path, serialize_tagged(corpus, tagset))
+
+
+def write_text(path: str, text: str):
+    """Write text to path as UTF-8 so that the file holds the old text or
+    the new, never part of one: the text goes to a temporary file in the
+    target's directory, which os.replace then puts in the target's place. The
+    temporary file is removed if the write fails. A symlink is followed, so
+    the file it names is replaced and the link stays. An existing target
+    keeps its permission bits, which the temporary file has from its
+    creation; a new one gets those open would give it. The replaced file is a
+    new inode, owned by the writer: the old file's owner, group, ACLs and
+    other hard links are not carried over. A target that is not a regular
+    file, such as /dev/null, a FIFO or a pipe named by /dev/fd/N, is written
+    in place, since os.replace would put a regular file in its stead; it is
+    told apart by stat on the path itself, which follows /proc's links to
+    pipes that realpath cannot. Nothing is fsynced: this guards against a
+    failed write, not against a crash of the machine."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target), f".nagatag-{secrets.token_hex(8)}.tmp")
+    permissions = 0o666 if mode is None else stat.S_IMODE(mode)
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, permissions)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if mode is not None:
+            os.chmod(temp, permissions)  # undo the umask
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def read_raw_sentences(path: str) -> list[tuple[str, ...]]:

@@ -42,7 +42,9 @@ featurizes once and grows its vocabulary as it encodes, numbering each
 family's values in the order of the first packed row that holds them, with
 one np.minimum.at over the family's codes. So consecutive rows mostly hit
 nearby rows of Θ, and X @ Θ and X.T @ U, which read or write one Θ row per
-entry of X, stream through Θ instead of jumping about it.
+entry of X, stream through Θ instead of jumping about it. The grown
+vocabulary is each family's values as a list in column order, Grown, not a
+dict per family: training only reads it to render the attributes it keeps.
 attribute_families gives a token at most one value of a family, so a row's
 columns still ascend family by family, in the order a sorted numbering gives
 them. Each row sum of X @ Θ
@@ -87,12 +89,13 @@ from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from nagatag.corpus import Sentence, TaggedCorpus, TagSet
+from nagatag.corpus import Sentence, TaggedCorpus, TagSet, write_text
 from nagatag.features import FeatureConfig, Family, attribute_families, sentence_attributes
 from nagatag.optim import IterationTrace, OptimConfig, minimize
 
 Attrs = Sequence[Collection[str]]
 Vocabulary = dict[str, dict[str, int]]  # family key -> value -> column
+Grown = dict[str, list[str]]  # family key -> its values in column order
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,7 @@ class _Packing(NamedTuple):
     ends: np.ndarray  # (S,) where each sentence ends in that count
 
 
-def _encode(vocabulary: Vocabulary, lengths: Sequence[int], families: Iterable[Family],
+def _encode(vocabulary: Vocabulary | Grown, lengths: Sequence[int], families: Iterable[Family],
             grow: bool = False) -> tuple[sparse.csr_matrix, _Packing]:
     """One (N, A+2) CSR matrix for a whole input of sentences of the given
     lengths, one row per token in the time-major order _Packing describes,
@@ -198,14 +201,17 @@ def _encode(vocabulary: Vocabulary, lengths: Sequence[int], families: Iterable[F
     Each family's distinct values are looked up once in its own dict,
     vocabulary[key], and the codes carry the columns to the tokens; an
     attribute outside the vocabulary has no column and scores 0. With grow
-    set, vocabulary must start empty: each family's values are numbered on
-    from the previous family's, in the order of the first row that holds
-    them (ties within a row in the family's order), and the family dicts go
-    into vocabulary only once the whole input is read, so a ValueError
-    leaves it empty. The module docstring says why that order keeps the
-    products' sums. A row's columns are sorted, X.sort_indices() seeing to it
-    where a vocabulary's numbering leaves them out of order, and an attribute
-    that comes twice at a position is counted twice."""
+    set, vocabulary must start empty, and it is filled as Grown, not as
+    Vocabulary: each family's values are numbered on from the previous
+    family's, in the order of the first row that holds them (ties within a
+    row in the family's order), and each family's values go in as a list in
+    that order, so the family key and the place in the list give every
+    column without a dict per family. They go into vocabulary only once the
+    whole input is read, so a ValueError leaves it empty. The module
+    docstring says why that order keeps the products' sums. A row's columns
+    are sorted, X.sort_indices() seeing to it where a vocabulary's numbering
+    leaves them out of order, and an attribute that comes twice at a
+    position is counted twice."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if not lengths.all():
         raise ValueError("cannot encode an empty sentence")
@@ -219,7 +225,7 @@ def _encode(vocabulary: Vocabulary, lengths: Sequence[int], families: Iterable[F
 
     row = order.astype(np.intc)  # token -> row
     blocks = []  # per family: the rows of its attributes and their columns
-    grown: Vocabulary = {}
+    grown: Grown = {}
     A = 0 if grow else sum(map(len, vocabulary.values()))
     previous = None
     for key, tokens, codes, values in families:
@@ -238,7 +244,7 @@ def _encode(vocabulary: Vocabulary, lengths: Sequence[int], families: Iterable[F
             held = held[np.argsort(first[held])]
             lookup = np.empty(len(values), np.intc)
             lookup[held] = np.arange(A, A + len(held))
-            grown[key] = dict(zip(map(values.__getitem__, held.tolist()), range(A, A + len(held))))
+            grown[key] = list(map(values.__getitem__, held.tolist()))
             A += len(held)
         elif (column := vocabulary.get(key)) is None:
             continue
@@ -475,7 +481,7 @@ def tag_sentence(
 
 
 def _prepare(
-    vocabulary: Vocabulary, K: int, lengths: Sequence[int], families: Iterable[Family],
+    vocabulary: Vocabulary | Grown, K: int, lengths: Sequence[int], families: Iterable[Family],
     tags_list: Sequence[Sequence[int]], grow: bool = False,
 ) -> tuple[sparse.csr_matrix, _Packing, np.ndarray]:
     """Validate a tagged batch, then encode it, and count its observed features
@@ -572,11 +578,11 @@ def train_model(
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")
-    vocabulary: Vocabulary = {}
+    grown: Grown = {}
     K = len(tagset)
     sentences = [sentence.words() for sentence in corpus]
     X, packing, observed = _prepare(
-        vocabulary, K, list(map(len, sentences)), attribute_families(sentences, feature_config),
+        grown, K, list(map(len, sentences)), attribute_families(sentences, feature_config),
         [sentence.tags() for sentence in corpus], grow=True)
 
     w_star, trace = minimize(lambda w: _nll_prepared(w, K, X, packing, observed, optim_config.c2),
@@ -588,12 +594,11 @@ def train_model(
     kept = theta.any(axis=1)
     A = len(theta) - K - 2
     kept[A:] = True  # begin, end and transition rows
-    # each family's values iterate in column order, after the previous family's:
+    # each family's values are in column order, after the previous family's:
     # only the kept ones are rendered
     attributes: list[str] = []
     start = 0
-    for key, column in vocabulary.items():
-        values = list(column)
+    for key, values in grown.items():
         attributes += [key + values[i] for i in np.flatnonzero(kept[start:start + len(values)])]
         start += len(values)
     if log is not None:
@@ -610,8 +615,8 @@ FORMAT_VERSION = 1
 
 
 def save_model(path: str, model: ModelParameters, feature_config: FeatureConfig):
-    """Single JSON document; floats round-trip bit-faithfully via repr. The
-    text is built before the file is opened, so a failed save leaves it as it was."""
+    """Single JSON document; floats round-trip bit-faithfully via repr. It is
+    written with corpus.write_text, so a failed save leaves the file as it was."""
     a_vals = model.state_weights.nonzero()
     doc = {
         "format_version": FORMAT_VERSION,
@@ -627,9 +632,7 @@ def save_model(path: str, model: ModelParameters, feature_config: FeatureConfig)
         "end": model.end_weights.tolist(),
         "training": asdict(model.training) if model.training else None,
     }
-    text = json.dumps(doc, ensure_ascii=False) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, json.dumps(doc, ensure_ascii=False) + "\n")
 
 
 _MODEL_KEYS = ("tagset", "feature_config", "attributes", "state_weights",

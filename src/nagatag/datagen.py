@@ -10,18 +10,29 @@ sentence ends with the SYM punctuation marker. The tagset (the default
 fixed; a config sets only the seed, the sentence count and the length
 range. Everything is driven by one seeded rng, so a config maps to exactly
 one corpus.
+
+The rng is drawn as `random.Random`'s `randint`, `choice` and `choices`
+would draw it, without calling them: each uniform draw (a sentence length, a
+stem's syllable count, its template and phonemes) is one `getrandbits` into
+a power-of-two table padded with None (phonotactics._draw_parts says why
+that is the same draw), and each tag transition bisects the state's
+cumulative weights at `random() * total`, as `choices` does. The phoneme
+tables hold the ASCII spellings, so a stem is spelt as it is drawn. A
+corpus is thus the one those calls would give, byte for byte, and
+`tests/test_datagen.py` holds `generate` to the call-by-call version.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import ClassVar
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet
-from nagatag.phonotactics import draw_word, to_ascii
+from nagatag.phonotactics import DEFAULT_INVENTORY, _draw_parts, _table, to_ascii
 
 # One 2-letter marker per non-punctuation tag; equal-length distinct strings
 # can never be suffixes of each other, and "." never terminates a stem.
@@ -71,17 +82,6 @@ def transition_matrix(k: int) -> list[list[float]]:
     return rows
 
 
-def recover_tag(word: str, suffix_rule: dict[str, str]) -> str:
-    """Tag by the longest marker that suffixes the word."""
-    best = None
-    for marker, tag in suffix_rule.items():
-        if word.endswith(marker) and (best is None or len(marker) > len(best[0])):
-            best = (marker, tag)
-    if best is None:
-        raise ValueError(f"no suffix marker matches {word!r}")
-    return best[1]
-
-
 def generate(config: SynthConfig) -> TaggedCorpus:
     """Deterministic corpus for the config; see the module docstring.
 
@@ -89,30 +89,43 @@ def generate(config: SynthConfig) -> TaggedCorpus:
     punctuation token is appended on top of that.
     """
     rng = random.Random(config.seed)
+    getrandbits, draw = rng.getrandbits, rng.random
     chain = config.chain_tags()
     marker_for = config.marker_for()
-    states = list(range(len(chain)))
     # Per chain state: the cumulative weights `choices(weights=row)` would
-    # accumulate on every draw, the state's marker and its tag index.
+    # accumulate on every draw, their total, the state's marker and its tag index.
     cum_weights = [list(accumulate(row)) for row in transition_matrix(len(chain))]
+    totals = [cw[-1] + 0.0 for cw in cum_weights]
+    last = len(chain) - 1
     markers = [marker_for[tag_name] for tag_name in chain]
     tag_indices = [config.tagset.index(tag_name) for tag_name in chain]
     punct_word = marker_for[PUNCT_TAG]
     punct_tag = config.tagset.index(PUNCT_TAG)
-    randint, choices = rng.randint, rng.choices
+    # `randint`'s and `choice`'s draws as tables (see phonotactics._draw_parts),
+    # the phonemes spelt in ASCII: to_ascii maps one phoneme at a time
+    k_length, lengths = _table(range(config.min_len, config.max_len + 1))
+    k_count, counts = _table((1, 2, 3))
+    vowels, consonants = (_table(to_ascii((p,)) for p in phonemes)
+                          for phonemes in (DEFAULT_INVENTORY.vowels, DEFAULT_INVENTORY.consonants))
 
     state: int | None = None
     sentences = []
     for _ in range(config.n_sentences):
-        length = randint(config.min_len, config.max_len)
+        length = lengths[getrandbits(k_length)]
+        while length is None:
+            length = lengths[getrandbits(k_length)]
         words, tags = [], []
         for _ in range(length):
             if state is None:
                 state = rng.randrange(len(chain))
-            else:
-                state = choices(states, cum_weights=cum_weights[state])[0]
-            stem = to_ascii(draw_word(rng, randint(1, 3)))
-            words.append(stem + markers[state])
+            else:  # choices(range(len(chain)), cum_weights=cum_weights[state])[0]
+                state = bisect(cum_weights[state], draw() * totals[state], 0, last)
+            count = counts[getrandbits(k_count)]
+            while count is None:
+                count = counts[getrandbits(k_count)]
+            parts = _draw_parts(rng, count, vowels, consonants)
+            parts.append(markers[state])
+            words.append("".join(parts))
             tags.append(tag_indices[state])
         sentences.append(Sentence((*words, punct_word), (*tags, punct_tag)))
     return TaggedCorpus(tuple(sentences))

@@ -13,7 +13,10 @@ optional slots directly. Tests hold them to exact agreement. `draw_word`
 accepts a drawn word by looking its skeleton up in a table that `classify`
 filled once for every template expansion (135 of them, 123 distinct), so it
 runs no regex per word. Every verdict in that table is `classify`'s, not
-`enumerate_accepted`'s, so the two routes stay independent.
+`enumerate_accepted`'s, so the two routes stay independent. Its uniform
+draws index power-of-two tables with `getrandbits`, which gives and consumes
+exactly what `random.Random.choice` would (see `_draw_parts`), and
+`datagen.generate` draws its stems through the same loop.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 VOWELS = ("i", "u", "e", "ə", "o", "a")
 CONSONANTS = (
@@ -37,6 +40,9 @@ ASCII_TO_PHONEME = {
     "ng": "ṅ", "sh": "š", "@": "ə",
 }
 PHONEME_TO_ASCII = {v: k for k, v in ASCII_TO_PHONEME.items()}
+
+# k, and 2**k entries of which those past the first n are None; see `_table`
+Table = tuple[int, tuple]
 
 
 @dataclass(frozen=True)
@@ -205,10 +211,65 @@ _ACCEPTED_COUNTS = {
     for skeleton in template.expansions()
 }
 
-_CANDIDATES = {
-    count: [t for t in TEMPLATES if t.syllable_count == count]
+
+def _table(items: Iterable) -> Table:
+    """items as a table that one `getrandbits(k)` indexes: k, and the items
+    padded with None to 2**k entries, for k = len(items).bit_length()."""
+    items = tuple(items)
+    k = len(items).bit_length()
+    return k, items + (None,) * ((1 << k) - len(items))
+
+
+# Per syllable count: a table of the slots of its templates.
+_TEMPLATE_TABLES = {
+    count: _table(t.slots for t in TEMPLATES if t.syllable_count == count)
     for count in range(1, MAX_SYLLABLES + 1)
 }
+
+
+def _draw_parts(
+    rng: random.Random,
+    syllable_count: int,
+    vowels: Table,
+    consonants: Table,
+) -> list[str]:
+    """The parts of one accepted word of the given syllable count, one per
+    filled slot, drawn from `_table`s of the parts each class spells as.
+
+    `random.Random`'s `choice(seq)` draws `seq[r]` for the first
+    r = getrandbits(k) below n = len(seq), with k = n.bit_length(), redrawing
+    the bits while r >= n (CPython's `_randbelow_with_getrandbits`). A table
+    of 2**k entries, padded with None, makes that one index: `table[r]` is
+    None exactly when r >= n. So this draws what `choice` would, from the same
+    calls to `getrandbits`, and leaves the rng in the same state, without
+    `choice`'s two Python frames per draw. Optional slots are filled with
+    probability 1/2 by one `rng.random()` each. Drawing repeats until the
+    word's skeleton, built as its slots are filled, passes
+    `_ACCEPTED_COUNTS`.
+    """
+    getrandbits, draw = rng.getrandbits, rng.random
+    k_template, templates = _TEMPLATE_TABLES[syllable_count]
+    k_vowel, vowel_table = vowels
+    k_consonant, consonant_table = consonants
+    while True:
+        slots = templates[getrandbits(k_template)]
+        while slots is None:
+            slots = templates[getrandbits(k_template)]
+        parts, skeleton = [], ""
+        for slot in slots:
+            if slot == "V":
+                k, table = k_vowel, vowel_table
+            elif slot == "C" or draw() < 0.5:  # an optional "(C)" is kept half the time
+                k, table, slot = k_consonant, consonant_table, "C"
+            else:
+                continue
+            part = table[getrandbits(k)]
+            while part is None:
+                part = table[getrandbits(k)]
+            parts.append(part)
+            skeleton += slot
+        if syllable_count in _ACCEPTED_COUNTS[skeleton]:
+            return parts
 
 
 def draw_word(
@@ -218,42 +279,20 @@ def draw_word(
 ) -> tuple[str, ...]:
     """Sample a word of the requested syllable count from a live rng.
 
-    Optional slots are filled with probability 1/2. Drawing repeats until
-    the result passes classification, since a template instance can still
-    hit a global rule (a lone V, two bare vowels). The word's skeleton is
-    built while its slots are filled (the inventory classes are disjoint,
-    so it equals `to_skeleton(word)`) and accepted by one lookup in
-    `_ACCEPTED_COUNTS`, which `classify` built once.
+    A template of that count is drawn, then one phoneme per slot, each
+    optional slot filled with probability 1/2. Drawing repeats until the
+    result passes classification, since a template instance can still hit a
+    global rule (a lone V, two bare vowels). The word's skeleton is built
+    while its slots are filled (the inventory classes are disjoint, so it
+    equals `to_skeleton(word)`) and accepted by one lookup in
+    `_ACCEPTED_COUNTS`, which `classify` built once. Every uniform draw is
+    one `getrandbits` into a table (see `_draw_parts`), and it returns and
+    consumes exactly what `rng.choice` over the templates and the inventory
+    would.
     """
     if not 1 <= syllable_count <= MAX_SYLLABLES:
         raise ValueError(f"syllable_count must be in 1..{MAX_SYLLABLES}: {syllable_count}")
-    candidates = _CANDIDATES[syllable_count]
-    choice, draw = rng.choice, rng.random
-    vowels, consonants = inv.vowels, inv.consonants
-    while True:
-        phonemes, skeleton = [], ""
-        for slot in choice(candidates).slots:
-            if slot == "(C)":  # the commonest slot
-                if draw() < 0.5:
-                    phonemes.append(choice(consonants))
-                    skeleton += "C"
-            elif slot == "V":
-                phonemes.append(choice(vowels))
-                skeleton += "V"
-            else:
-                phonemes.append(choice(consonants))
-                skeleton += "C"
-        if syllable_count in _ACCEPTED_COUNTS[skeleton]:
-            return tuple(phonemes)
-
-
-def generate_word(
-    rng_seed: int,
-    syllable_count: int,
-    inv: PhonemeInventory = DEFAULT_INVENTORY,
-) -> tuple[str, ...]:
-    """Seeded wrapper around draw_word: same seed, same word."""
-    return draw_word(random.Random(rng_seed), syllable_count, inv)
+    return tuple(_draw_parts(rng, syllable_count, _table(inv.vowels), _table(inv.consonants)))
 
 
 def from_ascii(text: str) -> tuple[str, ...]:

@@ -19,6 +19,7 @@ from nagatag.corpus import TagSet, parse_tagged, read_corpus, serialize_tagged
 from nagatag.crf import build_attribute_index, load_model, save_model, zero_model
 from nagatag.datagen import SynthConfig, generate
 from nagatag.features import FeatureConfig, sentence_attributes
+from tests.helpers import refuse_to_replace
 
 SMALL_TAGS = ("N", "V", "S")
 
@@ -253,6 +254,22 @@ def test_tag_skips_a_comment_after_leading_blanks(trained, capsys):
     capsys.readouterr()
     assert main(["tag", str(raw), "--model", model_file]) == 0
     assert capsys.readouterr().out == "dora/N ase/V ./S\n"
+
+
+def test_tag_output_to_dev_null_and_through_a_symlink(trained, monkeypatch):
+    tmp_path, _, _, model_file = trained
+    raw = tmp_path / "raw.txt"
+    raw.write_text("dora ase .\n", encoding="utf-8")
+    refuse_to_replace(monkeypatch, os.devnull)
+    assert main(["tag", str(raw), "--model", model_file, "--output", os.devnull]) == 0
+    assert main(["tag", str(raw), "--model", model_file, "--output", str(tmp_path / "out.txt")]) == 0
+    link = tmp_path / "link.txt"
+    link.symlink_to(tmp_path / "out.txt")
+    (tmp_path / "out.txt").write_text("stale\n", encoding="utf-8")
+    assert main(["tag", str(raw), "--model", model_file, "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "dora/N ase/V ./S\n"
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
 def test_tag_output_reparses_identically(trained, capsys):

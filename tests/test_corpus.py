@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +20,13 @@ from nagatag.corpus import (
     split_corpus,
     tag_frequencies,
     write_corpus,
+    write_text,
 )
 from nagatag.crf import tag_corpus, zero_model
 from nagatag.datagen import SynthConfig, generate
 from nagatag.features import FeatureConfig
 from tests.conftest import make_random_corpus
+from tests.helpers import refuse_to_replace
 
 TAGSET = TagSet()
 
@@ -178,6 +182,84 @@ def test_unwritable_corpus_leaves_file_as_it_was(tmp_path):
     with pytest.raises(ValueError, match="comment"):
         write_corpus(str(path), corpus, TAGSET)
     assert path.read_text(encoding="utf-8") == "a/N\n"
+
+
+def test_a_write_that_fails_midway_leaves_the_old_bytes_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a/N\n", encoding="utf-8")
+    # a lone surrogate cannot be encoded: the write raises inside the temp file
+    corpus = TaggedCorpus((Sentence(("ok", "\ud800"), (0, 1)),))
+    with pytest.raises(UnicodeEncodeError):
+        write_corpus(str(path), corpus, TAGSET)
+    assert path.read_bytes() == b"a/N\n"
+    assert os.listdir(tmp_path) == ["corpus.txt"]
+
+    # the whole text written, then the replace fails
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        write_text(str(path), "b/V\n" * 100_000)
+    assert path.read_bytes() == b"a/N\n"
+    assert os.listdir(tmp_path) == ["corpus.txt"]
+
+
+def test_a_write_keeps_the_targets_mode_and_writes_through_a_symlink(tmp_path, monkeypatch):
+    target = tmp_path / "data" / "corpus.txt"
+    target.parent.mkdir()
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_corpus(str(link), TaggedCorpus((Sentence(("a",), (0,)),)), TAGSET)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == "a/ADJ\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(os.listdir(target.parent)) == ["corpus.txt"]
+
+    # the temporary file has the target's bits from its creation, not after
+    target.chmod(0o600)
+    created = []
+    chmod = os.chmod
+
+    def record(path, mode, **kwargs):
+        created.append(stat.S_IMODE(os.stat(path).st_mode))
+        return chmod(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "chmod", record)
+    write_text(str(target), "private\n")
+    assert created and created[0] & 0o077 == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    # a new file gets the mode open gives it
+    fresh = tmp_path / "fresh.txt"
+    write_text(str(fresh), "x\n")
+    reference = tmp_path / "reference.txt"
+    with open(reference, "w", encoding="utf-8") as fh:
+        fh.write("x\n")
+    assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_a_write_to_a_device_goes_in_place(monkeypatch):
+    refuse_to_replace(monkeypatch, os.devnull)
+    write_text(os.devnull, "discarded\n")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_a_write_to_a_pipe_named_by_dev_fd_goes_in_place():
+    read_end, write_end = os.pipe()
+    try:
+        write_text(f"/dev/fd/{write_end}", "a/N\n")
+        os.close(write_end)
+        write_end = None
+        with os.fdopen(read_end, "rb") as fh:
+            read_end = None
+            assert fh.read() == b"a/N\n"
+    finally:
+        for fd in (read_end, write_end):
+            if fd is not None:
+                os.close(fd)
 
 
 def test_serialize_empty_corpus():

@@ -860,13 +860,13 @@ def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
     assert list(dense.attribute_index.items()) == list(index.items())
 
     tags = [s.tags() for s in corpus]
-    grown: dict[str, dict[str, int]] = {}
+    grown: dict[str, list[str]] = {}
     sentences = [s.words() for s in corpus]
     X_grown, packing_grown, observed_grown = _prepare(
         grown, len(tagset), [len(words) for words in sentences], attribute_families(sentences), tags,
         grow=True)
     # the oracle's attributes, numbered 0..A-1 in first-row order
-    grown_index = {key + value: i for key, column in grown.items() for value, i in column.items()}
+    grown_index = {key + value: i for key, value, i in _grown_triples(grown)}
     assert sorted(grown_index) == list(index)
     assert sorted(grown_index.values()) == list(range(len(index)))
     # the matrix and counts of the fixed-vocabulary pass under the grown vocabulary
@@ -940,12 +940,19 @@ def test_a_full_size_model_file_still_loads_and_tags_as_the_pruned_one(tmp_path)
 
 
 def test_growing_encoder_rejects_an_empty_sentence_and_encodes_no_sentences():
-    grown: dict[str, dict[str, int]] = {}
+    grown: dict[str, list[str]] = {}
     with pytest.raises(ValueError):
         _encode(grown, *_columns([[["word=a"]], []]), grow=True)
     assert grown == {}  # checked before the vocabulary is touched
     X, packing = _encode(grown, *_columns([]), grow=True)
     assert X.shape == (0, 2) and packing.steps == []
+
+
+def _grown_triples(grown: dict[str, list[str]]) -> list[tuple[str, str, int]]:
+    """(key, value, column) for each attribute of a grown vocabulary: its
+    families' values numbered on from each other, in order."""
+    columns = itertools.count()
+    return [(key, value, next(columns)) for key, values in grown.items() for value in values]
 
 
 def _encode_oracle(attribute_index: dict[str, int], attrs_list, grow: bool = False):
@@ -1026,9 +1033,9 @@ def assert_same_encoding(encoded, expected):
 def test_family_encoder_agrees_with_the_string_oracle(attrs_list, data):
     index: dict[str, int] = {}
     expected = _encode_oracle(index, attrs_list, grow=True)
-    grown: dict[str, dict[str, int]] = {}
+    grown: dict[str, list[str]] = {}
     encoded = _encode(grown, *_columns(attrs_list), grow=True)
-    grown_index = [(key + value, i) for key, column in grown.items() for value, i in column.items()]
+    grown_index = [(key + value, i) for key, value, i in _grown_triples(grown)]
     assert grown_index == list(index.items())
     assert sorted(dict(grown_index)) == sorted({a for attrs in attrs_list for position in attrs
                                                 for a in position})
@@ -1052,9 +1059,10 @@ def test_family_encoder_agrees_with_the_string_oracle(attrs_list, data):
                 min_size=1, max_size=6), st.integers(0, 2**32 - 1))
 def test_first_row_numbering_keeps_the_products_of_the_sorted_numbering(sentences, seed):
     lengths = [len(words) for words in sentences]
-    grown: dict[str, dict[str, int]] = {}
+    grown: dict[str, list[str]] = {}
     X, _ = _encode(grown, lengths, attribute_families(sentences), grow=True)
-    index = {key + value: i for key, column in grown.items() for value, i in column.items()}
+    triples = _grown_triples(grown)
+    index = {key + value: i for key, value, i in triples}
     ranked = sorted(index)
     X_sorted, _ = _encode(_vocabulary(dict(zip(ranked, range(len(ranked))))), lengths,
                           attribute_families(sentences))
@@ -1073,8 +1081,8 @@ def test_first_row_numbering_keeps_the_products_of_the_sorted_numbering(sentence
     entries = X.tocoo()
     first_row = np.full(A, X.shape[0])
     np.minimum.at(first_row, entries.col[entries.col < A], entries.row[entries.col < A])
-    for column in grown.values():
-        assert np.all(np.diff(first_row[sorted(column.values())]) > 0)
+    for family in grown:
+        assert np.all(np.diff(first_row[[i for key, _, i in triples if key == family]]) > 0)
 
 
 # words over three letters, so that an input has far fewer word types than
@@ -1091,11 +1099,10 @@ def test_families_encode_as_the_oracle_encodes_their_attribute_strings(sentences
     attrs_list = [sentence_attributes(words) for words in sentences]
     index: dict[str, int] = {}
     expected = _encode_oracle(index, attrs_list, grow=True)
-    grown: dict[str, dict[str, int]] = {}
+    grown: dict[str, list[str]] = {}
     assert_same_encoding(_encode(grown, lengths, attribute_families(sentences), grow=True),
                          expected)
-    assert ([(key + value, i) for key, column in grown.items() for value, i in column.items()]
-            == list(index.items()))
+    assert [(key + value, i) for key, value, i in _grown_triples(grown)] == list(index.items())
 
     # a fixed vocabulary: seen attributes and unseen ones, numbered in any order
     candidates = sorted(index) + ["word=cab", "prefix-2=cc", "zz=9"]
@@ -1116,10 +1123,10 @@ def test_encoding_and_tagging_keep_their_pinned_bytes(tmp_path):
     attributes. Neither goes through BLAS, so the pins hold on any machine."""
     corpus = generate(SynthConfig(seed=7, n_sentences=300))
     sentences = [s.words() for s in corpus]
-    grown: dict[str, dict[str, int]] = {}
+    grown: dict[str, list[str]] = {}
     X, _ = _encode(grown, [len(words) for words in sentences], attribute_families(sentences),
                    grow=True)
-    vocabulary = [[key, value, i] for key, column in grown.items() for value, i in column.items()]
+    vocabulary = [[key, value, i] for key, value, i in _grown_triples(grown)]
     digests = [hashlib.sha256(data).hexdigest() for data in (
         X.indptr.astype("<i4").tobytes(), X.indices.astype("<i4").tobytes(),
         json.dumps(vocabulary, ensure_ascii=False).encode())]

@@ -1,18 +1,24 @@
 import hashlib
 import json
+import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nagatag.corpus import TagSet, read_corpus, serialize_tagged
+from nagatag.corpus import Sentence, TaggedCorpus, TagSet, read_corpus, serialize_tagged
 from nagatag.datagen import (
     DEFAULT_SUFFIX_RULE,
+    PUNCT_TAG,
     SynthConfig,
     config_header,
     generate,
-    recover_tag,
     transition_matrix,
 )
+from nagatag.phonotactics import draw_word, to_ascii
+from tests.helpers import recover_tag
 
 TAGSET = TagSet()
 
@@ -155,3 +161,50 @@ PINNED_DIGESTS = [
 def test_generated_corpus_is_pinned(config, digest):
     text = serialize_tagged(generate(config), TAGSET)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _generate_oracle(config: SynthConfig) -> TaggedCorpus:
+    """The reference for generate: every draw through random.Random's own
+    randint, randrange and choices, and every stem through draw_word and
+    to_ascii."""
+    rng = random.Random(config.seed)
+    chain = config.chain_tags()
+    marker_for = config.marker_for()
+    states = list(range(len(chain)))
+    cum_weights = [list(accumulate(row)) for row in transition_matrix(len(chain))]
+    markers = [marker_for[tag_name] for tag_name in chain]
+    tag_indices = [config.tagset.index(tag_name) for tag_name in chain]
+    punct_word = marker_for[PUNCT_TAG]
+    punct_tag = config.tagset.index(PUNCT_TAG)
+    randint, choices = rng.randint, rng.choices
+
+    state: int | None = None
+    sentences = []
+    for _ in range(config.n_sentences):
+        length = randint(config.min_len, config.max_len)
+        words, tags = [], []
+        for _ in range(length):
+            if state is None:
+                state = rng.randrange(len(chain))
+            else:
+                state = choices(states, cum_weights=cum_weights[state])[0]
+            stem = to_ascii(draw_word(rng, randint(1, 3)))
+            words.append(stem + markers[state])
+            tags.append(tag_indices[state])
+        sentences.append(Sentence((*words, punct_word), (*tags, punct_tag)))
+    return TaggedCorpus(tuple(sentences))
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    n_sentences=st.integers(1, 30),
+    lengths=st.lists(st.integers(1, 25), min_size=2, max_size=2).map(sorted),
+)
+@example(seed=0, n_sentences=1, lengths=[1, 1])
+@example(seed=3, n_sentences=30, lengths=[25, 25])
+@example(seed=2**64, n_sentences=30, lengths=[1, 25])
+def test_generate_draws_what_the_call_by_call_oracle_draws(seed, n_sentences, lengths):
+    config = SynthConfig(seed=seed, n_sentences=n_sentences, min_len=lengths[0],
+                         max_len=lengths[1])
+    assert generate(config) == _generate_oracle(config)

@@ -1,8 +1,9 @@
 import itertools
 import random
+from bisect import bisect
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from nagatag.phonotactics import (
@@ -15,15 +16,16 @@ from nagatag.phonotactics import (
     PhonemeInventory,
     SyllableAnalysis,
     SyllableTemplate,
+    _table,
     analyze_word,
     classify,
     draw_word,
     enumerate_accepted,
     from_ascii,
-    generate_word,
     to_ascii,
     to_skeleton,
 )
+from tests.helpers import generate_word
 
 
 def test_inventory_sizes():
@@ -236,6 +238,41 @@ def test_draw_word_matches_the_classifying_oracle(seed, counts, inv):
     for count in counts:
         assert draw_word(rng, count, inv) == _draw_word_oracle(oracle_rng, count, inv)
         assert rng.getstate() == oracle_rng.getstate()
+
+
+def _table_draw(rng, table):
+    """One draw from a `_table`, as draw_word and generate make it."""
+    k, entries = table
+    entry = entries[rng.getrandbits(k)]
+    while entry is None:
+        entry = entries[rng.getrandbits(k)]
+    return entry
+
+
+@given(
+    seed=st.integers(0, 2**64),
+    n=st.one_of(st.integers(1, 70), st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+    start=st.integers(-5, 5),
+    weights=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=70),
+)
+@example(seed=0, n=1, start=0, weights=[1.0])
+@example(seed=2**64, n=64, start=1, weights=[0.0, 2.0])
+def test_table_draws_are_cpythons_choice_randint_and_choices(seed, n, start, weights):
+    assume(sum(weights) > 0)
+    rng, reference = random.Random(seed), random.Random(seed)
+    population = [f"p{i}" for i in range(n)]
+    choice_table, randint_table = _table(population), _table(range(start, start + n))
+    assert len(choice_table[1]) == 2 ** n.bit_length()
+    cum_weights = list(itertools.accumulate(weights))
+    total, last = cum_weights[-1] + 0.0, len(cum_weights) - 1
+    for _ in range(4):
+        assert _table_draw(rng, choice_table) == reference.choice(population)
+        assert rng.getstate() == reference.getstate()
+        assert _table_draw(rng, randint_table) == reference.randint(start, start + n - 1)
+        assert rng.getstate() == reference.getstate()
+        drawn = bisect(cum_weights, rng.random() * total, 0, last)
+        assert drawn == reference.choices(range(len(weights)), cum_weights=cum_weights)[0]
+        assert rng.getstate() == reference.getstate()
 
 
 def test_acceptance_table_is_classify_over_every_template_expansion():
