@@ -30,7 +30,7 @@ from nagatag.corpus import (
 from nagatag.crf import load_model, save_model, tag_corpus, train_model
 from nagatag.datagen import SynthConfig, config_header, generate
 from nagatag.evaluation import confusion, format_report_text, report, top_transitions
-from nagatag.features import FeatureConfig, extract_token_features
+from nagatag.features import FLAG, FeatureConfig, attribute_families
 from nagatag.optim import OptimConfig, OptimError
 from nagatag.phonotactics import analyze_word, from_ascii, to_skeleton
 
@@ -194,9 +194,26 @@ def _cmd_transitions(args) -> int:
     return 0
 
 
+# the template's order, in which the features command prints each token's map
+_TEMPLATE_ORDER = ("word", "is_first", "is_last", "is_capitalized", "is_all_caps",
+                   "is_all_lower", "capitals_inside", "has_hyphen", "is_numeric",
+                   "prev_word", "next_word", "prefix", "suffix")
+
+
+def _template_place(item: tuple[str, object]) -> tuple[int, int]:
+    name, _, k = item[0].partition("-")  # prefix-k and suffix-k by k
+    return _TEMPLATE_ORDER.index(name), int(k or 0)
+
+
 def _cmd_features(args) -> int:
-    words = tuple(args.words)
-    lines = [repr(extract_token_features(words, t, FeatureConfig())) for t in range(len(words))]
+    """Each token's feature map, read off attribute_families: a flag's
+    values as booleans, told apart by the values, not by their text, since
+    a word may be "true"."""
+    maps: list[dict[str, bool | str]] = [{} for _ in args.words]
+    for key, tokens, codes, values in attribute_families([args.words], FeatureConfig()):
+        for t, code in zip(tokens, codes):
+            maps[t][key[:-1]] = values[code] == "true" if values is FLAG else values[code]
+    lines = [repr(dict(sorted(fm.items(), key=_template_place))) for fm in maps]
     _emit("\n".join(lines) + "\n", args)
     return 0
 

@@ -47,20 +47,19 @@ vocabulary is each family's values as a list in column order, Grown, not a
 dict per family: training only reads it to render the attributes it keeps.
 attribute_families gives a token at most one value of a family, so a row's
 columns still ascend family by family, in the order a sorted numbering gives
-them. Each row sum of X @ Θ
-is the same sum in the same order as under the sorted vocabulary that
-build_attribute_index, kept as the oracle, gives, and so is each entry of
-X.T @ U, which adds up its rows in row order under any numbering: the same
-bits, at other indices. Training renders as strings only the attributes it
-keeps. A trained model keeps only the attributes the optimizer left a nonzero
-weight, as CRFsuite's model writer does (Okazaki 2007): its attribute_index
-is those attributes sorted as strings and numbered in that order, and Θ keeps
-their rows in the same order. A dropped row was all zero and added +0.0 to
-every score, so tags and scores are those of the full model, and a file
-holding the full model still loads and tags the same. With L1 most rows end
-zero, so this shrinks what tag loads and encodes. attribute_families still
-builds the codes of a family with no attribute in the model; only their
-lookups are skipped.
+them. Each row sum of X @ Θ is the same sum in the same order as under the
+sorted numbering of the same attributes, which build_attribute_index gives,
+and so is each entry of X.T @ U, which adds up its rows in row order under
+any numbering: the same bits, at other indices. Training renders as strings
+only the attributes it keeps. A trained model keeps only the attributes the
+optimizer left a nonzero weight, as CRFsuite's model writer does (Okazaki
+2007): its attribute_index is those attributes sorted as strings and
+numbered in that order, and Θ keeps their rows in the same order. A dropped
+row was all zero and added +0.0 to every score, so tags and scores are those
+of the full model, and a file holding the full model still loads and tags
+the same. With L1 most rows end zero, so this shrinks what tag loads and
+encodes. attribute_families still builds the codes of a family with no
+attribute in the model; only their lookups are skipped.
 
 The weights are one (A+2+K, K) matrix Θ, held by ModelParameters.weights:
 the A state rows, the begin row, the end row, then the K transition rows.
@@ -72,9 +71,10 @@ weights U into G[:-K] of a gradient G of Θ's shape. The optimizer works on
 Θ's ravel w, and a trained model holds the rows of its result that it keeps. A
 tagged batch is reduced to its observed feature counts in that layout, so its
 gold-path score is observed @ w and the L2-penalized objective is
-sum(log Z) - observed @ w + c2 * w @ w. The gradient takes its expected
-counts from _forward_backward, and build_lattice turns the same scaled
-vectors into log alpha and log beta.
+sum(log Z) - observed @ w + c2 * w @ w. Both dots go through optim.dot, not
+BLAS, so a trained model has the same bits at any BLAS thread count. The
+gradient takes its expected counts from _forward_backward, and build_lattice
+turns the same scaled vectors into log alpha and log beta.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ import numpy as np
 from scipy import sparse
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, write_text
-from nagatag.features import FeatureConfig, Family, attribute_families, sentence_attributes
-from nagatag.optim import IterationTrace, OptimConfig, minimize
+from nagatag.features import FeatureConfig, Family, attribute_families
+from nagatag.optim import IterationTrace, OptimConfig, dot, minimize
 
 Attrs = Sequence[Collection[str]]
 Vocabulary = dict[str, dict[str, int]]  # family key -> value -> column
@@ -522,9 +522,9 @@ def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, packing: _Packing
     G[-K:] += transitions
     G[:-K] += X.T @ np.multiply(a, b, out=a)
 
-    value = float(c.sum()) - float(observed @ w)
+    value = float(c.sum()) - dot(observed, w)
     if c2:  # w @ w overflows on large finite weights; without L2 it must not enter
-        value += c2 * float(w @ w)
+        value += c2 * dot(w, w)
     if not np.isfinite(value):
         raise ArithmeticError(f"non-finite objective value: {value}")
     return value, G.ravel()
@@ -549,12 +549,13 @@ def nll_and_gradient(
 def build_attribute_index(
     corpus: TaggedCorpus, config: FeatureConfig = FeatureConfig()
 ) -> dict[str, int]:
-    """Sorted vocabulary of every attribute occurring in the corpus."""
-    seen: set[str] = set()
-    for sentence in corpus:
-        for attrs in sentence_attributes(sentence.words(), config):
-            seen.update(attrs)
-    return {attr: i for i, attr in enumerate(sorted(seen))}
+    """Sorted vocabulary of every attribute occurring in the corpus: each
+    family's values that some token holds (a neighbour value may be held by
+    none), rendered as "key=value"."""
+    families = attribute_families([sentence.words() for sentence in corpus], config)
+    attributes = sorted(key + values[code] for key, _, codes, values in families
+                        for code in np.unique(codes).tolist())
+    return {attr: i for i, attr in enumerate(attributes)}
 
 
 def train_model(
@@ -570,11 +571,13 @@ def train_model(
     (optim_config.c2); the L1 term (optim_config.c1) is applied inside
     the optimizer itself.
 
-    The model's attribute_index is the sorted vocabulary that
-    build_attribute_index gives, restricted to the attributes with a nonzero
-    state weight and renumbered 0..A'-1 in the same order; with c1 = 0 every
-    one is kept. log, if given, gets each iteration's line, then the
-    vocabulary size and the number of attributes kept.
+    Training grows its vocabulary from the same attribute families that
+    build_attribute_index reads, so the model's attribute_index is the
+    sorted vocabulary build_attribute_index gives, restricted to the
+    attributes with a nonzero state weight and renumbered 0..A'-1 in the
+    same order; with c1 = 0 every one is kept. log, if given, gets each
+    iteration's line, then the vocabulary size and the number of attributes
+    kept.
     """
     if len(corpus) == 0:
         raise ValueError("training corpus is empty")

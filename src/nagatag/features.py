@@ -8,20 +8,19 @@ characters. The affix lengths are the only settings; the model file records
 them. The CRF consumes these as "key=value" indicator strings, so a token's
 observable content is exactly its attribute set.
 
-There is one template, written twice. extract_token_features builds the
-feature map of one token, which binarize renders; sentence_attributes does so
-at every position of a sentence. That is the oracle the tests hold the second
-writing to, attribute_families, which training and tagging read. It goes over
-a whole input one attribute family at a time. A family is every attribute
-that shares a key, the part up to and including the "=" ("word=",
-"is_first=", "prefix-2=", ...). It comes as the tokens that have one, a code
-per token and the distinct values the codes index, so that each value is
-encoded once however many tokens hold it. The template is computed once per
-word type, not per token: a word that recurs is featurized once, each flag
-has two values and each affix family far fewer values than there are
-tokens. No per-token attribute string is built. Families come in increasing
-key order and no key is a prefix of another, so key order, then value order
-within a family, is the sorted order of the "key=value" strings.
+The template has one writing, attribute_families, which training, tagging
+and the features command read. It goes over a whole input one attribute
+family at a time. A family is every attribute that shares a key, the part up
+to and including the "=" ("word=", "is_first=", "prefix-2=", ...). It comes
+as the tokens that have one, a code per token and the distinct values the
+codes index, so that each value is encoded once however many tokens hold it.
+The template is computed once per word type, not per token: a word that
+recurs is featurized once, each flag has two values and each affix family
+far fewer values than there are tokens. No per-token attribute string is
+built. Families come in increasing key order and no key is a prefix of
+another, so key order, then value order within a family, is the sorted order
+of the "key=value" strings. The tests hold it to a per-token oracle, one
+feature map per token, which the program does not use.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-FeatureMap = dict[str, "bool | str"]
 # (key, tokens, codes, values): every attribute "key" + values[codes[i]] of
 # token tokens[i], with values distinct
 Family = tuple[str, Sequence[int], Sequence[int], Sequence[str]]
-_FLAG = ("false", "true")  # the values of every flag family
+FLAG = ("false", "true")  # the values of every flag family, false coded 0
 
 
 @dataclass(frozen=True)
@@ -55,45 +53,6 @@ class FeatureConfig:
                 raise ValueError(f"{name} must be an int >= 1: {value!r}")
 
 
-def extract_token_features(
-    sentence: Sequence[str], t: int, config: FeatureConfig = FeatureConfig()
-) -> FeatureMap:
-    """Feature map for the token at position t. Pure function."""
-    if not 0 <= t < len(sentence):
-        raise IndexError(f"position {t} out of range for sentence of length {len(sentence)}")
-    word = sentence[t]
-    last = len(sentence) - 1
-    fm: FeatureMap = {
-        "word": word,
-        "is_first": t == 0,
-        "is_last": t == last,
-        "is_capitalized": word[:1].isupper(),
-        "is_all_caps": word.isupper(),
-        "is_all_lower": word.islower(),
-        "capitals_inside": any(c.isupper() for c in word[1:]),
-        "has_hyphen": "-" in word,
-        "is_numeric": word.isdecimal(),
-        "prev_word": sentence[t - 1] if t > 0 else "",
-        "next_word": sentence[t + 1] if t < last else "",
-    }
-    # prefix-k only when the word actually has k characters
-    for k in range(1, min(config.prefix_max, len(word)) + 1):
-        fm[f"prefix-{k}"] = word[:k]
-    for k in range(1, min(config.suffix_max, len(word)) + 1):
-        fm[f"suffix-{k}"] = word[-k:]
-    return fm
-
-
-def binarize(fm: FeatureMap) -> tuple[str, ...]:
-    """Render every entry as "key=value", booleans as true/false, sorted
-    for a deterministic iteration order. Keys are unique and hold no "=",
-    so the rendered attributes are unique too."""
-    return tuple(sorted(
-        f"{key}={'true' if value is True else 'false' if value is False else value}"
-        for key, value in fm.items()
-    ))
-
-
 def attribute_families(
     sentences: Sequence[Sequence[str]], config: FeatureConfig = FeatureConfig()
 ) -> Iterator[Family]:
@@ -101,9 +60,10 @@ def attribute_families(
     key order: (key, tokens, codes, values), where tokens counts the input's
     tokens sentence after sentence, the value at tokens[i] is
     values[codes[i]], and a family's values are distinct. A token has at most
-    one value per family, so rendered at one position, key + value over the
-    families gives the sorted binarize(extract_token_features(sentence, t,
-    config)).
+    one value per family: word=, is_first=, is_last=, the six flags,
+    prev_word= and next_word= at every token, and prefix-k= and suffix-k=
+    where the word has k characters. Rendered at one position, key + value
+    over the families is that token's sorted attribute set.
 
     The words are numbered by type once, and every family is computed per
     type, then spread to the tokens by those numbers: word=, prev_word= and
@@ -137,10 +97,10 @@ def attribute_families(
     def edge_flag(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[str, str]]:
         codes = np.zeros(len(words), np.intp)
         codes[at] = 1
-        return every, codes, _FLAG
+        return every, codes, FLAG
 
     def flag(per_type: Iterable[bool]) -> tuple[np.ndarray, np.ndarray, tuple[str, str]]:
-        return every, np.fromiter(per_type, np.intp, len(types))[ids], _FLAG
+        return every, np.fromiter(per_type, np.intp, len(types))[ids], FLAG
 
     families: dict[str, Callable[[], tuple[np.ndarray, np.ndarray, Sequence[str]]]] = {
         "word=": lambda: (every, ids, types),
@@ -197,11 +157,3 @@ def _factorize(items: Iterable[str], n: int) -> tuple[list[str], np.ndarray]:
     at = np.fromiter(map(first.setdefault, items, itertools.count()), np.intp, n)
     return list(first), (np.cumsum(at == np.arange(n)) - 1)[at]
 
-
-def sentence_attributes(
-    sentence: Sequence[str], config: FeatureConfig = FeatureConfig()
-) -> tuple[tuple[str, ...], ...]:
-    """Binarized attribute sets for every position of a sentence, each sorted:
-    the oracle, one feature map per token."""
-    return tuple(binarize(extract_token_features(sentence, t, config))
-                 for t in range(len(sentence)))

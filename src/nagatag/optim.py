@@ -117,6 +117,16 @@ class IterationTrace:
         return len(self.records)
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b for two 1-D float arrays, with the same bits however many
+    threads BLAS runs: OpenBLAS splits a long ddot across its threads, which
+    changes the order of the sum. einsum sums without BLAS, in one order
+    that does not depend on the arrays' alignment either. Every
+    parameter-length dot of the optimizer and the CRF objective goes through
+    here, so a trained model is the same file at any thread count."""
+    return float(np.einsum("i,i", a, b))
+
+
 def pseudo_gradient(x: np.ndarray, grad: np.ndarray, c1: float) -> np.ndarray:
     """Pseudo-gradient of f(x) + c1*||x||_1 (Andrew & Gao 2007). Where x != 0
     it is grad + c1*sign(x). Where x = 0 it is the soft threshold
@@ -184,10 +194,10 @@ class _Pairs:
         sy_new = np.empty((k + 1, k + 1))
         yy_new = np.empty((k + 1, k + 1))
         sy_new[:k, :k], yy_new[:k, :k] = self.sy, self.yy
-        sy_new[k, :k] = [s @ y_j[active] for y_j in self.y]
-        sy_new[:k, k] = [s_i @ y[idx] for idx, s_i in self.s]
-        yy_new[k, :k] = yy_new[:k, k] = [y @ y_j for y_j in self.y]
-        sy_new[k, k], yy_new[k, k] = sy, y @ y
+        sy_new[k, :k] = [dot(s, y_j[active]) for y_j in self.y]
+        sy_new[:k, k] = [dot(s_i, y[idx]) for idx, s_i in self.s]
+        yy_new[k, :k] = yy_new[:k, k] = [dot(y, y_j) for y_j in self.y]
+        sy_new[k, k], yy_new[k, k] = sy, dot(y, y)
         self.s.append((active, s))
         self.y.append(y)
         self.sy, self.yy = sy_new, yy_new
@@ -202,8 +212,8 @@ class _Pairs:
         rho = 1.0 / np.diag(self.sy)
         overlaps = [_overlap(active, idx) for idx, _ in self.s]
         y_on = [y[active] for y in self.y]
-        s_pg = [s[hit] @ pg[pos] for (_, s), (pos, hit) in zip(self.s, overlaps)]
-        y_pg = [y @ pg for y in y_on]
+        s_pg = [dot(s[hit], pg[pos]) for (_, s), (pos, hit) in zip(self.s, overlaps)]
+        y_pg = [dot(y, pg) for y in y_on]
         a = np.zeros(k)
         for i in reversed(range(k)):
             a[i] = rho[i] * (s_pg[i] - self.sy[i] @ a)
@@ -255,7 +265,7 @@ def minimize(
         d = pairs.direction(active, pg) if pairs else -pg
         if c1:
             d = sign_project_direction(d, pg)
-        if np.dot(pg, d) >= 0:
+        if dot(pg, d) >= 0:
             # stale curvature produced a non-descent direction; restart
             pairs.clear()
             d = -pg
@@ -287,7 +297,7 @@ def minimize(
                 )
             s = x_new_on - x_on
             F_new = f_new + c1 * np.sum(np.abs(x_new_on)) if c1 else f_new
-            if F_new <= F + ARMIJO_CONSTANT * np.dot(pg, s):
+            if F_new <= F + ARMIJO_CONSTANT * dot(pg, s):
                 accepted = True
                 break
             step *= BACKTRACK_FACTOR
@@ -299,7 +309,7 @@ def minimize(
 
         g_new = np.asarray(g_new, dtype=np.float64)
         y = g_new - g
-        sy = float(np.dot(s, y[active]))
+        sy = dot(s, y[active])
         if sy > 1e-10:
             pairs.append(active, s, y, sy)
         else:

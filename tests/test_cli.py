@@ -11,15 +11,20 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nagatag.cli import main
 from nagatag.corpus import TagSet, parse_tagged, read_corpus, serialize_tagged
-from nagatag.crf import build_attribute_index, load_model, save_model, zero_model
+from nagatag.crf import load_model, save_model, zero_model
 from nagatag.datagen import SynthConfig, generate
-from nagatag.features import FeatureConfig, sentence_attributes
-from tests.helpers import refuse_to_replace
+from nagatag.features import FeatureConfig
+from tests.helpers import (
+    attribute_index_oracle,
+    extract_token_features,
+    refuse_to_replace,
+    sentence_attributes,
+)
 
 SMALL_TAGS = ("N", "V", "S")
 
@@ -217,7 +222,7 @@ def test_train_reports_attributes_seen_and_kept(small, capsys):
     seen, kept = map(int, re.search(r"(\d+) attributes seen, (\d+) kept",
                                     capsys.readouterr().err).groups())
     corpus = read_corpus(corpus_file, TagSet(SMALL_TAGS))
-    assert seen == len(build_attribute_index(corpus))
+    assert seen == len(attribute_index_oracle(corpus))
     assert kept == load_model(model_file)[0].n_attributes
     assert 0 < kept < seen
 
@@ -304,6 +309,25 @@ def test_huge_affix_lengths_tag_like_the_trained_ones(trained):
         for model in (model_file, str(huge))
     ]
     assert outputs[0] == outputs[1] == "dora/N ase/V ./S\nsaki/N loi/V dora/N ./S\n"
+
+
+def test_training_writes_the_same_model_file_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a long ddot across its threads, which changes the order
+    # of the sum; this corpus has about 23,000 weights, past the length it splits
+    corpus = tmp_path / "corpus.txt"
+    assert main(["gen", "20", "--seed", "0", "--output", str(corpus)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    models = []
+    for threads in ("1", "2"):
+        model = tmp_path / f"model-{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "nagatag.cli", "train", str(corpus), "--model", str(model),
+             "--max-iter", "30"],
+            capture_output=True, text=True, timeout=120, check=True,
+            env=dict(env, OPENBLAS_NUM_THREADS=threads),
+        )
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_overflowing_state_scores_are_data_error(tmp_path, capsys):
@@ -526,6 +550,26 @@ def test_features_dump(capsys):
         "'prefix-1': 'I', 'prefix-2': 'Is', 'prefix-3': 'Iso', 'suffix-1': 'r', "
         "'suffix-2': 'or', 'suffix-3': 'sor', 'suffix-4': 'Isor'}\n"
     )
+
+
+# "", "=", "/", "#", digits, capitals, hyphens, non-ASCII letters, words longer
+# than suffix_max, words that are prefixes or suffixes of others, and the flag
+# values themselves as words
+FEATURE_WORDS = st.text("aZǅé٣7-=/#", max_size=7) | st.sampled_from(
+    ("true", "false", "tru", "rue", "Titia", "Tit", "itia", "-", "--x"))
+
+
+@settings(deadline=None)
+@given(st.lists(FEATURE_WORDS, min_size=1, max_size=6))
+@example(["x"])
+@example(["", "true", "=", "false", ""])
+@example(["ab", "abc", "b", "abcdefg", "cdefg"])
+def test_features_prints_the_oracles_maps(words):
+    expected = "".join(repr(extract_token_features(words, t)) + "\n" for t in range(len(words)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["features", "--", *words]) == 0
+    assert out.getvalue() == expected
 
 
 def test_syllables_text_and_json(capsys):

@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.special import logsumexp
 
 from nagatag.cli import main
-from nagatag.corpus import TaggedCorpus, TagSet, parse_tagged
+from nagatag.corpus import Sentence, TaggedCorpus, TagSet, parse_tagged
 from nagatag.crf import (
     ModelParameters,
     TrainingMeta,
@@ -42,8 +42,9 @@ from nagatag.crf import (
     zero_model,
 )
 from nagatag.datagen import SynthConfig, generate
-from nagatag.features import FeatureConfig, attribute_families, sentence_attributes
+from nagatag.features import FeatureConfig, attribute_families
 from nagatag.optim import OptimConfig
+from tests.helpers import attribute_index_oracle, sentence_attributes
 
 
 def small_tagset(k):
@@ -844,11 +845,37 @@ def test_build_attribute_index_sorted_and_complete():
     assert "is_first=true" in index
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_attribute_index_is_the_oracles_on_generated_corpora(seed):
+    corpus = generate(SynthConfig(seed=seed))
+    assert list(build_attribute_index(corpus).items()) == list(
+        attribute_index_oracle(corpus).items())
+
+
+# words holding "=", "/", "#", digits, capitals, hyphens and non-ASCII
+# letters, many of them prefixes or suffixes of others
+INDEX_WORDS = st.text("aZǅ-7٣/=#é.", min_size=1, max_size=7)
+
+
+@given(st.lists(st.lists(INDEX_WORDS, min_size=1, max_size=6), min_size=1, max_size=5),
+       st.integers(1, 6), st.integers(1, 6))
+@example([["a"]], 3, 4)
+# neighbour values no token holds: no prev_word is "a", no next_word is "b"
+@example([["b", "a"]], 1, 1)
+@example([["ab", "abc", "b"], ["abcd", "=", "a=b"]], 3, 4)
+def test_build_attribute_index_is_the_oracles(sentences, prefix_max, suffix_max):
+    corpus = TaggedCorpus(tuple(Sentence(tuple(words), (0,) * len(words))
+                                for words in sentences))
+    config = FeatureConfig(prefix_max, suffix_max)
+    assert list(build_attribute_index(corpus, config).items()) == list(
+        attribute_index_oracle(corpus, config).items())
+
+
 def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
     # single-token sentences carry both markers on one row
     tagset = TagSet(("N", "V", "S"))
     corpus = parse_tagged(TRAIN_TEXT + "dora/N\n./S\nMoyna/N ghor-ghor/N 12/N ./S\n", tagset)
-    index = build_attribute_index(corpus)
+    index = attribute_index_oracle(corpus)
     model, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, max_iterations=30))
     # the oracle's vocabulary less the attributes whose rows ended all zero,
     # renumbered in the same order
@@ -891,7 +918,7 @@ def unpruned(model, index):
 def test_pruned_and_full_models_give_bitwise_equal_paths_and_scores():
     tagset = TagSet(("N", "V", "S"))
     corpus = parse_tagged(TRAIN_TEXT, tagset)
-    index = build_attribute_index(corpus)
+    index = attribute_index_oracle(corpus)
     model, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, max_iterations=30))
     full = unpruned(model, index)
     assert model.n_attributes < full.n_attributes
@@ -924,7 +951,7 @@ def test_a_model_without_state_weights_saves_loads_and_tags(tmp_path):
 
 def test_a_full_size_model_file_still_loads_and_tags_as_the_pruned_one(tmp_path):
     corpus, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=30)
-    full = unpruned(model, build_attribute_index(corpus))
+    full = unpruned(model, attribute_index_oracle(corpus))
     assert model.n_attributes < full.n_attributes
     raw = tmp_path / "raw.txt"
     raw.write_text("dora ase .\nMoyna ghor-ghor bonaise 12 .\nkolom\n", encoding="utf-8")

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nagatag.features import (
-    FeatureConfig,
-    attribute_families,
-    binarize,
-    extract_token_features,
-    sentence_attributes,
-)
+from nagatag.features import FeatureConfig, attribute_families
+from tests.helpers import binarize, extract_token_features, sentence_attributes
 
 SENTENCE = ("Titia", "Isor", "koise", ",", '"', "Ujala", "hobole", "dibi", ".", '"')
 

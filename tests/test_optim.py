@@ -12,6 +12,7 @@ from nagatag.optim import (
     LineSearchFailure,
     NonFiniteObjective,
     OptimConfig,
+    dot,
     minimize,
     project_orthant,
     pseudo_gradient,
@@ -36,6 +37,21 @@ def rosenbrock(x):
         ]
     )
     return float(v), g
+
+
+@pytest.mark.parametrize("n", [1, 7, 1_001, 20_000])
+def test_dot_has_the_same_bits_on_sliced_and_gathered_inputs(n):
+    # the optimizer dots slices, gathers and fresh arrays alike: where a
+    # vector starts in memory must not change its dot's bits
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, n + 3))
+    expected = dot(a[:n].copy(), b[:n].copy())
+    for shift in range(4):
+        a_shifted, b_shifted = np.empty(n + 3), np.empty(n + 3)
+        a_shifted[shift:shift + n], b_shifted[3 - shift:3 - shift + n] = a[:n], b[:n]
+        assert dot(a_shifted[shift:shift + n], b_shifted[3 - shift:3 - shift + n]) == expected
+    assert dot(a[np.arange(n)], b[:n]) == expected
+    assert dot(a[:n], b[:n]) == pytest.approx(float(a[:n] @ b[:n]), rel=1e-12, abs=1e-12)
 
 
 def test_quadratic_converges_fast():
