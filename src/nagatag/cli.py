@@ -321,7 +321,8 @@ def build_parser() -> _Parser:
     p.add_argument("--top-n", type=_positive, default=5)
 
     p = add("features", _cmd_features, "feature map dump for one sentence", output)
-    p.add_argument("words", nargs="+", help="sentence words")
+    p.add_argument("words", nargs="+",
+                   help="sentence words; words that start with '-' go after '--'")
 
     p = add("syllables", _cmd_syllables, "syllable-structure analysis of a phoneme string",
             reported)

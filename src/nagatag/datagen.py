@@ -32,7 +32,7 @@ from itertools import accumulate
 from typing import ClassVar
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet
-from nagatag.phonotactics import DEFAULT_INVENTORY, _draw_parts, _table, to_ascii
+from nagatag.phonotactics import CONSONANTS, VOWELS, _draw_parts, _table, to_ascii
 
 # One 2-letter marker per non-punctuation tag; equal-length distinct strings
 # can never be suffixes of each other, and "." never terminates a stem.
@@ -106,7 +106,7 @@ def generate(config: SynthConfig) -> TaggedCorpus:
     k_length, lengths = _table(range(config.min_len, config.max_len + 1))
     k_count, counts = _table((1, 2, 3))
     vowels, consonants = (_table(to_ascii((p,)) for p in phonemes)
-                          for phonemes in (DEFAULT_INVENTORY.vowels, DEFAULT_INVENTORY.consonants))
+                          for phonemes in (VOWELS, CONSONANTS))
 
     state: int | None = None
     sentences = []

@@ -2,10 +2,12 @@
 enumeration, and seeded word generation.
 
 Words are phoneme token sequences (aspirated stops and the dotted/hacek
-consonants are single tokens). Each word maps to a CV skeleton which is
-checked against the seven schematic syllable formulas, subject to three
-global rules: a vowel cannot stand alone, a word cannot be two bare vowels,
-and nothing exceeds four syllables.
+consonants are single tokens) over Nagamese's inventory: the module
+constants VOWELS (6) and CONSONANTS (22). The inventory is the language's,
+not a setting, so no function takes another one. Each word maps to a CV
+skeleton which is checked against the seven schematic syllable formulas,
+subject to three global rules: a vowel cannot stand alone, a word cannot be
+two bare vowels, and nothing exceeds four syllables.
 
 Two independent implementations of the formulas live here on purpose:
 `classify` goes through compiled regexes, while `enumerate_accepted` expands
@@ -14,9 +16,10 @@ accepts a drawn word by looking its skeleton up in a table that `classify`
 filled once for every template expansion (135 of them, 123 distinct), so it
 runs no regex per word. Every verdict in that table is `classify`'s, not
 `enumerate_accepted`'s, so the two routes stay independent. Its uniform
-draws index power-of-two tables with `getrandbits`, which gives and consumes
-exactly what `random.Random.choice` would (see `_draw_parts`), and
-`datagen.generate` draws its stems through the same loop.
+draws index power-of-two tables, built once at import, with `getrandbits`,
+which gives and consumes exactly what `random.Random.choice` would (see
+`_draw_parts`), and `datagen.generate` draws its stems through the same
+loop.
 """
 
 from __future__ import annotations
@@ -44,26 +47,6 @@ PHONEME_TO_ASCII = {v: k for k, v in ASCII_TO_PHONEME.items()}
 # k, and 2**k entries of which those past the first n are None; see `_table`
 Table = tuple[int, tuple]
 
-
-@dataclass(frozen=True)
-class PhonemeInventory:
-    """Ordered vowel and consonant inventories; order fixes rng draws."""
-
-    vowels: tuple[str, ...] = VOWELS
-    consonants: tuple[str, ...] = CONSONANTS
-
-    def __post_init__(self):
-        if not self.vowels or not self.consonants:
-            raise ValueError("inventory classes must be non-empty")
-        if len(set(self.vowels)) != len(self.vowels):
-            raise ValueError("duplicate vowels")
-        if len(set(self.consonants)) != len(self.consonants):
-            raise ValueError("duplicate consonants")
-        if set(self.vowels) & set(self.consonants):
-            raise ValueError("vowels and consonants must be disjoint")
-
-
-DEFAULT_INVENTORY = PhonemeInventory()
 
 # Slot alphabet: "V" mandatory vowel, "C" mandatory consonant, "(C)" optional.
 Slot = str
@@ -130,10 +113,6 @@ class SyllableAnalysis:
         if self.accepted != bool(self.matches):
             raise ValueError("accepted must mirror non-empty matches")
 
-    @property
-    def min_syllable_count(self) -> int | None:
-        return min(c for _, c in self.matches) if self.matches else None
-
 
 def _check_skeleton(skeleton: str):
     if not skeleton:
@@ -149,15 +128,15 @@ def _globally_rejected(skeleton: str) -> bool:
     return skeleton in ("V", "VV") or skeleton.count("V") > MAX_SYLLABLES
 
 
-def to_skeleton(phonemes: Sequence[str], inv: PhonemeInventory = DEFAULT_INVENTORY) -> str:
+def to_skeleton(phonemes: Sequence[str]) -> str:
     """Map a phoneme sequence to its CV skeleton, preserving order."""
     if not phonemes:
         raise ValueError("empty phoneme sequence")
     out = []
     for i, p in enumerate(phonemes):
-        if p in inv.vowels:
+        if p in VOWELS:
             out.append("V")
-        elif p in inv.consonants:
+        elif p in CONSONANTS:
             out.append("C")
         else:
             raise ValueError(f"unknown phoneme {p!r} at position {i}")
@@ -178,10 +157,8 @@ def classify(skeleton: str) -> SyllableAnalysis:
     return SyllableAnalysis(bool(matches), matches)
 
 
-def analyze_word(
-    phonemes: Sequence[str], inv: PhonemeInventory = DEFAULT_INVENTORY
-) -> SyllableAnalysis:
-    return classify(to_skeleton(phonemes, inv))
+def analyze_word(phonemes: Sequence[str]) -> SyllableAnalysis:
+    return classify(to_skeleton(phonemes))
 
 
 def enumerate_accepted(max_len: int) -> list[str]:
@@ -225,6 +202,8 @@ _TEMPLATE_TABLES = {
     count: _table(t.slots for t in TEMPLATES if t.syllable_count == count)
     for count in range(1, MAX_SYLLABLES + 1)
 }
+# The phoneme classes as tables, built once for every `draw_word`.
+_VOWEL_TABLE, _CONSONANT_TABLE = _table(VOWELS), _table(CONSONANTS)
 
 
 def _draw_parts(
@@ -272,27 +251,24 @@ def _draw_parts(
             return parts
 
 
-def draw_word(
-    rng: random.Random,
-    syllable_count: int,
-    inv: PhonemeInventory = DEFAULT_INVENTORY,
-) -> tuple[str, ...]:
+def draw_word(rng: random.Random, syllable_count: int) -> tuple[str, ...]:
     """Sample a word of the requested syllable count from a live rng.
 
     A template of that count is drawn, then one phoneme per slot, each
     optional slot filled with probability 1/2. Drawing repeats until the
     result passes classification, since a template instance can still hit a
     global rule (a lone V, two bare vowels). The word's skeleton is built
-    while its slots are filled (the inventory classes are disjoint, so it
+    while its slots are filled (VOWELS and CONSONANTS are disjoint, so it
     equals `to_skeleton(word)`) and accepted by one lookup in
     `_ACCEPTED_COUNTS`, which `classify` built once. Every uniform draw is
-    one `getrandbits` into a table (see `_draw_parts`), and it returns and
-    consumes exactly what `rng.choice` over the templates and the inventory
-    would.
+    one `getrandbits` into a table (see `_draw_parts`): the template tables
+    and the two phoneme tables are built once, at import. It returns and
+    consumes exactly what `rng.choice` over the templates, VOWELS and
+    CONSONANTS would.
     """
     if not 1 <= syllable_count <= MAX_SYLLABLES:
         raise ValueError(f"syllable_count must be in 1..{MAX_SYLLABLES}: {syllable_count}")
-    return tuple(_draw_parts(rng, syllable_count, _table(inv.vowels), _table(inv.consonants)))
+    return tuple(_draw_parts(rng, syllable_count, _VOWEL_TABLE, _CONSONANT_TABLE))
 
 
 def from_ascii(text: str) -> tuple[str, ...]:

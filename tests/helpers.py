@@ -1,12 +1,10 @@
 """Helpers that only the tests use."""
 
 import os
-import random
 from typing import Sequence
 
 from nagatag.corpus import TaggedCorpus
 from nagatag.features import FeatureConfig
-from nagatag.phonotactics import DEFAULT_INVENTORY, PhonemeInventory, draw_word
 
 # The feature template's per-token oracle: one feature map per token, which
 # the tests hold features.attribute_families, the features command and
@@ -71,15 +69,6 @@ def attribute_index_oracle(
         for attrs in sentence_attributes(sentence.words(), config):
             seen.update(attrs)
     return {attr: i for i, attr in enumerate(sorted(seen))}
-
-
-def generate_word(
-    rng_seed: int,
-    syllable_count: int,
-    inv: PhonemeInventory = DEFAULT_INVENTORY,
-) -> tuple[str, ...]:
-    """Seeded wrapper around draw_word: same seed, same word."""
-    return draw_word(random.Random(rng_seed), syllable_count, inv)
 
 
 def recover_tag(word: str, suffix_rule: dict[str, str]) -> str:

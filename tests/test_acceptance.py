@@ -38,7 +38,7 @@ from nagatag.datagen import SynthConfig, generate
 from nagatag.evaluation import ConfusionMatrix, confusion, report
 from nagatag.features import FeatureConfig
 from nagatag.optim import OptimConfig, minimize
-from nagatag.phonotactics import DEFAULT_INVENTORY, analyze_word, classify, draw_word
+from nagatag.phonotactics import VOWELS, analyze_word, classify, draw_word
 
 
 def _verdict(capsys, name: str, problems: list[str]):
@@ -482,10 +482,10 @@ def test_criterion_9_phonotactics_dual_route(capsys):
     rng = random.Random(97)
     rejected = 0
     for _ in range(10_000):
-        word = draw_word(rng, rng.randint(1, 4), DEFAULT_INVENTORY)
+        word = draw_word(rng, rng.randint(1, 4))
         analysis = analyze_word(word)
         if not analysis.accepted or not _oracle_classify(
-            "".join("V" if p in DEFAULT_INVENTORY.vowels else "C" for p in word)
+            "".join("V" if p in VOWELS else "C" for p in word)
         ):
             rejected += 1
     if rejected:

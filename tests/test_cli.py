@@ -205,6 +205,25 @@ def test_empty_tagset_is_data_error(tmp_path, capsys):
     assert "nagatag: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, message", [
+    (["train", "{empty}", "--model", "{out}"], "training corpus is empty"),
+    (["eval", "{empty}", "--model", "{model}", "--output", "{out}"],
+     "cannot report on an empty confusion matrix"),
+    (["split", "{empty}", "{out}", "{out2}"], "cannot split an empty corpus"),
+])
+def test_empty_inputs_are_data_errors_that_write_nothing(trained, capsys, command, message):
+    tmp_path, _, _, model_file = trained
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# only a comment\n", encoding="utf-8")
+    paths = {"empty": empty, "model": model_file,
+             "out": tmp_path / "out.txt", "out2": tmp_path / "out2.txt"}
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert capsys.readouterr().err == f"nagatag: error: {message}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_train_warns_when_not_converged(small, capsys):
     tmp_path, tagset_file, corpus_file = small
     model_file = str(tmp_path / "model.json")
@@ -570,6 +589,15 @@ def test_features_prints_the_oracles_maps(words):
     with contextlib.redirect_stdout(out):
         assert main(["features", "--", *words]) == 0
     assert out.getvalue() == expected
+
+
+def test_features_takes_words_that_start_with_a_dash_after_double_dash(capsys):
+    words = ["-LRB-", "x"]
+    assert main(["features", "--", *words]) == 0
+    assert capsys.readouterr().out == "".join(
+        repr(extract_token_features(words, t)) + "\n" for t in range(len(words)))
+    assert main(["features", "x", "-LRB-"]) == 1
+    assert "unrecognized arguments: -LRB-" in capsys.readouterr().err
 
 
 def test_syllables_text_and_json(capsys):

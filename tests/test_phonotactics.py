@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from nagatag.phonotactics import (
     _ACCEPTED_COUNTS,
     CONSONANTS,
-    DEFAULT_INVENTORY,
     MAX_SYLLABLES,
     TEMPLATES,
     VOWELS,
-    PhonemeInventory,
     SyllableAnalysis,
     SyllableTemplate,
     _table,
@@ -25,7 +23,6 @@ from nagatag.phonotactics import (
     to_ascii,
     to_skeleton,
 )
-from tests.helpers import generate_word
 
 
 def test_inventory_sizes():
@@ -34,15 +31,6 @@ def test_inventory_sizes():
     assert set(VOWELS) == {"i", "u", "e", "ə", "o", "a"}
     assert "pʰ" in CONSONANTS and "š" in CONSONANTS and "ṅ" in CONSONANTS
     assert not set(VOWELS) & set(CONSONANTS)
-
-
-def test_inventory_validation():
-    with pytest.raises(ValueError):
-        PhonemeInventory(vowels=("a", "a"), consonants=("k",))
-    with pytest.raises(ValueError):
-        PhonemeInventory(vowels=("a",), consonants=("a", "k"))
-    with pytest.raises(ValueError):
-        PhonemeInventory(vowels=(), consonants=("k",))
 
 
 def test_template_invariants():
@@ -113,7 +101,6 @@ def test_classify_reports_all_matching_templates():
     analysis = classify("CVCVC")
     ids = {identifier for identifier, _ in analysis.matches}
     assert {"di-2a", "di-2b"} <= ids
-    assert analysis.min_syllable_count == 2
 
 
 def test_matched_count_equals_nucleus_count():
@@ -171,13 +158,13 @@ def test_accepted_nucleus_counts_in_range():
 
 def test_generate_word_deterministic():
     for seed in (0, 1, 12345, 2**63 - 1):
-        assert generate_word(seed, 2) == generate_word(seed, 2)
+        assert draw_word(random.Random(seed), 2) == draw_word(random.Random(seed), 2)
 
 
 def test_generate_word_closure():
     for seed in range(200):
         count = seed % 4 + 1
-        word = generate_word(seed, count)
+        word = draw_word(random.Random(seed), count)
         for p in word:
             assert p in VOWELS or p in CONSONANTS
         analysis = analyze_word(word)
@@ -187,9 +174,9 @@ def test_generate_word_closure():
 
 def test_generate_word_validates_count():
     with pytest.raises(ValueError):
-        generate_word(0, 0)
+        draw_word(random.Random(0), 0)
     with pytest.raises(ValueError):
-        generate_word(0, 5)
+        draw_word(random.Random(0), 5)
 
 
 def test_draw_word_advances_shared_rng():
@@ -201,7 +188,7 @@ def test_draw_word_advances_shared_rng():
     assert draw_word(rng2, 1) == second
 
 
-def _draw_word_oracle(rng, syllable_count, inv=DEFAULT_INVENTORY):
+def _draw_word_oracle(rng, syllable_count):
     """The reference for draw_word: every draw is classified from scratch,
     through to_skeleton and the regexes."""
     candidates = [t for t in TEMPLATES if t.syllable_count == syllable_count]
@@ -210,33 +197,25 @@ def _draw_word_oracle(rng, syllable_count, inv=DEFAULT_INVENTORY):
         phonemes = []
         for slot in template.slots:
             if slot == "V":
-                phonemes.append(rng.choice(inv.vowels))
+                phonemes.append(rng.choice(VOWELS))
             elif slot == "C":
-                phonemes.append(rng.choice(inv.consonants))
+                phonemes.append(rng.choice(CONSONANTS))
             elif rng.random() < 0.5:
-                phonemes.append(rng.choice(inv.consonants))
+                phonemes.append(rng.choice(CONSONANTS))
         word = tuple(phonemes)
-        analysis = analyze_word(word, inv)
+        analysis = analyze_word(word)
         if analysis.accepted and syllable_count in {c for _, c in analysis.matches}:
             return word
-
-
-@st.composite
-def _inventories(draw):
-    symbols = draw(st.lists(st.text(min_size=1, max_size=3), min_size=2, max_size=8, unique=True))
-    n_vowels = draw(st.integers(1, len(symbols) - 1))
-    return PhonemeInventory(tuple(symbols[:n_vowels]), tuple(symbols[n_vowels:]))
 
 
 @given(
     seed=st.integers(0, 2**64),
     counts=st.lists(st.integers(1, MAX_SYLLABLES), min_size=1, max_size=6),
-    inv=st.one_of(st.just(DEFAULT_INVENTORY), _inventories()),
 )
-def test_draw_word_matches_the_classifying_oracle(seed, counts, inv):
+def test_draw_word_matches_the_classifying_oracle(seed, counts):
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     for count in counts:
-        assert draw_word(rng, count, inv) == _draw_word_oracle(oracle_rng, count, inv)
+        assert draw_word(rng, count) == _draw_word_oracle(oracle_rng, count)
         assert rng.getstate() == oracle_rng.getstate()
 
 
@@ -301,8 +280,3 @@ def test_ascii_round_trip():
         text = to_ascii(word)
         assert from_ascii(".".join(to_ascii((p,)) for p in word)) == word
         assert text == to_ascii(word)
-
-
-def test_default_inventory_is_module_constants():
-    assert DEFAULT_INVENTORY.vowels == VOWELS
-    assert DEFAULT_INVENTORY.consonants == CONSONANTS
