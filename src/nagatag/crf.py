@@ -66,8 +66,10 @@ the A state rows, the begin row, the end row, then the K transition rows.
 state_weights, begin_weights, end_weights and transition_weights are views of
 those rows, not copies. Θ's rows follow X's columns, so row r < A+2 weighs
 column r: X @ Θ[:-K] is every token's state score with its boundary scores
-added, and X.T @ U adds the state, begin and end counts of per-token tag
-weights U into G[:-K] of a gradient G of Θ's shape. The optimizer works on
+added, and X.T @ U is the state, begin and end counts of per-token tag weights
+U, the first A+2 rows of a gradient G of Θ's shape. The objective grows that
+product in place by the K transition rows and folds in the rest of G, so G is
+the one Θ-sized array it makes. The optimizer works on
 Θ's ravel w, and a trained model holds the rows of its result that it keeps. A
 tagged batch is reduced to its observed feature counts in that layout, so its
 gold-path score is observed @ w and the L2-penalized objective is
@@ -316,6 +318,9 @@ _TINY = np.finfo(float).tiny
 # T * K^2 * e^-68 of Z whatever the state scores are. Checking the scale factors
 # alone is not enough: a best path lost this way still leaves them normal.
 _MAX_SPREAD = 320.0
+# Weights per step of the gradient's regularizer-and-observed fold: a 256 KB
+# temporary, which stays in cache, in place of a Θ-sized one.
+_FOLD_CHUNK = 1 << 15
 
 
 def _check_spread(theta: np.ndarray, K: int):
@@ -513,21 +518,36 @@ def _prepare(
 def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, packing: _Packing,
                   observed: np.ndarray, c2: float) -> tuple[float, np.ndarray]:
     """sum(log Z) - observed @ w + c2 * ||w||^2 over the flat weights w = Θ.ravel(),
-    and its flat gradient: expected counts minus observed counts plus 2 * c2 * w."""
+    and its flat gradient: expected counts minus observed counts plus 2 * c2 * w.
+
+    The gradient is a new array each call, which the caller may overwrite. It
+    is X.T @ U grown by the transition rows, with 2 * c2 * w - observed added
+    chunk by chunk, so every entry has the bits of (2 * c2 * w - observed) +
+    expected counts with that difference built first, and no second
+    Θ-sized array is made."""
     theta = w.reshape(-1, K)
     _check_spread(theta, K)
     a, b, c, transitions = _forward_backward(X @ theta[:-K], theta[-K:], packing)
-    G = np.multiply(w, 2.0 * c2).reshape(-1, K)
-    G -= observed.reshape(-1, K)
-    G[-K:] += transitions
-    G[:-K] += X.T @ np.multiply(a, b, out=a)
+    # scipy returns X.T @ U as a reshaped view for K = 1, which cannot grow
+    G = np.require(X.T @ np.multiply(a, b, out=a), requirements="O")
+    del a, b  # freed before G grows, which can move it
+    G.resize(theta.shape, refcheck=False)  # G is new: nothing else holds it
+    G[-K:] = transitions
+    G = G.ravel()
+    # G += 2 c2 w - observed, one chunk at a time
+    buffer = np.empty(_FOLD_CHUNK)
+    for start in range(0, len(w), _FOLD_CHUNK):
+        part = slice(start, start + _FOLD_CHUNK)
+        term = np.multiply(w[part], 2.0 * c2, out=buffer[:len(w) - start])
+        term -= observed[part]
+        G[part] += term
 
     value = float(c.sum()) - dot(observed, w)
     if c2:  # w @ w overflows on large finite weights; without L2 it must not enter
         value += c2 * dot(w, w)
     if not np.isfinite(value):
         raise ArithmeticError(f"non-finite objective value: {value}")
-    return value, G.ravel()
+    return value, G
 
 
 def nll_and_gradient(

@@ -157,13 +157,19 @@ def _active_set(x: np.ndarray, grad: np.ndarray, c1: float) -> np.ndarray | slic
 
 
 def _overlap(active: np.ndarray | slice, idx: np.ndarray | slice):
-    """(positions in active, mask over idx) of the coordinates both sets hold."""
+    """(positions in active, positions in idx) of the coordinates both sets
+    hold, in increasing order. The smaller set is searched in the larger:
+    the first pairs' sets can hold a hundred times the coordinates of a late
+    active set."""
     if isinstance(idx, slice):  # c1 = 0: both are every coordinate
         return idx, idx
-    pos = np.searchsorted(active, idx)
-    np.minimum(pos, len(active) - 1, out=pos)
-    hit = active[pos] == idx
-    return pos[hit], hit
+    small, large = (active, idx) if len(active) < len(idx) else (idx, active)
+    pos = np.searchsorted(large, small)
+    np.minimum(pos, len(large) - 1, out=pos)
+    hit = large[pos] == small
+    if small is active:
+        return np.flatnonzero(hit), pos[hit]
+    return pos[hit], np.flatnonzero(hit)
 
 
 class _Pairs:
@@ -212,7 +218,7 @@ class _Pairs:
         rho = 1.0 / np.diag(self.sy)
         overlaps = [_overlap(active, idx) for idx, _ in self.s]
         y_on = [y[active] for y in self.y]
-        s_pg = [dot(s[hit], pg[pos]) for (_, s), (pos, hit) in zip(self.s, overlaps)]
+        s_pg = [dot(s[at], pg[pos]) for (_, s), (pos, at) in zip(self.s, overlaps)]
         y_pg = [dot(y, pg) for y in y_on]
         a = np.zeros(k)
         for i in reversed(range(k)):
@@ -224,8 +230,8 @@ class _Pairs:
         d = -gamma * pg
         for a_i, y in zip(a, y_on):
             d += (gamma * a_i) * y
-        for c_i, (_, s), (pos, hit) in zip(c, self.s, overlaps):
-            d[pos] -= c_i * s[hit]
+        for c_i, (_, s), (pos, at) in zip(c, self.s, overlaps):
+            d[pos] -= c_i * s[at]
         return d
 
 
@@ -241,6 +247,12 @@ def minimize(
     part only; it is expected to already contain any L2 term. It may raise
     ArithmeticError at a point it cannot evaluate: at a line-search trial the
     step is then halved, and at x0 the error propagates.
+
+    The optimizer holds one x, a copy of x0, and writes each line-search
+    trial into it, so the objective must not keep the array it is handed. The
+    gradient it returns belongs to the optimizer, which overwrites it with the
+    next curvature pair's y = g_new - g: return a new array on every call.
+    x0 is left as it was.
     """
     c1 = config.c1
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -269,7 +281,7 @@ def minimize(
             # stale curvature produced a non-descent direction; restart
             pairs.clear()
             d = -pg
-        x_on = x[active]
+        x_on = x[active].copy()  # x[active] is a view of x when active is a slice
         if c1:
             xi = np.where(x_on != 0, np.sign(x_on), np.sign(d))
 
@@ -280,11 +292,12 @@ def minimize(
             x_new_on = x_on + step * d
             if c1:
                 x_new_on = project_orthant(x_new_on, xi)
-            x_new = x.copy()
-            x_new[active] = x_new_on
+            # the trial goes into x itself: x is the same off the active set,
+            # and the next trial or the accepted step overwrites it
+            x[active] = x_new_on
             evaluations += 1
             try:
-                f_new, g_new = objective(x_new)
+                f_new, g_new = objective(x)
             except ArithmeticError:
                 # the objective cannot be evaluated this far out (the CRF's
                 # forward-backward refuses weights that span too many nats):
@@ -308,7 +321,7 @@ def minimize(
             )
 
         g_new = np.asarray(g_new, dtype=np.float64)
-        y = g_new - g
+        y = np.subtract(g_new, g, out=g)  # the old g is not read again: y takes its buffer
         sy = dot(s, y[active])
         if sy > 1e-10:
             pairs.append(active, s, y, sy)
@@ -317,7 +330,7 @@ def minimize(
             # restarts from steepest descent instead of a stale scale
             pairs.clear()
 
-        x, g, F = x_new, g_new, float(F_new)
+        g, F = g_new, float(F_new)
         nonzero_count = int(np.count_nonzero(x_new_on))
         active = _active_set(x, g, c1)
         pg = pseudo_gradient(x[active], g[active], c1)

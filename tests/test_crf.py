@@ -7,6 +7,7 @@ import math
 import os
 import random
 import tempfile
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -23,8 +24,11 @@ from nagatag.crf import (
     ModelParameters,
     TrainingMeta,
     _columns,
+    _FOLD_CHUNK,
     _decode,
     _encode,
+    _forward_backward,
+    _nll_prepared,
     _Packing,
     _prepare,
     _vocabulary,
@@ -472,6 +476,69 @@ def test_gradient_matches_finite_differences():
             wm[i] -= h
             fd[i] = (value_at(wp) - value_at(wm)) / (2 * h)
         assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-7)
+
+
+def _training_inputs(n_sentences):
+    """_nll_prepared's inputs for a generated corpus, as train_model builds them."""
+    corpus = generate(SynthConfig(seed=0, n_sentences=n_sentences))
+    K = len(TagSet())
+    sentences = [sentence.words() for sentence in corpus]
+    prepared = _prepare({}, K, list(map(len, sentences)),
+                        attribute_families(sentences, FeatureConfig()),
+                        [sentence.tags() for sentence in corpus], grow=True)
+    return K, prepared
+
+
+@pytest.mark.parametrize("c2", [0.0, 0.1])
+def test_gradient_has_the_bits_of_the_whole_sum_built_first(c2):
+    # the gradient as 2 c2 w - observed, built over all of Θ, then the
+    # transition counts and X.T @ U added: _nll_prepared must give it bit for bit,
+    # signed zeros included
+    K, (X, packing, observed) = _training_inputs(200)
+    rng = np.random.default_rng(5)
+    u = rng.random(observed.size)
+    w = np.where(u < 0.4, 0.1 * rng.standard_normal(observed.size), 0.0)
+    w[u > 0.9] = -0.0
+    assert w.size > 2 * _FOLD_CHUNK  # the fold runs in several chunks
+    theta = w.reshape(-1, K)
+    a, b, _, transitions = _forward_backward(X @ theta[:-K], theta[-K:], packing)
+    expected = np.multiply(w, 2.0 * c2).reshape(-1, K)
+    expected -= observed.reshape(-1, K)
+    expected[-K:] += transitions
+    expected[:-K] += X.T @ np.multiply(a, b, out=a)
+
+    _, G = _nll_prepared(w, K, X, packing, observed, c2)
+    assert G.shape == w.shape
+    assert G.tobytes() == expected.tobytes()
+
+
+def test_objective_call_holds_at_most_two_weight_sized_arrays():
+    # the gradient is X.T @ U grown in place: no second Θ-sized array, such as
+    # 2 c2 w - observed built whole, lives beside it during the call
+    K, (X, packing, observed) = _training_inputs(300)
+    w = np.zeros(observed.size)
+    w[np.random.default_rng(0).random(w.size) < 0.05] = 0.01
+    tracemalloc.start()
+    try:
+        _nll_prepared(w, K, X, packing, observed, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * w.nbytes
+
+
+def test_one_tag_corpus_trains_and_has_a_gradient():
+    # with K = 1 scipy returns X.T @ U as a view, which the gradient must not grow in place
+    tagset = TagSet(("N",))
+    corpus = parse_tagged("dora/N ase/N\nmoyna/N\n", tagset)
+    model, trace = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, c2=0.1))
+    assert trace.final_objective == 0.0
+    batch = [(sentence_attributes(s.words(), FeatureConfig()), s.tags()) for s in corpus]
+    weights = np.linspace(-0.5, 0.5, model.weights.size).reshape(model.weights.shape)
+    value, grad = nll_and_gradient(dataclasses.replace(model, weights=weights), batch, c2=0.1)
+    # one tag: log Z is the gold score, so only the L2 term is left
+    assert value == pytest.approx(0.1 * (weights ** 2).sum(), abs=1e-12)
+    assert np.allclose(grad, 2 * 0.1 * weights, rtol=0, atol=1e-12)
 
 
 def test_nll_additive_over_partitions():

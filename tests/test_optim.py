@@ -195,6 +195,29 @@ def test_line_search_backtracks_from_points_the_objective_cannot_evaluate():
         minimize(f, np.array([3.0]), OptimConfig())
 
 
+@pytest.mark.parametrize("c1", [0.0, 0.5])
+def test_minimize_leaves_x0_alone_and_returns_the_last_accepted_point(c1):
+    # line-search trials are written into the optimizer's own x: x0 must not
+    # change, and a rejected trial must not stay in the result
+    a = np.array([3.0, -1.0, 2.0, 0.0, -0.25])
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        if np.abs(x).max() > 2.5:
+            raise ArithmeticError("cannot evaluate this far out")
+        return quadratic(a)(x)
+
+    x0 = np.array([0.5, 0.0, 0.0, 1.0, 0.0])
+    start = x0.copy()
+    x, trace = minimize(f, x0, OptimConfig(c1=c1, c2=0.0, max_iterations=4))
+    assert np.array_equal(x0, start)
+    assert sum(r.evaluations for r in trace.records) > trace.iterations  # trials were rejected
+    assert x.tobytes() == seen[-1].tobytes()
+    value, _ = quadratic(a)(x)
+    assert trace.final_objective == (value + c1 * np.sum(np.abs(x)) if c1 else value)
+
+
 def test_line_search_failure_raises():
     # flat value with a lying nonzero gradient can never satisfy Armijo
     def f(x):
