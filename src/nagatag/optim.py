@@ -25,8 +25,8 @@ them, so it runs on the kept Gram matrices s_i.y_j and y_i.y_j and on
 s_i.pg and y_i.pg, and the direction is assembled once at the end (the
 "vector-free" L-BFGS of Chen, Wang, Zhou & Gao, NIPS 2014). Each s_i is
 zero off the active set of its own iteration and is kept sparse there; only
-the dense y_i need full-length passes, k dot products when a pair is
-accepted.
+the dense y_i need full-length passes, k + 1 dot products when a pair is
+accepted. A pair is built only when another iteration will read it.
 
 OptimConfig sets only the regularizer weights, the iteration cap and the
 gradient tolerance. The curvature memory and the line search use the
@@ -153,7 +153,8 @@ def _active_set(x: np.ndarray, grad: np.ndarray, c1: float) -> np.ndarray | slic
     is not sign-projected."""
     if not c1:
         return slice(None)
-    return np.flatnonzero((x != 0) | (np.abs(grad) > c1))
+    # |grad| > c1 as two comparisons: no float temporary of grad's length
+    return np.flatnonzero((x != 0) | (grad > c1) | (grad < -c1))
 
 
 def _overlap(active: np.ndarray | slice, idx: np.ndarray | slice):
@@ -253,6 +254,12 @@ def minimize(
     gradient it returns belongs to the optimizer, which overwrites it with the
     next curvature pair's y = g_new - g: return a new array on every call.
     x0 is left as it was.
+
+    Between objective calls the optimizer holds x, at most one gradient and the
+    stored y's: a rejected trial's gradient is dropped before the next
+    trial's call. The next active set and pseudo-gradient are found before
+    y is built, and y is built and stored only when another iteration will
+    read it, so the last iteration drops g before its direction is found.
     """
     c1 = config.c1
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -273,6 +280,9 @@ def minimize(
     for iteration in range(1, config.max_iterations + 1):
         if gmax <= config.gradient_tolerance:
             break
+        more = iteration < config.max_iterations
+        if not more:
+            g = None  # no iteration reads this one's curvature pair: its y is never built
 
         d = pairs.direction(active, pg) if pairs else -pg
         if c1:
@@ -313,6 +323,7 @@ def minimize(
             if F_new <= F + ARMIJO_CONSTANT * dot(pg, s):
                 accepted = True
                 break
+            del g_new  # a rejected trial's gradient is freed before the next trial's call
             step *= BACKTRACK_FACTOR
         if not accepted:
             raise LineSearchFailure(
@@ -321,20 +332,23 @@ def minimize(
             )
 
         g_new = np.asarray(g_new, dtype=np.float64)
-        y = np.subtract(g_new, g, out=g)  # the old g is not read again: y takes its buffer
-        sy = dot(s, y[active])
-        if sy > 1e-10:
-            pairs.append(active, s, y, sy)
-        else:
-            # rejected curvature pair: drop the history so the next step
-            # restarts from steepest descent instead of a stale scale
-            pairs.clear()
-
-        g, F = g_new, float(F_new)
+        F = float(F_new)
         nonzero_count = int(np.count_nonzero(x_new_on))
-        active = _active_set(x, g, c1)
-        pg = pseudo_gradient(x[active], g[active], c1)
+        active_new = _active_set(x, g_new, c1)
+        pg = pseudo_gradient(x[active_new], g_new[active_new], c1)
         gmax = float(np.max(np.abs(pg))) if pg.size else 0.0
+        if more and gmax > config.gradient_tolerance:
+            # another iteration runs and reads the curvature pair
+            y = np.subtract(g_new, g, out=g)  # the old g is not read again: y takes its buffer
+            sy = dot(s, y[active])
+            if sy > 1e-10:
+                pairs.append(active, s, y, sy)
+            else:
+                # rejected curvature pair: drop the history so the next step
+                # restarts from steepest descent instead of a stale scale
+                pairs.clear()
+        g, active = g_new, active_new
+        del g_new  # g alone holds the gradient, so the last iteration can drop it
         record = IterationRecord(
             iteration=iteration,
             objective=F,

@@ -1,6 +1,7 @@
 """Helpers that only the tests use."""
 
 import os
+import tracemalloc
 from typing import Sequence
 
 from nagatag.corpus import TaggedCorpus
@@ -94,3 +95,15 @@ def refuse_to_replace(monkeypatch, path: str):
         return replace(src, dst, **kwargs)
 
     monkeypatch.setattr(os, "replace", guarded)
+
+
+def traced_peak(fn, *args) -> int:
+    """The most bytes that tracemalloc saw allocated at once while fn(*args)
+    ran, counting only what was allocated after the call began."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

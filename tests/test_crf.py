@@ -7,7 +7,6 @@ import math
 import os
 import random
 import tempfile
-import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -48,7 +47,7 @@ from nagatag.crf import (
 from nagatag.datagen import SynthConfig, generate
 from nagatag.features import FeatureConfig, attribute_families
 from nagatag.optim import OptimConfig
-from tests.helpers import attribute_index_oracle, sentence_attributes
+from tests.helpers import attribute_index_oracle, sentence_attributes, traced_peak
 
 
 def small_tagset(k):
@@ -478,9 +477,13 @@ def test_gradient_matches_finite_differences():
         assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-7)
 
 
+def _training_corpus(n_sentences):
+    return generate(SynthConfig(seed=0, n_sentences=n_sentences))
+
+
 def _training_inputs(n_sentences):
     """_nll_prepared's inputs for a generated corpus, as train_model builds them."""
-    corpus = generate(SynthConfig(seed=0, n_sentences=n_sentences))
+    corpus = _training_corpus(n_sentences)
     K = len(TagSet())
     sentences = [sentence.words() for sentence in corpus]
     prepared = _prepare({}, K, list(map(len, sentences)),
@@ -489,21 +492,34 @@ def _training_inputs(n_sentences):
     return K, prepared
 
 
+def _weight_count(X, K):
+    """The length of the flat weights w = Θ.ravel() for an encoded matrix X."""
+    return (X.shape[1] + K) * K
+
+
+def _dense(observed, size):
+    """_prepare's observed (index, count) pairs scattered into a zero array."""
+    dense = np.zeros(size)
+    dense[observed.index] = observed.count
+    return dense
+
+
 @pytest.mark.parametrize("c2", [0.0, 0.1])
 def test_gradient_has_the_bits_of_the_whole_sum_built_first(c2):
     # the gradient as 2 c2 w - observed, built over all of Θ, then the
     # transition counts and X.T @ U added: _nll_prepared must give it bit for bit,
     # signed zeros included
     K, (X, packing, observed) = _training_inputs(200)
+    n = _weight_count(X, K)
     rng = np.random.default_rng(5)
-    u = rng.random(observed.size)
-    w = np.where(u < 0.4, 0.1 * rng.standard_normal(observed.size), 0.0)
+    u = rng.random(n)
+    w = np.where(u < 0.4, 0.1 * rng.standard_normal(n), 0.0)
     w[u > 0.9] = -0.0
     assert w.size > 2 * _FOLD_CHUNK  # the fold runs in several chunks
     theta = w.reshape(-1, K)
     a, b, _, transitions = _forward_backward(X @ theta[:-K], theta[-K:], packing)
     expected = np.multiply(w, 2.0 * c2).reshape(-1, K)
-    expected -= observed.reshape(-1, K)
+    expected -= _dense(observed, n).reshape(-1, K)
     expected[-K:] += transitions
     expected[:-K] += X.T @ np.multiply(a, b, out=a)
 
@@ -516,15 +532,50 @@ def test_objective_call_holds_at_most_two_weight_sized_arrays():
     # the gradient is X.T @ U grown in place: no second Θ-sized array, such as
     # 2 c2 w - observed built whole, lives beside it during the call
     K, (X, packing, observed) = _training_inputs(300)
-    w = np.zeros(observed.size)
+    w = np.zeros(_weight_count(X, K))
     w[np.random.default_rng(0).random(w.size) < 0.05] = 0.01
-    tracemalloc.start()
-    try:
-        _nll_prepared(w, K, X, packing, observed, 0.1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(_nll_prepared, w, K, X, packing, observed, 0.1)
     assert peak <= 2.0 * w.nbytes
+
+
+def test_observed_pairs_are_the_bincount_counts():
+    # the pairs scatter back to the dense counts of (column, tag) over X's
+    # entries and (previous tag, tag) over the rows with a predecessor, as two
+    # np.bincount calls over Θ's flat layout count them
+    corpus = _training_corpus(300)
+    K, (X, packing, observed) = _training_inputs(300)
+    tags = np.empty_like(packing.order)  # the tag of each row
+    tags[packing.order] = np.concatenate([sentence.tags() for sentence in corpus])
+    entry_tags = np.repeat(tags, np.diff(X.indptr))
+    later = slice(packing.steps[0].stop, None)
+    bincounts = np.concatenate([
+        np.bincount(X.indices.astype(np.intp) * K + entry_tags, minlength=X.shape[1] * K),
+        np.bincount(tags[packing.prev[later]] * K + tags[later], minlength=K * K),
+    ], dtype=np.float64)
+
+    index, count = observed
+    assert index.dtype == np.intp and count.dtype == np.float64
+    assert (np.diff(index) > 0).all()  # sorted, each index once
+    assert (count > 0).all()
+    assert index[-1] < _weight_count(X, K)
+    assert np.array_equal(_dense(observed, bincounts.size), bincounts)
+    # most of Θ is never observed
+    assert len(index) < 0.2 * bincounts.size
+
+
+def test_training_peak_holds_no_dead_gradient_or_dense_counts():
+    # c1 = c2 = 0.1 over two iterations, the first with three rejected
+    # line-search trials: 7.6 times w.nbytes traced, against 9.7 when a rejected
+    # trial's gradient, the dense observed counts, |g| in the active set and
+    # the backward vectors during X.T @ U were alive at the peak
+    corpus = _training_corpus(300)
+    K, (X, _, _) = _training_inputs(300)
+    w_nbytes = _weight_count(X, K) * 8
+    config = OptimConfig(c1=0.1, c2=0.1, max_iterations=2)
+    _, trace = train_model(corpus, TagSet(), FeatureConfig(), config)
+    assert trace.records[0].evaluations > 1  # a trial was rejected
+    peak = traced_peak(train_model, corpus, TagSet(), FeatureConfig(), config)
+    assert peak <= 8.5 * w_nbytes
 
 
 def test_one_tag_corpus_trains_and_has_a_gradient():
@@ -970,6 +1021,8 @@ def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(X_grown, name), getattr(X, name))
     assert np.array_equal(packing_grown.order, packing.order)
+    observed_grown, observed = (_dense(o, _weight_count(X, len(tagset)))
+                                for o in (observed_grown, observed))
     assert np.array_equal(observed_grown, observed)
 
 

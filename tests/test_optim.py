@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +217,51 @@ def test_minimize_leaves_x0_alone_and_returns_the_last_accepted_point(c1):
     assert x.tobytes() == seen[-1].tobytes()
     value, _ = quadratic(a)(x)
     assert trace.final_objective == (value + c1 * np.sum(np.abs(x)) if c1 else value)
+
+
+@pytest.mark.parametrize("c1", [0.0, 0.5])
+def test_a_rejected_trials_gradient_is_freed_before_the_next_call(c1):
+    # a steep quadratic: the first unit steps overshoot, so trials are rejected
+    a = np.linspace(-1.0, 1.0, 50)
+    refs, alive_at_call = [], []
+
+    def objective(x):
+        alive_at_call.append([ref() is not None for ref in refs])
+        diff = x - a
+        g = 200.0 * diff
+        refs.append(weakref.ref(g))
+        return 100.0 * float(diff @ diff), g
+
+    _, trace = minimize(objective, np.zeros_like(a), OptimConfig(c1=c1, c2=0.0))
+    # call 0 is at x0; each iteration's calls follow, the last one accepted
+    rejected, call = [], 0
+    for record in trace.records:
+        rejected += range(call + 1, call + record.evaluations)
+        call += record.evaluations
+    assert trace.converged and rejected
+    for i in rejected:
+        assert not alive_at_call[i + 1][i], f"call {i}'s gradient alive at call {i + 1}"
+
+
+@st.composite
+def _points_at_the_threshold(draw):
+    """(x, g, c1) with entries drawn from ±0.0, ±c1, the floats next to c1
+    and any float."""
+    c1 = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    near = [0.0, -0.0, c1, -c1, math.nextafter(c1, 0.0), math.nextafter(c1, math.inf)]
+    entry = st.one_of(st.sampled_from(near), st.floats())
+    n = draw(st.integers(0, 30))
+    x, g = (np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=float)
+            for _ in range(2))
+    return x, g, c1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points_at_the_threshold())
+def test_active_set_is_where_x_or_the_pseudo_gradient_can_be_nonzero(point):
+    x, g, c1 = point
+    expected = np.flatnonzero((x != 0) | (np.abs(g) > c1))
+    assert np.array_equal(_active_set(x, g, c1), expected)
 
 
 def test_line_search_failure_raises():
