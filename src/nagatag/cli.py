@@ -126,7 +126,7 @@ def _cmd_eval(args) -> int:
         rep = report(cm)
     for warning in caught:
         print(f"nagatag: warning: {warning.message}", file=sys.stderr)
-    doc = rep.as_dict() | {
+    doc = asdict(rep) | {
         "confusion": {"tags": list(model.tagset.names), "counts": cm.counts.tolist()}
     }
     _report(args, doc, format_report_text(rep) + "\n" + cm.to_csv())

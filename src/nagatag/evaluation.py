@@ -1,10 +1,11 @@
 """Tagging evaluation at the token level, and transition-weight inspection.
 
-Produces a gold-rows confusion matrix, per-tag precision/recall/F1 with
-supports, accuracy, and macro plus support-weighted aggregates. Weighted
-recall is computed as trace/total, which is algebraically the support-
-weighted mean of per-tag recalls, so it equals accuracy exactly rather
-than merely within rounding.
+`report` turns a gold-rows confusion matrix into plain records: per-tag
+precision, recall, F1 and support, accuracy, and macro and support-weighted
+precision, recall and F1, all exact. `dataclasses.asdict` of the report is
+the JSON of `nagatag eval --format json` less its confusion matrix. Weighted
+recall is taken as trace/total, which is algebraically the support-weighted
+mean of per-tag recalls, so it equals accuracy exactly, not within rounding.
 """
 
 from __future__ import annotations
@@ -43,58 +44,34 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class TagMetrics:
+class Scores:
     precision: float
     recall: float
     f1: float
-    support: int
 
     def __post_init__(self):
         for value in (self.precision, self.recall, self.f1):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"metric out of [0,1]: {value}")
+
+
+@dataclass(frozen=True)
+class TagMetrics(Scores):
+    support: int
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.support < 0:
             raise ValueError("support must be nonnegative")
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    tagset: TagSet
     per_tag: dict[str, TagMetrics]
     accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
+    macro: Scores
+    weighted: Scores
     total: int
-
-    def as_dict(self) -> dict:
-        """Exact (unrounded) values for machine consumption."""
-        return {
-            "per_tag": {
-                name: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for name, m in self.per_tag.items()
-            },
-            "accuracy": self.accuracy,
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "weighted": {
-                "precision": self.weighted_precision,
-                "recall": self.weighted_recall,
-                "f1": self.weighted_f1,
-            },
-            "total": self.total,
-        }
 
 
 def confusion(gold: TaggedCorpus, predicted: TaggedCorpus, tagset: TagSet) -> ConfusionMatrix:
@@ -132,50 +109,33 @@ def report(cm: ConfusionMatrix) -> EvalReport:
 
     total = cm.total
     accuracy = int(tp.sum()) / total
-    K = len(names)
-    macro_p = sum(m.precision for m in per_tag.values()) / K
-    macro_r = sum(m.recall for m in per_tag.values()) / K
-    macro_f = sum(m.f1 for m in per_tag.values()) / K
-    weighted_p = sum(m.precision * m.support for m in per_tag.values()) / total
-    # support-weighted recall telescopes to trace/total; computing it that
-    # way keeps the equality with accuracy exact in floating point
-    weighted_r = int(tp.sum()) / total
-    weighted_f = sum(m.f1 * m.support for m in per_tag.values()) / total
-    return EvalReport(
-        tagset=cm.tagset,
-        per_tag=per_tag,
-        accuracy=accuracy,
-        macro_precision=macro_p,
-        macro_recall=macro_r,
-        macro_f1=macro_f,
-        weighted_precision=weighted_p,
-        weighted_recall=weighted_r,
-        weighted_f1=weighted_f,
-        total=total,
+    rows = per_tag.values()
+    macro = Scores(
+        sum(m.precision for m in rows) / len(rows),
+        sum(m.recall for m in rows) / len(rows),
+        sum(m.f1 for m in rows) / len(rows),
     )
+    # support-weighted recall telescopes to trace/total, which is accuracy;
+    # taking it as that keeps the equality exact in floating point
+    weighted = Scores(
+        sum(m.precision * m.support for m in rows) / total,
+        accuracy,
+        sum(m.f1 * m.support for m in rows) / total,
+    )
+    return EvalReport(per_tag, accuracy, macro, weighted, total)
 
 
 def format_report_text(rep: EvalReport) -> str:
     """Fixed-point table: one row per tag in tagset order, then aggregates."""
-    width = max(12, max(len(n) for n in rep.tagset.names) + 2)
-    header = f"{'':<{width}}{'precision':>10}{'recall':>10}{'f1-score':>10}{'support':>10}"
-    lines = [header, ""]
-    for name in rep.tagset.names:
-        m = rep.per_tag[name]
-        lines.append(
-            f"{name:<{width}}{m.precision:>10.2f}{m.recall:>10.2f}"
-            f"{m.f1:>10.2f}{m.support:>10d}"
-        )
-    lines.append("")
-    lines.append(f"{'accuracy':<{width}}{'':>10}{'':>10}{rep.accuracy:>10.2f}{rep.total:>10d}")
-    lines.append(
-        f"{'macro avg':<{width}}{rep.macro_precision:>10.2f}{rep.macro_recall:>10.2f}"
-        f"{rep.macro_f1:>10.2f}{rep.total:>10d}"
-    )
-    lines.append(
-        f"{'weighted avg':<{width}}{rep.weighted_precision:>10.2f}{rep.weighted_recall:>10.2f}"
-        f"{rep.weighted_f1:>10.2f}{rep.total:>10d}"
-    )
+    width = max(12, max(len(n) for n in rep.per_tag) + 2)
+
+    def row(label: str, s: Scores, support: int) -> str:
+        return f"{label:<{width}}{s.precision:>10.2f}{s.recall:>10.2f}{s.f1:>10.2f}{support:>10d}"
+
+    lines = [f"{'':<{width}}{'precision':>10}{'recall':>10}{'f1-score':>10}{'support':>10}", ""]
+    lines += [row(name, m, m.support) for name, m in rep.per_tag.items()]
+    lines += ["", f"{'accuracy':<{width}}{'':>20}{rep.accuracy:>10.2f}{rep.total:>10d}"]
+    lines += [row("macro avg", rep.macro, rep.total), row("weighted avg", rep.weighted, rep.total)]
     return "\n".join(lines) + "\n"
 
 
@@ -197,16 +157,14 @@ def top_transitions(model: ModelParameters, n: int) -> TransitionRanking:
         raise ValueError(f"n must be >= 1: {n}")
     names = model.tagset.names
     entries = [
-        (i, j, float(model.transition_weights[i, j]))
-        for i in range(len(names))
-        for j in range(len(names))
+        (prev, nxt, float(w))
+        for prev, weights in zip(names, model.transition_weights)
+        for nxt, w in zip(names, weights)
     ]
-    by_desc = sorted(entries, key=lambda e: (-e[2], e[0], e[1]))
-    by_asc = sorted(entries, key=lambda e: (e[2], e[0], e[1]))
-    as_named = lambda es: tuple((names[i], names[j], w) for i, j, w in es)
+    # sorted is stable: ties keep their (previous, next) index order
     return TransitionRanking(
-        top=as_named(by_desc[:n]),
-        bottom=as_named(by_asc[:n]),
+        top=tuple(sorted(entries, key=lambda e: -e[2])[:n]),
+        bottom=tuple(sorted(entries, key=lambda e: e[2])[:n]),
         begin=tuple((name, float(w)) for name, w in zip(names, model.begin_weights)),
         end=tuple((name, float(w)) for name, w in zip(names, model.end_weights)),
     )

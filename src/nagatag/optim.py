@@ -257,9 +257,10 @@ def minimize(
 
     Between objective calls the optimizer holds x, at most one gradient and the
     stored y's: a rejected trial's gradient is dropped before the next
-    trial's call. The next active set and pseudo-gradient are found before
-    y is built, and y is built and stored only when another iteration will
-    read it, so the last iteration drops g before its direction is found.
+    trial's call. The line search's arrays are freed, and the next active set
+    and pseudo-gradient found, before y is built, and y is built and stored
+    only when another iteration will read it, so the last iteration drops g
+    before its direction is found.
     """
     c1 = config.c1
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -334,6 +335,7 @@ def minimize(
         g_new = np.asarray(g_new, dtype=np.float64)
         F = float(F_new)
         nonzero_count = int(np.count_nonzero(x_new_on))
+        x_on = d = xi = x_new_on = None  # freed before the next active set is built
         active_new = _active_set(x, g_new, c1)
         pg = pseudo_gradient(x[active_new], g_new[active_new], c1)
         gmax = float(np.max(np.abs(pg))) if pg.size else 0.0

@@ -436,14 +436,14 @@ def test_criterion_7_end_to_end_learnability(capsys, synth_task):
     problems = []
     if rep.accuracy < 0.95:
         problems.append(f"accuracy {rep.accuracy:.4f} < 0.95")
-    if rep.weighted_f1 < 0.95:
-        problems.append(f"weighted F1 {rep.weighted_f1:.4f} < 0.95")
+    if rep.weighted.f1 < 0.95:
+        problems.append(f"weighted F1 {rep.weighted.f1:.4f} < 0.95")
     if elapsed >= 120:
         problems.append(f"runtime {elapsed:.1f}s >= 120s")
     _verdict(
         capsys,
         f"7. trained on 700 synthetic sentences, held-out 300: accuracy "
-        f"{rep.accuracy:.4f}, weighted F1 {rep.weighted_f1:.4f} (>= 0.95) in {elapsed:.1f}s",
+        f"{rep.accuracy:.4f}, weighted F1 {rep.weighted.f1:.4f} (>= 0.95) in {elapsed:.1f}s",
         problems,
     )
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -703,3 +704,98 @@ def test_eval_json_keys(trained, capsys):
     assert set(doc["per_tag"]) == set(SMALL_TAGS)
     assert set(doc["per_tag"]["N"]) == {"precision", "recall", "f1", "support"}
     assert set(doc["macro"]) == set(doc["weighted"]) == {"precision", "recall", "f1"}
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """A model trained for three iterations on `gen 20 --seed 0`, and a gold
+    file of `gen 3 --seed 1` that lacks CMP, DET, PN and FW: the model gets
+    four of its 21 tokens wrong and predicts none of INTJ, so eval warns of
+    nine 0/0 metrics."""
+    tmp_path = tmp_path_factory.mktemp("golden")
+    train, gold, model = (str(tmp_path / name) for name in ("train.txt", "gold.txt", "model.json"))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["gen", "20", "--seed", "0", "--output", train]) == 0
+        assert main(["gen", "3", "--seed", "1", "--min-len", "4", "--max-len", "8",
+                     "--output", gold]) == 0
+        assert main(["train", train, "--model", model, "--max-iter", "3"]) == 0
+    return gold, model
+
+
+GOLDEN_EVAL_WARNINGS = "".join(
+    f"nagatag: warning: {tag}: {metric} is 0/0, reporting 0\n"
+    for tag, metric in (
+        ("CMP", "precision"), ("CMP", "recall"), ("DET", "precision"), ("DET", "recall"),
+        ("INTJ", "precision"), ("PN", "precision"), ("PN", "recall"),
+        ("FW", "precision"), ("FW", "recall"),
+    )
+)
+
+GOLDEN_EVAL_TEXT = """\
+             precision    recall  f1-score   support
+
+ADJ               0.50      1.00      0.67         1
+ADV               0.50      1.00      0.67         1
+CONJ              1.00      1.00      1.00         1
+CMP               0.00      0.00      0.00         0
+DET               0.00      0.00      0.00         0
+PP                1.00      1.00      1.00         1
+INTJ              0.00      0.00      0.00         2
+N                 1.00      0.60      0.75         5
+PN                0.00      0.00      0.00         0
+QN                0.50      1.00      0.67         2
+V                 1.00      1.00      1.00         1
+FW                0.00      0.00      0.00         0
+SYM               1.00      1.00      1.00         3
+UNK               1.00      1.00      1.00         1
+NUM               1.00      1.00      1.00         3
+
+accuracy                              0.81        21
+macro avg         0.57      0.64      0.58        21
+weighted avg      0.81      0.81      0.78        21
+
+,ADJ,ADV,CONJ,CMP,DET,PP,INTJ,N,PN,QN,V,FW,SYM,UNK,NUM
+ADJ,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0
+ADV,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0
+CONJ,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0
+CMP,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
+DET,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
+PP,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0
+INTJ,1,0,0,0,0,0,0,0,0,1,0,0,0,0,0
+N,0,1,0,0,0,0,0,3,0,1,0,0,0,0,0
+PN,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
+QN,0,0,0,0,0,0,0,0,0,2,0,0,0,0,0
+V,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0
+FW,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
+SYM,0,0,0,0,0,0,0,0,0,0,0,0,3,0,0
+UNK,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0
+NUM,0,0,0,0,0,0,0,0,0,0,0,0,0,0,3
+"""
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fmt, stdout", [
+    ("text", GOLDEN_EVAL_TEXT),
+    ("json", "181567cdcd0b367711963f4d72cb91a7a38b3b636a2e88bbf5097e029070950c"),
+], ids=("text", "json"))
+def test_eval_output_bytes(golden, capsys, fmt, stdout):
+    gold, model = golden
+    assert main(["eval", gold, "--model", model, "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert (out if fmt == "text" else _sha256(out)) == stdout
+    assert err == GOLDEN_EVAL_WARNINGS
+
+
+# every one of the 225 transitions, in both rankings: seven of them are 0.0 ties
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "5543860531a06e32d2537eb9e3d2f70a5b4ee8d0722e06d0f37fa51591c80e7f"),
+    ("json", "41092c77dddf7b3b1c28041caef628cbf7aa4e43173a3b1de9c5017e89d8b215"),
+], ids=("text", "json"))
+def test_transitions_output_bytes(golden, capsys, fmt, digest):
+    _, model = golden
+    assert main(["transitions", "--model", model, "--top-n", "225", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert (_sha256(out), err) == (digest, "")

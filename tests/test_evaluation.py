@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nagatag.crf import zero_model
 from nagatag.evaluation import (
     ConfusionMatrix,
     EvalReport,
+    Scores,
     TagMetrics,
     confusion,
     format_report_text,
@@ -136,7 +138,7 @@ def test_weighted_recall_equals_accuracy_exactly():
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", RuntimeWarning)
             rep = report(confusion(gold, predicted, TAGSET))
-        assert rep.weighted_recall == rep.accuracy
+        assert rep.weighted.recall == rep.accuracy
 
 
 def test_zero_over_zero_warns_and_reports_zero():
@@ -154,9 +156,9 @@ def test_macro_is_unweighted_mean():
     with pytest.warns(RuntimeWarning):
         rep = report(confusion(gold, gold, TAGSET))
     # two perfect tags, thirteen empty ones
-    assert rep.macro_precision == pytest.approx(2 / 15)
-    assert rep.macro_recall == pytest.approx(2 / 15)
-    assert rep.macro_f1 == pytest.approx(2 / 15)
+    assert rep.macro.precision == pytest.approx(2 / 15)
+    assert rep.macro.recall == pytest.approx(2 / 15)
+    assert rep.macro.f1 == pytest.approx(2 / 15)
 
 
 PUBLISHED_ROWS = {
@@ -231,6 +233,8 @@ def test_tag_metrics_validation():
         TagMetrics(1.5, 0.0, 0.0, 1)
     with pytest.raises(ValueError):
         TagMetrics(0.5, 0.5, 0.5, -1)
+    with pytest.raises(ValueError):
+        Scores(0.5, -0.25, 0.5)
 
 
 def test_csv_layout():
@@ -262,7 +266,7 @@ def test_report_as_dict_is_exact():
     predicted = parse_tagged("a/N b/V c/V\n", TAGSET)
     with pytest.warns(RuntimeWarning):
         rep = report(confusion(gold, predicted, TAGSET))
-    doc = rep.as_dict()
+    doc = asdict(rep)
     assert doc["per_tag"]["N"]["recall"] == 0.5
     assert doc["accuracy"] == 2 / 3
     assert doc["weighted"]["recall"] == doc["accuracy"]
@@ -270,10 +274,17 @@ def test_report_as_dict_is_exact():
 
 
 def test_top_transitions_tie_break():
-    model = zero_model(TagSet(("A", "B", "C")), {})
-    ranking = top_transitions(model, 3)
-    assert ranking.top == (("A", "A", 0.0), ("A", "B", 0.0), ("A", "C", 0.0))
-    assert ranking.bottom == (("A", "A", 0.0), ("A", "B", 0.0), ("A", "C", 0.0))
+    # 0.0 and -0.0 are equal weights: both rankings list them in (previous,
+    # next) index order, not name order, each with its sign in the model
+    model = zero_model(TagSet(("V", "N", "ADJ")), {})
+    model.transition_weights[:] = [[-0.0, 1.0, 0.0], [0.0, -0.0, -2.0], [-0.0, 0.5, 0.0]]
+    ranking = top_transitions(model, 9)
+    zeros = [("V", "V", "-0.0"), ("V", "ADJ", "0.0"), ("N", "V", "0.0"), ("N", "N", "-0.0"),
+             ("ADJ", "V", "-0.0"), ("ADJ", "ADJ", "0.0")]
+    top = [(a, b, repr(w)) for a, b, w in ranking.top]
+    bottom = [(a, b, repr(w)) for a, b, w in ranking.bottom]
+    assert top == [("V", "N", "1.0"), ("ADJ", "N", "0.5"), *zeros, ("N", "ADJ", "-2.0")]
+    assert bottom == [("N", "ADJ", "-2.0"), *zeros, ("ADJ", "N", "0.5"), ("V", "N", "1.0")]
 
 
 def test_top_transitions_extremes():

@@ -20,6 +20,7 @@ from nagatag.optim import (
     sign_project_direction,
 )
 from nagatag.optim import _active_set, _Pairs
+from tests.helpers import traced_peak
 
 
 def quadratic(a):
@@ -241,6 +242,27 @@ def test_a_rejected_trials_gradient_is_freed_before_the_next_call(c1):
     assert trace.converged and rejected
     for i in rejected:
         assert not alive_at_call[i + 1][i], f"call {i}'s gradient alive at call {i + 1}"
+
+
+@pytest.mark.parametrize("c1, bound", [(0.0, 9.0), (0.1, 13.0)])
+def test_the_line_search_arrays_are_freed_before_the_next_active_set(c1, bound):
+    # One iteration on a scaled quadratic where every coordinate is active:
+    # 8.1 (c1 = 0) and 12.1 (c1 = 0.1) times x.nbytes traced, against 11.1
+    # and 16.1 when x_on, d, x_new_on and the orthant signs xi stayed alive
+    # while the next active set and pseudo-gradient were built
+    n = 50_000
+    rng = np.random.default_rng(0)
+    a = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    scale = rng.uniform(1.0, 50.0, n)
+
+    def objective(x):
+        diff = x - a
+        g = scale * diff
+        return 0.5 * dot(g, diff), g
+
+    config = OptimConfig(c1=c1, c2=0.0, max_iterations=1)
+    peak = traced_peak(minimize, objective, np.zeros(n), config)
+    assert peak <= bound * n * 8
 
 
 @st.composite
