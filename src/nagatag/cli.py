@@ -3,7 +3,8 @@
 One binary, ten subcommands: train, tag, eval, stats, split, agreement,
 transitions, features, syllables, gen. Data goes to stdout (or --output);
 logs and diagnostics go to stderr. Exit status: 0 success, 1 usage error,
-2 data error (unreadable file, malformed corpus, model mismatch).
+2 data error (unreadable file, malformed corpus, model mismatch, or weights
+whose sums overflow).
 """
 
 from __future__ import annotations

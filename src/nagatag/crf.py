@@ -631,8 +631,10 @@ def train_model(
         grown, K, list(map(len, sentences)), attribute_families(sentences, feature_config),
         [sentence.tags() for sentence in corpus], grow=True)
 
+    # minimize copies x0 on entry, so x0 is a read-only view of one zero that
+    # holds no Θ-sized buffer of its own
     w_star, trace = minimize(lambda w: _nll_prepared(w, K, X, packing, observed, optim_config.c2),
-                             np.zeros((X.shape[1] + K) * K), optim_config, log=log)
+                             np.broadcast_to(0.0, (X.shape[1] + K) * K), optim_config, log=log)
     training = TrainingMeta(
         optim_config.c1, optim_config.c2, trace.iterations, trace.final_objective
     )

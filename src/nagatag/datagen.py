@@ -60,12 +60,10 @@ class SynthConfig:
         if not 1 <= self.min_len <= self.max_len:
             raise ValueError(f"bad length range: {self.min_len}..{self.max_len}")
 
-    def chain_tags(self) -> list[str]:
-        """Markov chain states: the non-punctuation tags, in tagset order."""
-        return [t for t in self.tagset if t != PUNCT_TAG]
 
-    def marker_for(self) -> dict[str, str]:
-        return {tag: marker for marker, tag in self.suffix_rule.items()}
+# The Markov chain's states: the non-punctuation tags, in tagset order.
+CHAIN_TAGS = tuple(t for t in SynthConfig.tagset if t != PUNCT_TAG)
+MARKER_FOR = {tag: marker for marker, tag in DEFAULT_SUFFIX_RULE.items()}
 
 
 def transition_matrix(k: int) -> list[list[float]]:
@@ -90,16 +88,14 @@ def generate(config: SynthConfig) -> TaggedCorpus:
     """
     rng = random.Random(config.seed)
     getrandbits, draw = rng.getrandbits, rng.random
-    chain = config.chain_tags()
-    marker_for = config.marker_for()
     # Per chain state: the cumulative weights `choices(weights=row)` would
     # accumulate on every draw, their total, the state's marker and its tag index.
-    cum_weights = [list(accumulate(row)) for row in transition_matrix(len(chain))]
+    cum_weights = [list(accumulate(row)) for row in transition_matrix(len(CHAIN_TAGS))]
     totals = [cw[-1] + 0.0 for cw in cum_weights]
-    last = len(chain) - 1
-    markers = [marker_for[tag_name] for tag_name in chain]
-    tag_indices = [config.tagset.index(tag_name) for tag_name in chain]
-    punct_word = marker_for[PUNCT_TAG]
+    last = len(CHAIN_TAGS) - 1
+    markers = [MARKER_FOR[tag_name] for tag_name in CHAIN_TAGS]
+    tag_indices = [config.tagset.index(tag_name) for tag_name in CHAIN_TAGS]
+    punct_word = MARKER_FOR[PUNCT_TAG]
     punct_tag = config.tagset.index(PUNCT_TAG)
     # `randint`'s and `choice`'s draws as tables (see phonotactics._draw_parts),
     # the phonemes spelt in ASCII: to_ascii maps one phoneme at a time
@@ -117,8 +113,8 @@ def generate(config: SynthConfig) -> TaggedCorpus:
         words, tags = [], []
         for _ in range(length):
             if state is None:
-                state = rng.randrange(len(chain))
-            else:  # choices(range(len(chain)), cum_weights=cum_weights[state])[0]
+                state = rng.randrange(len(CHAIN_TAGS))
+            else:  # choices(range(len(CHAIN_TAGS)), cum_weights=cum_weights[state])[0]
                 state = bisect(cum_weights[state], draw() * totals[state], 0, last)
             count = counts[getrandbits(k_count)]
             while count is None:

@@ -9,12 +9,15 @@ skeleton which is checked against the seven schematic syllable formulas,
 subject to three global rules: a vowel cannot stand alone, a word cannot be
 two bare vowels, and nothing exceeds four syllables.
 
-Two independent implementations of the formulas live here on purpose:
-`classify` goes through compiled regexes, while `enumerate_accepted` expands
-optional slots directly. Tests hold them to exact agreement. `draw_word`
-accepts a drawn word by looking its skeleton up in a table that `classify`
-filled once for every template expansion (135 of them, 123 distinct), so it
-runs no regex per word. Every verdict in that table is `classify`'s, not
+A template is its slots alone: its syllable count is the number of its V
+slots, and its expansions are every way of keeping or dropping its optional
+consonants. Two independent implementations of the formulas live here on
+purpose: `classify` goes through compiled regexes, while
+`enumerate_accepted` lists the expansions directly, less the globally
+rejected ones. Tests hold them to exact agreement. `draw_word` accepts a
+drawn word when its skeleton is in `_ACCEPTED`, the set of template
+expansions (123 distinct) that `classify` accepted once at import, so it
+runs no regex per word. Every verdict in that set is `classify`'s, not
 `enumerate_accepted`'s, so the two routes stay independent. Its uniform
 draws index power-of-two tables, built once at import, with `getrandbits`,
 which gives and consumes exactly what `random.Random.choice` would (see
@@ -56,31 +59,18 @@ Slot = str
 class SyllableTemplate:
     identifier: str
     slots: tuple[Slot, ...]
-    syllable_count: int
 
-    def __post_init__(self):
-        if not 1 <= self.syllable_count <= 4:
-            raise ValueError(f"syllable_count out of range: {self.syllable_count}")
-        for slot in self.slots:
-            if slot not in ("V", "C", "(C)"):
-                raise ValueError(f"bad slot: {slot!r}")
-        if sum(s == "V" for s in self.slots) != self.syllable_count:
-            raise ValueError(f"{self.identifier}: V slots must equal syllable_count")
+    @property
+    def syllable_count(self) -> int:
+        return self.slots.count("V")
 
     def regex(self) -> str:
         return "".join("C?" if s == "(C)" else s for s in self.slots)
 
     def expansions(self) -> set[str]:
         """Every concrete skeleton: each optional slot kept or dropped."""
-        optional_positions = [i for i, s in enumerate(self.slots) if s == "(C)"]
-        base = ["C" if s == "C" else "V" if s == "V" else None for s in self.slots]
-        out = set()
-        for keep in itertools.product((False, True), repeat=len(optional_positions)):
-            parts = list(base)
-            for pos, kept in zip(optional_positions, keep):
-                parts[pos] = "C" if kept else ""
-            out.add("".join(p for p in parts if p))
-        return out
+        options = (("", "C") if s == "(C)" else (s,) for s in self.slots)
+        return {"".join(parts) for parts in itertools.product(*options)}
 
 
 def _slots(spec: str) -> tuple[Slot, ...]:
@@ -90,13 +80,13 @@ def _slots(spec: str) -> tuple[Slot, ...]:
 # The seven schematic formulas. The monosyllabic superscript coda is read as
 # "up to two coda consonants"; both disyllabic type-2 alternatives compile.
 TEMPLATES = (
-    SyllableTemplate("mono-1", _slots("(C) (C) V (C) (C)"), 1),
-    SyllableTemplate("di-1", _slots("V (C) (C) (C) V (C)"), 2),
-    SyllableTemplate("di-2a", _slots("(C) C V (C) (C) C V (C) (C)"), 2),
-    SyllableTemplate("di-2b", _slots("(C) C V (C) (C) V (C) (C)"), 2),
-    SyllableTemplate("tri-1", _slots("V (C) (C) C V (C) (C) C V (C)"), 3),
-    SyllableTemplate("tri-2", _slots("(C) C V (C) (C) V (C) (C) (C) V (C)"), 3),
-    SyllableTemplate("tetra-1", _slots("(C) V (C) C V C V (C) C V (C)"), 4),
+    SyllableTemplate("mono-1", _slots("(C) (C) V (C) (C)")),
+    SyllableTemplate("di-1", _slots("V (C) (C) (C) V (C)")),
+    SyllableTemplate("di-2a", _slots("(C) C V (C) (C) C V (C) (C)")),
+    SyllableTemplate("di-2b", _slots("(C) C V (C) (C) V (C) (C)")),
+    SyllableTemplate("tri-1", _slots("V (C) (C) C V (C) (C) C V (C)")),
+    SyllableTemplate("tri-2", _slots("(C) C V (C) (C) V (C) (C) (C) V (C)")),
+    SyllableTemplate("tetra-1", _slots("(C) V (C) C V C V (C) C V (C)")),
 )
 
 _COMPILED = tuple((t.identifier, t.syllable_count, re.compile(t.regex())) for t in TEMPLATES)
@@ -106,12 +96,11 @@ MAX_SYLLABLES = 4
 
 @dataclass(frozen=True)
 class SyllableAnalysis:
-    accepted: bool
     matches: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
-        if self.accepted != bool(self.matches):
-            raise ValueError("accepted must mirror non-empty matches")
+    @property
+    def accepted(self) -> bool:
+        return bool(self.matches)
 
 
 def _check_skeleton(skeleton: str):
@@ -148,13 +137,13 @@ def classify(skeleton: str) -> SyllableAnalysis:
     value: an unaccepted skeleton gets an empty match list, not an error."""
     _check_skeleton(skeleton)
     if _globally_rejected(skeleton):
-        return SyllableAnalysis(False, ())
+        return SyllableAnalysis(())
     matches = tuple(
         (identifier, count)
         for identifier, count, pattern in _COMPILED
         if pattern.fullmatch(skeleton)
     )
-    return SyllableAnalysis(bool(matches), matches)
+    return SyllableAnalysis(matches)
 
 
 def analyze_word(phonemes: Sequence[str]) -> SyllableAnalysis:
@@ -162,31 +151,27 @@ def analyze_word(phonemes: Sequence[str]) -> SyllableAnalysis:
 
 
 def enumerate_accepted(max_len: int) -> list[str]:
-    """Oracle route: every {C,V} string up to max_len, kept iff some
-    template expansion produces it and no global rule rejects it."""
+    """Oracle route: every template expansion up to max_len that no global
+    rule rejects, sorted."""
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in 1..16: {max_len}")
-    expanded: set[str] = set()
-    for template in TEMPLATES:
-        expanded |= {s for s in template.expansions() if len(s) <= max_len}
-    accepted = []
-    for length in range(1, max_len + 1):
-        for chars in itertools.product("CV", repeat=length):
-            skeleton = "".join(chars)
-            if skeleton in expanded and not _globally_rejected(skeleton):
-                accepted.append(skeleton)
-    return sorted(accepted)
+    return sorted({
+        skeleton
+        for template in TEMPLATES
+        for skeleton in template.expansions()
+        if len(skeleton) <= max_len and not _globally_rejected(skeleton)
+    })
 
 
-# Every skeleton a template can produce, mapped to the syllable counts that
-# `classify` accepts it with (none for a globally rejected one). `draw_word`
-# only produces template expansions, so this table is its whole acceptance
-# rule.
-_ACCEPTED_COUNTS = {
-    skeleton: frozenset(count for _, count in classify(skeleton).matches)
+# Every skeleton a template can produce that `classify` accepts: all but the
+# globally rejected "V" and "VV". `draw_word` only produces template
+# expansions, so this set is its whole acceptance rule.
+_ACCEPTED = frozenset(
+    skeleton
     for template in TEMPLATES
     for skeleton in template.expansions()
-}
+    if classify(skeleton).accepted
+)
 
 
 def _table(items: Iterable) -> Table:
@@ -223,8 +208,10 @@ def _draw_parts(
     calls to `getrandbits`, and leaves the rng in the same state, without
     `choice`'s two Python frames per draw. Optional slots are filled with
     probability 1/2 by one `rng.random()` each. Drawing repeats until the
-    word's skeleton, built as its slots are filled, passes
-    `_ACCEPTED_COUNTS`.
+    word's skeleton, built as its slots are filled, is in `_ACCEPTED`. A
+    skeleton drawn from a template has that template's number of V slots,
+    so every template `classify` matches it with has the requested count:
+    being accepted at all is the whole test.
     """
     getrandbits, draw = rng.getrandbits, rng.random
     k_template, templates = _TEMPLATE_TABLES[syllable_count]
@@ -247,7 +234,7 @@ def _draw_parts(
                 part = table[getrandbits(k)]
             parts.append(part)
             skeleton += slot
-        if syllable_count in _ACCEPTED_COUNTS[skeleton]:
+        if skeleton in _ACCEPTED:
             return parts
 
 
@@ -259,8 +246,8 @@ def draw_word(rng: random.Random, syllable_count: int) -> tuple[str, ...]:
     result passes classification, since a template instance can still hit a
     global rule (a lone V, two bare vowels). The word's skeleton is built
     while its slots are filled (VOWELS and CONSONANTS are disjoint, so it
-    equals `to_skeleton(word)`) and accepted by one lookup in
-    `_ACCEPTED_COUNTS`, which `classify` built once. Every uniform draw is
+    equals `to_skeleton(word)`) and accepted by one lookup in `_ACCEPTED`,
+    the expansions `classify` accepted once, at import. Every uniform draw is
     one `getrandbits` into a table (see `_draw_parts`): the template tables
     and the two phoneme tables are built once, at import. It returns and
     consumes exactly what `rng.choice` over the templates, VOWELS and

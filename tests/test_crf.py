@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import logsumexp
 
+from nagatag import crf
 from nagatag.cli import main
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, parse_tagged
 from nagatag.crf import (
@@ -46,7 +47,7 @@ from nagatag.crf import (
 )
 from nagatag.datagen import SynthConfig, generate
 from nagatag.features import FeatureConfig, attribute_families
-from nagatag.optim import OptimConfig
+from nagatag.optim import OptimConfig, minimize
 from tests.helpers import attribute_index_oracle, sentence_attributes, traced_peak
 
 
@@ -576,6 +577,25 @@ def test_training_peak_holds_no_dead_gradient_or_dense_counts():
     assert trace.records[0].evaluations > 1  # a trial was rejected
     peak = traced_peak(train_model, corpus, TagSet(), FeatureConfig(), config)
     assert peak <= 8.5 * w_nbytes
+
+
+def test_training_starts_from_an_x0_that_holds_no_weight_sized_buffer(monkeypatch):
+    # minimize copies x0 on entry, so a Θ-sized array of zeros would sit idle
+    # through the whole of training
+    seen = []
+
+    def spy(objective, x0, *args, **kwargs):
+        base = x0
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        seen.append((x0.size, base.nbytes, bool((x0 == 0).all())))
+        return minimize(objective, x0, *args, **kwargs)
+
+    monkeypatch.setattr(crf, "minimize", spy)
+    train_model(_training_corpus(20), TagSet(), FeatureConfig(), OptimConfig(max_iterations=1))
+    [(size, nbytes, zero)] = seen
+    assert size > 1000 and zero
+    assert nbytes <= 8
 
 
 def test_one_tag_corpus_trains_and_has_a_gradient():

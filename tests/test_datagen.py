@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, read_corpus, serialize_tagged
 from nagatag.datagen import (
+    CHAIN_TAGS,
     DEFAULT_SUFFIX_RULE,
     PUNCT_TAG,
     SynthConfig,
@@ -92,17 +93,16 @@ def test_tag_distribution_approaches_stationary():
     # 4200 sentences x 12 content tokens = 50,400 chain draws
     config = SynthConfig(seed=5, n_sentences=4200, min_len=12, max_len=12)
     corpus = generate(config)
-    chain = config.chain_tags()
-    counts = dict.fromkeys(chain, 0)
+    counts = dict.fromkeys(CHAIN_TAGS, 0)
     total = 0
     for sentence in corpus:
         for tag in sentence.tags()[:-1]:
             counts[TAGSET.name(tag)] += 1
             total += 1
     assert total >= 50_000
-    empirical = np.array([counts[t] / total for t in chain])
+    empirical = np.array([counts[t] / total for t in CHAIN_TAGS])
 
-    P = np.array(transition_matrix(len(chain)))
+    P = np.array(transition_matrix(len(CHAIN_TAGS)))
     eigvals, eigvecs = np.linalg.eig(P.T)
     idx = int(np.argmin(np.abs(eigvals - 1.0)))
     stationary = np.real(eigvecs[:, idx])
@@ -168,8 +168,8 @@ def _generate_oracle(config: SynthConfig) -> TaggedCorpus:
     randint, randrange and choices, and every stem through draw_word and
     to_ascii."""
     rng = random.Random(config.seed)
-    chain = config.chain_tags()
-    marker_for = config.marker_for()
+    chain = [t for t in config.tagset if t != PUNCT_TAG]
+    marker_for = {tag: marker for marker, tag in DEFAULT_SUFFIX_RULE.items()}
     states = list(range(len(chain)))
     cum_weights = [list(accumulate(row)) for row in transition_matrix(len(chain))]
     markers = [marker_for[tag_name] for tag_name in chain]

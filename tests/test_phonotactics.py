@@ -7,13 +7,11 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from nagatag.phonotactics import (
-    _ACCEPTED_COUNTS,
+    _ACCEPTED,
     CONSONANTS,
     MAX_SYLLABLES,
     TEMPLATES,
     VOWELS,
-    SyllableAnalysis,
-    SyllableTemplate,
     _table,
     analyze_word,
     classify,
@@ -34,15 +32,11 @@ def test_inventory_sizes():
 
 
 def test_template_invariants():
-    for t in TEMPLATES:
-        assert sum(s == "V" for s in t.slots) == t.syllable_count
     assert len(TEMPLATES) == 7
-    with pytest.raises(ValueError):
-        SyllableTemplate("bad", ("V", "V"), 1)
-    with pytest.raises(ValueError):
-        SyllableTemplate("bad", ("X",), 1)
-    with pytest.raises(ValueError):
-        SyllableTemplate("bad", ("V",), 5)
+    assert len({t.identifier for t in TEMPLATES}) == 7
+    for t in TEMPLATES:
+        assert set(t.slots) <= {"V", "C", "(C)"}, t.identifier
+        assert 1 <= sum(s == "V" for s in t.slots) == t.syllable_count <= MAX_SYLLABLES
 
 
 def test_to_skeleton_examples():
@@ -109,13 +103,6 @@ def test_matched_count_equals_nucleus_count():
             assert count == skeleton.count("V")
 
 
-def test_analysis_consistency_enforced():
-    with pytest.raises(ValueError):
-        SyllableAnalysis(True, ())
-    with pytest.raises(ValueError):
-        SyllableAnalysis(False, (("mono-1", 1),))
-
-
 def test_enumerate_bounds():
     with pytest.raises(ValueError):
         enumerate_accepted(0)
@@ -126,6 +113,33 @@ def test_enumerate_bounds():
 def test_enumerate_short_lengths():
     assert enumerate_accepted(1) == []
     assert enumerate_accepted(2) == ["CV", "VC"]
+
+
+def _enumerate_accepted_brute_force(max_len):
+    """The reference for enumerate_accepted: every {C,V} string up to
+    max_len, kept iff some template, each optional slot kept or dropped,
+    produces it and no global rule rejects it."""
+    expanded = set()
+    for template in TEMPLATES:
+        optional_positions = [i for i, s in enumerate(template.slots) if s == "(C)"]
+        for keep in itertools.product((False, True), repeat=len(optional_positions)):
+            parts = list(template.slots)
+            for pos, kept in zip(optional_positions, keep):
+                parts[pos] = "C" if kept else ""
+            expanded.add("".join(parts))
+    accepted = []
+    for length in range(1, max_len + 1):
+        for chars in itertools.product("CV", repeat=length):
+            skeleton = "".join(chars)
+            if (skeleton in expanded and skeleton not in ("V", "VV")
+                    and skeleton.count("V") <= MAX_SYLLABLES):
+                accepted.append(skeleton)
+    return sorted(accepted)
+
+
+@pytest.mark.parametrize("max_len", range(1, 13))
+def test_enumerate_is_the_brute_force_filter(max_len):
+    assert enumerate_accepted(max_len) == _enumerate_accepted_brute_force(max_len)
 
 
 def test_enumerate_count_at_six_frozen():
@@ -257,10 +271,9 @@ def test_table_draws_are_cpythons_choice_randint_and_choices(seed, n, start, wei
 def test_acceptance_table_is_classify_over_every_template_expansion():
     expansions = [s for t in TEMPLATES for s in t.expansions()]
     assert len(expansions) == 135
-    assert set(_ACCEPTED_COUNTS) == set(expansions)
-    for skeleton in expansions:
-        assert _ACCEPTED_COUNTS[skeleton] == {c for _, c in classify(skeleton).matches}
-    assert {s for s, counts in _ACCEPTED_COUNTS.items() if not counts} == {"V", "VV"}
+    assert _ACCEPTED == {s for s in expansions if classify(s).accepted}
+    assert len(_ACCEPTED) == 121
+    assert set(expansions) - _ACCEPTED == {"V", "VV"}
 
 
 def test_from_ascii():
