@@ -80,6 +80,15 @@ sum(log Z) - dot(count, w[index]) + c2 * w @ w. Both dots go through
 optim.dot, not BLAS, so a trained model has the same bits at any BLAS thread
 count. The gradient takes its expected counts from _forward_backward, and
 build_lattice turns the same scaled vectors into log alpha and log beta.
+
+Importing this module imports neither numpy nor scipy: numpy loads on the
+first read of an np attribute (nagatag._lazy.lazy), and scipy is imported by
+the first statement of _encode, its only user. So gen, split, stats,
+agreement and syllables load neither, and load_model, transitions and
+features load numpy alone. scipy's import comes before featurizing, not
+after, because importing it between the family loop's allocations and the
+products' left the bench's peak RSS on train-wide about 3% higher: glibc
+placed the heap differently, with the same live memory.
 """
 
 from __future__ import annotations
@@ -88,15 +97,19 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple, Sequence
 
-import numpy as np
-from scipy import sparse
-
+from nagatag._lazy import lazy
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, write_text
 from nagatag.features import FeatureConfig, Family, attribute_families
 from nagatag.optim import IterationTrace, OptimConfig, dot, minimize
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+np = lazy("numpy")
 
 Attrs = Sequence[Collection[str]]
 Vocabulary = dict[str, dict[str, int]]  # family key -> value -> column
@@ -217,6 +230,8 @@ def _encode(vocabulary: Vocabulary | Grown, lengths: Sequence[int], families: It
     are sorted, X.sort_indices() seeing to it where a vocabulary's numbering
     leaves them out of order, and an attribute that comes twice at a
     position is counted twice."""
+    from scipy import sparse  # the module docstring says why here
+
     lengths = np.asarray(lengths, dtype=np.intp)
     if not lengths.all():
         raise ValueError("cannot encode an empty sentence")
@@ -311,7 +326,7 @@ def _vocabulary(attribute_index: dict[str, int]) -> Vocabulary:
     return vocabulary
 
 
-_TINY = np.finfo(float).tiny
+_TINY = sys.float_info.min  # numpy's finfo(float).tiny
 # The largest transition, begin or end score spread (max - min, in nats) that
 # forward-backward accepts. Every factor or product the exp-domain recursion
 # loses to underflow is below e^-708 of the largest in its step. A path through

@@ -13,10 +13,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
+from nagatag._lazy import lazy
 from nagatag.corpus import TaggedCorpus, TagSet, tag_pairs
 from nagatag.crf import ModelParameters
+
+np = lazy("numpy")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
+from nagatag._lazy import lazy
+
+np = lazy("numpy")
 
 # (key, tokens, codes, values): every attribute "key" + values[codes[i]] of
 # token tokens[i], with values distinct

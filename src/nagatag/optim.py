@@ -40,9 +40,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+from nagatag._lazy import lazy
 
-Objective = Callable[[np.ndarray], "tuple[float, np.ndarray]"]
+np = lazy("numpy")
+
+Objective = Callable[["np.ndarray"], "tuple[float, np.ndarray]"]
 
 
 class OptimError(RuntimeError):
@@ -131,10 +133,20 @@ def pseudo_gradient(x: np.ndarray, grad: np.ndarray, c1: float) -> np.ndarray:
     """Pseudo-gradient of f(x) + c1*||x||_1 (Andrew & Gao 2007). Where x != 0
     it is grad + c1*sign(x). Where x = 0 it is the soft threshold
     sign(grad)*max(|grad| - c1, 0): the one-sided derivative that descends,
-    or 0 when neither side descends. With c1 = 0 both cases give grad."""
-    return np.where(
-        x != 0, grad + c1 * np.sign(x), np.sign(grad) * np.maximum(np.abs(grad) - c1, 0.0)
-    )
+    or 0 when neither side descends. With c1 = 0 both cases give grad.
+
+    Both cases are built in place, each case's operations in the same order
+    as np.where over the two would run them, so the bits are the same, with
+    at most two temporaries the length of x besides the x != 0 mask."""
+    pg = np.abs(grad)
+    pg -= c1
+    np.maximum(pg, 0.0, out=pg)
+    np.multiply(np.sign(grad), pg, out=pg)
+    at_nonzero = np.sign(x)
+    at_nonzero *= c1
+    np.add(grad, at_nonzero, out=at_nonzero)
+    np.copyto(pg, at_nonzero, where=x != 0)
+    return pg
 
 
 def sign_project_direction(d: np.ndarray, pg: np.ndarray) -> np.ndarray:

@@ -286,6 +286,32 @@ def test_active_set_is_where_x_or_the_pseudo_gradient_can_be_nonzero(point):
     assert np.array_equal(_active_set(x, g, c1), expected)
 
 
+def _pseudo_gradient_where(x, grad, c1):
+    """The pseudo-gradient's two cases as one np.where, the reference whose
+    bits pseudo_gradient keeps."""
+    return np.where(
+        x != 0, grad + c1 * np.sign(x), np.sign(grad) * np.maximum(np.abs(grad) - c1, 0.0)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points_at_the_threshold())
+def test_pseudo_gradient_has_the_bits_of_the_where_form(point):
+    x, g, c1 = point
+    with np.errstate(all="ignore"):  # any float: sums may overflow, the same in both
+        for c in (c1, 0.0):
+            assert pseudo_gradient(x, g, c).tobytes() == _pseudo_gradient_where(x, g, c).tobytes()
+
+
+def test_pseudo_gradient_holds_two_arrays_of_its_length_at_most():
+    # the result and one temporary of x's length, besides the one-byte x != 0 mask
+    n = 100_000
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=n) * (rng.random(n) < 0.5)
+    g = rng.normal(size=n)
+    assert traced_peak(pseudo_gradient, x, g, 0.5) <= 2 * x.nbytes + n + 65536
+
+
 def test_line_search_failure_raises():
     # flat value with a lying nonzero gradient can never satisfy Armijo
     def f(x):
