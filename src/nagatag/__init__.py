@@ -7,13 +7,11 @@ nagatag.evaluation, ...).
 
 from nagatag.corpus import TagSet, parse_tagged
 from nagatag.crf import tag_corpus, tag_sentence, train_model
-from nagatag.features import FeatureConfig
 from nagatag.optim import OptimConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FeatureConfig",
     "OptimConfig",
     "TagSet",
     "parse_tagged",

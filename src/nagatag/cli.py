@@ -31,7 +31,7 @@ from nagatag.corpus import (
 from nagatag.crf import load_model, save_model, tag_corpus, train_model
 from nagatag.datagen import SynthConfig, config_header, generate
 from nagatag.evaluation import confusion, format_report_text, report, top_transitions
-from nagatag.features import FLAG, FeatureConfig, attribute_families
+from nagatag.features import FLAG, attribute_families
 from nagatag.optim import OptimConfig, OptimError
 from nagatag.phonotactics import analyze_word, from_ascii, to_skeleton
 
@@ -92,8 +92,8 @@ def _cmd_train(args) -> int:
     def log(line: str):
         print(line, file=sys.stderr)
 
-    model, trace = train_model(corpus, tagset, FeatureConfig(), optim_config, log=log)
-    save_model(args.model, model, FeatureConfig())
+    model, trace = train_model(corpus, tagset, optim_config, log=log)
+    save_model(args.model, model)
     print(
         f"trained on {len(corpus)} sentences ({corpus.token_count} tokens): "
         f"{model.n_attributes} attributes, {model.n_tags} tags, "
@@ -111,16 +111,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tag(args) -> int:
-    model, feature_config = load_model(args.model)
-    tagged = tag_corpus(model, feature_config, read_raw_sentences(args.input))
+    model, _ = load_model(args.model)
+    tagged = tag_corpus(model, read_raw_sentences(args.input))
     _emit(serialize_tagged(tagged, model.tagset), args)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    model, feature_config = load_model(args.model)
+    model, _ = load_model(args.model)
     gold = read_corpus(args.input, model.tagset)
-    predicted = tag_corpus(model, feature_config, [sentence.words() for sentence in gold])
+    predicted = tag_corpus(model, [sentence.words() for sentence in gold])
     cm = confusion(gold, predicted, model.tagset)
     with warnings.catch_warnings(record=True) as caught:  # report's 0/0 warnings
         warnings.simplefilter("always")
@@ -211,7 +211,7 @@ def _cmd_features(args) -> int:
     values as booleans, told apart by the values, not by their text, since
     a word may be "true"."""
     maps: list[dict[str, bool | str]] = [{} for _ in args.words]
-    for key, tokens, codes, values in attribute_families([args.words], FeatureConfig()):
+    for key, tokens, codes, values in attribute_families([args.words]):
         for t, code in zip(tokens, codes):
             maps[t][key[:-1]] = values[code] == "true" if values is FLAG else values[code]
     lines = [repr(dict(sorted(fm.items(), key=_template_place))) for fm in maps]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import random
-import secrets
 import stat
 from collections import Counter
 from dataclasses import dataclass
@@ -162,7 +161,10 @@ def _is_comment(line: str) -> bool:
 def parse_tagged(text: str, tagset: TagSet) -> TaggedCorpus:
     """Parse word/TAG text into a corpus; a tag outside the tagset raises."""
     sentences = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # a line ends at LF, CR LF or CR, as under universal newlines; str.splitlines
+    # also ends one at U+2028, form feed and others that str.split() skips
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip() or _is_comment(line):
             continue
         words, tags = [], []
@@ -302,7 +304,7 @@ def write_text(path: str, text: str):
             fh.write(text)
         return
     target = os.path.realpath(path)
-    temp = os.path.join(os.path.dirname(target), f".nagatag-{secrets.token_hex(8)}.tmp")
+    temp = os.path.join(os.path.dirname(target), f".nagatag-{os.urandom(8).hex()}.tmp")
     permissions = 0o666 if mode is None else stat.S_IMODE(mode)
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, permissions)
     try:
@@ -318,9 +320,5 @@ def write_text(path: str, text: str):
 
 def read_raw_sentences(path: str) -> list[tuple[str, ...]]:
     """Untagged input: one sentence per line, whitespace-tokenized."""
-    with open(path, encoding="utf-8") as fh:
-        return [
-            tuple(line.split())
-            for line in fh.read().splitlines()
-            if line.strip() and not _is_comment(line)
-        ]
+    with open(path, encoding="utf-8") as fh:  # universal newlines, as in parse_tagged
+        return [tuple(line.split()) for line in fh if line.strip() and not _is_comment(line)]

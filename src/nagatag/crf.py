@@ -81,6 +81,11 @@ optim.dot, not BLAS, so a trained model has the same bits at any BLAS thread
 count. The gradient takes its expected counts from _forward_backward, and
 build_lattice turns the same scaled vectors into log alpha and log beta.
 
+The feature template is fixed, so training and tagging take no feature
+settings. A model file records the template's affix lengths,
+features.FeatureConfig's constants, as its feature_config block, and
+load_model refuses a file that records others.
+
 Importing this module imports neither numpy nor scipy: numpy loads on the
 first read of an np attribute (nagatag._lazy.lazy), and scipy is imported by
 the first statement of _encode, its only user. So gen, split, stats,
@@ -486,21 +491,17 @@ def viterbi(model: ModelParameters, attrs: Attrs) -> tuple[list[int], float]:
     return path.tolist(), float(score)
 
 
-def tag_corpus(
-    model: ModelParameters, config: FeatureConfig, sentences: Sequence[Sequence[str]]
-) -> TaggedCorpus:
+def tag_corpus(model: ModelParameters, sentences: Sequence[Sequence[str]]) -> TaggedCorpus:
     """Viterbi tags for every sentence, from one pass over the whole corpus."""
-    decoded = _decode(model, list(map(len, sentences)), attribute_families(sentences, config))
+    decoded = _decode(model, list(map(len, sentences)), attribute_families(sentences))
     return TaggedCorpus(tuple(
         Sentence(tuple(words), tuple(path.tolist()))
         for words, (path, _) in zip(sentences, decoded)
     ))
 
 
-def tag_sentence(
-    model: ModelParameters, config: FeatureConfig, words: Sequence[str]
-) -> Sentence:
-    return tag_corpus(model, config, [words]).sentences[0]
+def tag_sentence(model: ModelParameters, words: Sequence[str]) -> Sentence:
+    return tag_corpus(model, [words]).sentences[0]
 
 
 class _Observed(NamedTuple):
@@ -604,13 +605,11 @@ def nll_and_gradient(
     return value, grad.reshape(model.weights.shape)
 
 
-def build_attribute_index(
-    corpus: TaggedCorpus, config: FeatureConfig = FeatureConfig()
-) -> dict[str, int]:
+def build_attribute_index(corpus: TaggedCorpus) -> dict[str, int]:
     """Sorted vocabulary of every attribute occurring in the corpus: each
     family's values that some token holds (a neighbour value may be held by
     none), rendered as "key=value"."""
-    families = attribute_families([sentence.words() for sentence in corpus], config)
+    families = attribute_families([sentence.words() for sentence in corpus])
     attributes = sorted(key + values[code] for key, _, codes, values in families
                         for code in np.unique(codes).tolist())
     return {attr: i for i, attr in enumerate(attributes)}
@@ -619,7 +618,6 @@ def build_attribute_index(
 def train_model(
     corpus: TaggedCorpus,
     tagset: TagSet,
-    feature_config: FeatureConfig = FeatureConfig(),
     optim_config: OptimConfig = OptimConfig(),
     log: Callable[[str], None] | None = None,
 ) -> tuple[ModelParameters, IterationTrace]:
@@ -643,7 +641,7 @@ def train_model(
     K = len(tagset)
     sentences = [sentence.words() for sentence in corpus]
     X, packing, observed = _prepare(
-        grown, K, list(map(len, sentences)), attribute_families(sentences, feature_config),
+        grown, K, list(map(len, sentences)), attribute_families(sentences),
         [sentence.tags() for sentence in corpus], grow=True)
 
     # minimize copies x0 on entry, so x0 is a read-only view of one zero that
@@ -677,14 +675,18 @@ def train_model(
 FORMAT_VERSION = 1
 
 
-def save_model(path: str, model: ModelParameters, feature_config: FeatureConfig):
+# The feature_config block of every model file: the template's affix lengths
+_AFFIX_LENGTHS = {"prefix_max": FeatureConfig.prefix_max, "suffix_max": FeatureConfig.suffix_max}
+
+
+def save_model(path: str, model: ModelParameters):
     """Single JSON document; floats round-trip bit-faithfully via repr. It is
     written with corpus.write_text, so a failed save leaves the file as it was."""
     a_vals = model.state_weights.nonzero()
     doc = {
         "format_version": FORMAT_VERSION,
         "tagset": list(model.tagset.names),
-        "feature_config": asdict(feature_config),
+        "feature_config": _AFFIX_LENGTHS,
         "attributes": sorted(model.attribute_index, key=model.attribute_index.__getitem__),
         "state_weights": [
             [int(a), int(k), float(model.state_weights[a, k])]
@@ -703,7 +705,9 @@ _MODEL_KEYS = ("tagset", "feature_config", "attributes", "state_weights",
 
 
 def load_model(path: str) -> tuple[ModelParameters, FeatureConfig]:
-    """Read a model file; a document of the wrong shape raises ValueError."""
+    """Read a model file; a document of the wrong shape raises ValueError. The
+    second item is always FeatureConfig(), which holds no value: the pair
+    stays only for callers that unpack it."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -717,13 +721,14 @@ def load_model(path: str) -> tuple[ModelParameters, FeatureConfig]:
     if missing:
         raise ValueError(f"model file lacks {', '.join(missing)}")
     try:
-        return _model_from_doc(doc)
+        return _model_from_doc(doc), FeatureConfig()
     except TypeError as exc:  # a value of the wrong JSON type, or a record with wrong fields
         raise ValueError(f"malformed model file: {exc}") from exc
 
 
 # Template switches that older model files record next to the affix lengths.
-# The template is fixed, so such a file loads only if every switch is on.
+# The template is fixed, so such a file loads only if every switch is on and
+# the lengths are the template's.
 _TEMPLATE_FLAGS = frozenset((
     "word", "is_first", "is_last", "is_capitalized", "is_all_caps", "is_all_lower",
     "capitals_inside", "has_hyphen", "is_numeric", "prev_word", "next_word",
@@ -756,13 +761,17 @@ def _weights(value, field: str, *shape: int):
         raise ValueError(f"{field} holds a number beyond float range") from None
 
 
-def _feature_config(fields) -> FeatureConfig:
+def _check_feature_config(fields):
     if not isinstance(fields, dict):
         raise ValueError("feature_config must be a JSON object")
     for flag in _TEMPLATE_FLAGS.intersection(fields):
         if fields[flag] is not True:
             raise ValueError(f"feature_config {flag!r} must be true: {fields[flag]!r}")
-    return FeatureConfig(**{k: v for k, v in fields.items() if k not in _TEMPLATE_FLAGS})
+    lengths = {k: v for k, v in fields.items() if k not in _TEMPLATE_FLAGS}
+    # 3.0 == 3 and True == 1, so the types are checked too
+    if lengths != _AFFIX_LENGTHS or not all(type(v) is int for v in lengths.values()):
+        raise ValueError(f"feature_config must hold the template's affix lengths "
+                         f"{_AFFIX_LENGTHS}: {lengths}")
 
 
 def _training(block) -> TrainingMeta | None:
@@ -782,9 +791,9 @@ def _training(block) -> TrainingMeta | None:
     return TrainingMeta(**block)
 
 
-def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
+def _model_from_doc(doc: dict) -> ModelParameters:
     tagset = TagSet(tuple(_string_list(doc, "tagset")))
-    feature_config = _feature_config(doc["feature_config"])
+    _check_feature_config(doc["feature_config"])
     attributes = _string_list(doc, "attributes")
     if len(set(attributes)) != len(attributes):
         raise ValueError("duplicate attributes in model file")
@@ -805,5 +814,4 @@ def _model_from_doc(doc: dict) -> tuple[ModelParameters, FeatureConfig]:
     weights[A + 2:] = _weights(doc["transitions"], "transitions", K, K)
     weights[A], weights[A + 1] = (_weights(doc[key], key, K) for key in ("begin", "end"))
     training = _training(doc.get("training"))
-    model = ModelParameters(tagset, {a: i for i, a in enumerate(attributes)}, weights, training)
-    return model, feature_config
+    return ModelParameters(tagset, {a: i for i, a in enumerate(attributes)}, weights, training)

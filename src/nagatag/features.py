@@ -3,10 +3,11 @@
 Every token yields the same ordered template: the word itself, whether it
 is first or last in the sentence, six shape predicates (capitalized, all
 caps, all lower, capitals inside, hyphen, numeric), the previous and next
-words, then its prefixes and suffixes up to ``prefix_max``/``suffix_max``
-characters. The affix lengths are the only settings; the model file records
-them. The CRF consumes these as "key=value" indicator strings, so a token's
-observable content is exactly its attribute set.
+words, then its prefixes of up to 3 and suffixes of up to 4 characters. The
+template has no settings: the affix lengths are FeatureConfig's constants,
+which the model file records. The CRF consumes these as "key=value"
+indicator strings, so a token's observable content is exactly its attribute
+set.
 
 The template has one writing, attribute_families, which training, tagging
 and the features command read. It goes over a whole input one attribute
@@ -29,7 +30,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from nagatag._lazy import lazy
 
@@ -43,21 +44,14 @@ FLAG = ("false", "true")  # the values of every flag family, false coded 0
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Longest prefix and suffix, in characters, that the template emits."""
+    """Longest prefix and suffix, in characters, that the template emits:
+    constants, not settings."""
 
-    prefix_max: int = 3
-    suffix_max: int = 4
-
-    def __post_init__(self):
-        for name in ("prefix_max", "suffix_max"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an int >= 1: {value!r}")
+    prefix_max: ClassVar[int] = 3
+    suffix_max: ClassVar[int] = 4
 
 
-def attribute_families(
-    sentences: Sequence[Sequence[str]], config: FeatureConfig = FeatureConfig()
-) -> Iterator[Family]:
+def attribute_families(sentences: Sequence[Sequence[str]]) -> Iterator[Family]:
     """The template over a whole input, one family at a time, in increasing
     key order: (key, tokens, codes, values), where tokens counts the input's
     tokens sentence after sentence, the value at tokens[i] is
@@ -129,9 +123,10 @@ def attribute_families(
         tokens = np.flatnonzero(lengths >= k)
         return tokens, codes[ids[tokens]], values
 
-    # keys only up to the longest word: a model file may ask for 10**12
+    # keys only up to the longest word
     longest = int(type_lengths.max(initial=0))
-    for name, k_max in (("prefix", config.prefix_max), ("suffix", config.suffix_max)):
+    for name, k_max in (("prefix", FeatureConfig.prefix_max),
+                        ("suffix", FeatureConfig.suffix_max)):
         k_max = min(k_max, longest)
         codes, values = np.full(len(types), -1), []  # per type, its affix's code or -1
         for k in range(k_max, 0, -1):

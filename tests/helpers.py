@@ -13,9 +13,7 @@ from nagatag.features import FeatureConfig
 FeatureMap = dict[str, "bool | str"]
 
 
-def extract_token_features(
-    sentence: Sequence[str], t: int, config: FeatureConfig = FeatureConfig()
-) -> FeatureMap:
+def extract_token_features(sentence: Sequence[str], t: int) -> FeatureMap:
     """Feature map for the token at position t. Pure function."""
     if not 0 <= t < len(sentence):
         raise IndexError(f"position {t} out of range for sentence of length {len(sentence)}")
@@ -35,9 +33,9 @@ def extract_token_features(
         "next_word": sentence[t + 1] if t < last else "",
     }
     # prefix-k only when the word actually has k characters
-    for k in range(1, min(config.prefix_max, len(word)) + 1):
+    for k in range(1, min(FeatureConfig.prefix_max, len(word)) + 1):
         fm[f"prefix-{k}"] = word[:k]
-    for k in range(1, min(config.suffix_max, len(word)) + 1):
+    for k in range(1, min(FeatureConfig.suffix_max, len(word)) + 1):
         fm[f"suffix-{k}"] = word[-k:]
     return fm
 
@@ -52,22 +50,18 @@ def binarize(fm: FeatureMap) -> tuple[str, ...]:
     ))
 
 
-def sentence_attributes(
-    sentence: Sequence[str], config: FeatureConfig = FeatureConfig()
-) -> tuple[tuple[str, ...], ...]:
+def sentence_attributes(sentence: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     """Binarized attribute sets for every position of a sentence, each sorted:
     the oracle, one feature map per token."""
-    return tuple(binarize(extract_token_features(sentence, t, config))
+    return tuple(binarize(extract_token_features(sentence, t))
                  for t in range(len(sentence)))
 
 
-def attribute_index_oracle(
-    corpus: TaggedCorpus, config: FeatureConfig = FeatureConfig()
-) -> dict[str, int]:
+def attribute_index_oracle(corpus: TaggedCorpus) -> dict[str, int]:
     """Sorted vocabulary of every attribute occurring in the corpus."""
     seen: set[str] = set()
     for sentence in corpus:
-        for attrs in sentence_attributes(sentence.words(), config):
+        for attrs in sentence_attributes(sentence.words()):
             seen.update(attrs)
     return {attr: i for i, attr in enumerate(sorted(seen))}
 

@@ -36,7 +36,6 @@ from nagatag.crf import (
 )
 from nagatag.datagen import SynthConfig, generate
 from nagatag.evaluation import ConfusionMatrix, confusion, report
-from nagatag.features import FeatureConfig
 from nagatag.optim import OptimConfig, minimize
 from nagatag.phonotactics import VOWELS, analyze_word, classify, draw_word
 
@@ -155,7 +154,6 @@ def synth_task():
         model, _ = train_model(
             train_corpus,
             tagset,
-            FeatureConfig(),
             OptimConfig(c1=c1, c2=0.1, max_iterations=100),
         )
         timings[c1] = time.perf_counter() - started
@@ -426,7 +424,7 @@ def test_criterion_7_end_to_end_learnability(capsys, synth_task):
     model = models[0.1]
     started = time.perf_counter()
     predicted_sentences = tuple(
-        tag_sentence(model, FeatureConfig(), sentence.words()) for sentence in eval_corpus
+        tag_sentence(model, sentence.words()) for sentence in eval_corpus
     )
     tagging_elapsed = time.perf_counter() - started
     with warnings.catch_warnings():
@@ -512,9 +510,9 @@ def test_criterion_10_formats_round_trip(capsys, synth_task, tmp_path):
 
     model = models[0.1]
     first, second = tmp_path / "m1.json", tmp_path / "m2.json"
-    save_model(str(first), model, FeatureConfig())
-    loaded, loaded_config = load_model(str(first))
-    save_model(str(second), loaded, loaded_config)
+    save_model(str(first), model)
+    loaded, _ = load_model(str(first))
+    save_model(str(second), loaded)
     if first.read_bytes() != second.read_bytes():
         problems.append("model file not byte-stable across save/load/save")
     for got, want in (
@@ -528,9 +526,9 @@ def test_criterion_10_formats_round_trip(capsys, synth_task, tmp_path):
             break
 
     sentences = [s.words() for s in eval_corpus.sentences[:40]]
-    direct = [tag_sentence(model, FeatureConfig(), w).tags() for w in sentences]
+    direct = [tag_sentence(model, w).tags() for w in sentences]
     tagged_text = serialize_tagged(
-        TaggedCorpus(tuple(tag_sentence(model, FeatureConfig(), w) for w in sentences)),
+        TaggedCorpus(tuple(tag_sentence(model, w) for w in sentences)),
         tagset,
     )
     if [s.tags() for s in parse_tagged(tagged_text, tagset)] != direct:

@@ -24,7 +24,6 @@ from nagatag.corpus import (
 )
 from nagatag.crf import tag_corpus, zero_model
 from nagatag.datagen import SynthConfig, generate
-from nagatag.features import FeatureConfig
 from tests.conftest import make_random_corpus
 from tests.helpers import refuse_to_replace
 
@@ -418,7 +417,7 @@ def test_every_producer_builds_hashable_sentences_of_int_tags():
     corpora = [
         parse_tagged(SAMPLE, TAGSET),
         generate(SynthConfig(seed=3, n_sentences=5)),
-        tag_corpus(model, FeatureConfig(), [("a", "b"), ["c", "a"]]),
+        tag_corpus(model, [("a", "b"), ["c", "a"]]),
     ]
     for corpus in corpora:
         assert hash(corpus) == hash(TaggedCorpus(corpus.sentences))

@@ -46,7 +46,7 @@ from nagatag.crf import (
     zero_model,
 )
 from nagatag.datagen import SynthConfig, generate
-from nagatag.features import FeatureConfig, attribute_families
+from nagatag.features import attribute_families
 from nagatag.optim import OptimConfig, minimize
 from tests.helpers import attribute_index_oracle, sentence_attributes, traced_peak
 
@@ -384,7 +384,7 @@ def test_training_backtracks_from_a_probe_forward_backward_cannot_evaluate():
     probe = dataclasses.replace(zero, weights=-grad)
     with pytest.raises(ArithmeticError):
         nll_and_gradient(probe, batch)
-    _, trace = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.0, c2=0.1))
+    _, trace = train_model(corpus, tagset, OptimConfig(c1=0.0, c2=0.1))
     assert trace.converged
     assert trace.records[0].step_size < 1.0
 
@@ -488,7 +488,7 @@ def _training_inputs(n_sentences):
     K = len(TagSet())
     sentences = [sentence.words() for sentence in corpus]
     prepared = _prepare({}, K, list(map(len, sentences)),
-                        attribute_families(sentences, FeatureConfig()),
+                        attribute_families(sentences),
                         [sentence.tags() for sentence in corpus], grow=True)
     return K, prepared
 
@@ -573,9 +573,9 @@ def test_training_peak_holds_no_dead_gradient_or_dense_counts():
     K, (X, _, _) = _training_inputs(300)
     w_nbytes = _weight_count(X, K) * 8
     config = OptimConfig(c1=0.1, c2=0.1, max_iterations=2)
-    _, trace = train_model(corpus, TagSet(), FeatureConfig(), config)
+    _, trace = train_model(corpus, TagSet(), config)
     assert trace.records[0].evaluations > 1  # a trial was rejected
-    peak = traced_peak(train_model, corpus, TagSet(), FeatureConfig(), config)
+    peak = traced_peak(train_model, corpus, TagSet(), config)
     assert peak <= 8.5 * w_nbytes
 
 
@@ -592,7 +592,7 @@ def test_training_starts_from_an_x0_that_holds_no_weight_sized_buffer(monkeypatc
         return minimize(objective, x0, *args, **kwargs)
 
     monkeypatch.setattr(crf, "minimize", spy)
-    train_model(_training_corpus(20), TagSet(), FeatureConfig(), OptimConfig(max_iterations=1))
+    train_model(_training_corpus(20), TagSet(), OptimConfig(max_iterations=1))
     [(size, nbytes, zero)] = seen
     assert size > 1000 and zero
     assert nbytes <= 8
@@ -602,9 +602,9 @@ def test_one_tag_corpus_trains_and_has_a_gradient():
     # with K = 1 scipy returns X.T @ U as a view, which the gradient must not grow in place
     tagset = TagSet(("N",))
     corpus = parse_tagged("dora/N ase/N\nmoyna/N\n", tagset)
-    model, trace = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, c2=0.1))
+    model, trace = train_model(corpus, tagset, OptimConfig(c1=0.1, c2=0.1))
     assert trace.final_objective == 0.0
-    batch = [(sentence_attributes(s.words(), FeatureConfig()), s.tags()) for s in corpus]
+    batch = [(sentence_attributes(s.words()), s.tags()) for s in corpus]
     weights = np.linspace(-0.5, 0.5, model.weights.size).reshape(model.weights.shape)
     value, grad = nll_and_gradient(dataclasses.replace(model, weights=weights), batch, c2=0.1)
     # one tag: log Z is the gold score, so only the L2 term is left
@@ -833,7 +833,7 @@ def models_and_sentences(draw):
 @given(models_and_sentences())
 def test_tag_corpus_matches_per_sentence_viterbi(case):
     model, sentences = case
-    tagged = tag_corpus(model, FeatureConfig(), sentences)
+    tagged = tag_corpus(model, sentences)
     assert [s.words() for s in tagged] == sentences
     for words, sentence in zip(sentences, tagged):
         path, _ = viterbi(model, sentence_attributes(words))
@@ -867,19 +867,19 @@ def test_lattice_unary_marginals_sum_to_one(case):
 
 def test_tag_corpus_of_no_sentences_is_empty():
     model = zero_model(small_tagset(3), {"a0": 0})
-    assert tag_corpus(model, FeatureConfig(), []) == TaggedCorpus(())
+    assert tag_corpus(model, []) == TaggedCorpus(())
 
 
 def test_tag_sentence_basics():
     model = zero_model(small_tagset(3), {})
-    sentence = tag_sentence(model, FeatureConfig(), ("hello",))
+    sentence = tag_sentence(model, ("hello",))
     assert len(sentence) == 1
     assert sentence.words()[0] == "hello"
-    twice = tag_sentence(model, FeatureConfig(), ("a", "b", "c"))
-    again = tag_sentence(model, FeatureConfig(), ("a", "b", "c"))
+    twice = tag_sentence(model, ("a", "b", "c"))
+    again = tag_sentence(model, ("a", "b", "c"))
     assert twice == again
     with pytest.raises(ValueError):
-        tag_sentence(model, FeatureConfig(), ())
+        tag_sentence(model, ())
 
 
 def test_model_parameter_validation():
@@ -904,7 +904,7 @@ def test_a_model_holds_one_contiguous_theta_that_its_blocks_view(tmp_path):
     # copies the weights on the way to the objective, a lattice or the decoder.
     _, trained, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=5)
     path = str(tmp_path / "model.json")
-    save_model(path, trained, FeatureConfig())
+    save_model(path, trained)
     loaded, _ = load_model(path)
     for model in (trained, loaded, zero_model(small_tagset(3), {"a0": 0, "a1": 1})):
         A, K = model.n_attributes, model.n_tags
@@ -929,7 +929,7 @@ def train_tiny(c1, c2=0.0, max_iterations=80):
     config = OptimConfig(
         c1=c1, c2=c2, max_iterations=max_iterations, gradient_tolerance=1e-6
     )
-    model, trace = train_model(corpus, tagset, FeatureConfig(), config)
+    model, trace = train_model(corpus, tagset, config)
     return corpus, model, trace
 
 
@@ -947,7 +947,7 @@ def test_train_starts_at_uniform_objective():
 def test_train_fits_training_data():
     corpus, model, _ = train_tiny(c1=0.0, c2=0.05)
     for sentence in corpus:
-        predicted = tag_sentence(model, FeatureConfig(), sentence.words())
+        predicted = tag_sentence(model, sentence.words())
         assert predicted.tags() == sentence.tags()
 
 
@@ -995,18 +995,16 @@ def test_build_attribute_index_is_the_oracles_on_generated_corpora(seed):
 INDEX_WORDS = st.text("aZǅ-7٣/=#é.", min_size=1, max_size=7)
 
 
-@given(st.lists(st.lists(INDEX_WORDS, min_size=1, max_size=6), min_size=1, max_size=5),
-       st.integers(1, 6), st.integers(1, 6))
-@example([["a"]], 3, 4)
+@given(st.lists(st.lists(INDEX_WORDS, min_size=1, max_size=6), min_size=1, max_size=5))
+@example([["a"]])
 # neighbour values no token holds: no prev_word is "a", no next_word is "b"
-@example([["b", "a"]], 1, 1)
-@example([["ab", "abc", "b"], ["abcd", "=", "a=b"]], 3, 4)
-def test_build_attribute_index_is_the_oracles(sentences, prefix_max, suffix_max):
+@example([["b", "a"]])
+@example([["ab", "abc", "b"], ["abcd", "=", "a=b"]])
+def test_build_attribute_index_is_the_oracles(sentences):
     corpus = TaggedCorpus(tuple(Sentence(tuple(words), (0,) * len(words))
                                 for words in sentences))
-    config = FeatureConfig(prefix_max, suffix_max)
-    assert list(build_attribute_index(corpus, config).items()) == list(
-        attribute_index_oracle(corpus, config).items())
+    assert list(build_attribute_index(corpus).items()) == list(
+        attribute_index_oracle(corpus).items())
 
 
 def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
@@ -1014,14 +1012,14 @@ def test_training_index_and_matrix_match_the_fixed_vocabulary_pass():
     tagset = TagSet(("N", "V", "S"))
     corpus = parse_tagged(TRAIN_TEXT + "dora/N\n./S\nMoyna/N ghor-ghor/N 12/N ./S\n", tagset)
     index = attribute_index_oracle(corpus)
-    model, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, max_iterations=30))
+    model, _ = train_model(corpus, tagset, OptimConfig(c1=0.1, max_iterations=30))
     # the oracle's vocabulary less the attributes whose rows ended all zero,
     # renumbered in the same order
     kept = [a for a in index if a in model.attribute_index]
     assert list(model.attribute_index.items()) == list(zip(kept, range(len(kept))))
     assert 0 < len(kept) < len(index)
     assert model.state_weights.any(axis=1).all()
-    dense, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.0, max_iterations=3))
+    dense, _ = train_model(corpus, tagset, OptimConfig(c1=0.0, max_iterations=3))
     assert list(dense.attribute_index.items()) == list(index.items())
 
     tags = [s.tags() for s in corpus]
@@ -1059,7 +1057,7 @@ def test_pruned_and_full_models_give_bitwise_equal_paths_and_scores():
     tagset = TagSet(("N", "V", "S"))
     corpus = parse_tagged(TRAIN_TEXT, tagset)
     index = attribute_index_oracle(corpus)
-    model, _ = train_model(corpus, tagset, FeatureConfig(), OptimConfig(c1=0.1, max_iterations=30))
+    model, _ = train_model(corpus, tagset, OptimConfig(c1=0.1, max_iterations=30))
     full = unpruned(model, index)
     assert model.n_attributes < full.n_attributes
 
@@ -1082,10 +1080,10 @@ def test_a_model_without_state_weights_saves_loads_and_tags(tmp_path):
     _, model, _ = train_tiny(c1=100.0, max_iterations=5)
     assert model.attribute_index == {} and model.weights.shape == (5, 3)
     path = str(tmp_path / "model.json")
-    save_model(path, model, FeatureConfig())
-    loaded, config = load_model(path)
+    save_model(path, model)
+    loaded, _ = load_model(path)
     assert loaded == model
-    tagged = tag_corpus(loaded, config, [("dora", "ase", "."), ("kolom",)])
+    tagged = tag_corpus(loaded, [("dora", "ase", "."), ("kolom",)])
     assert [len(s) for s in tagged] == [3, 1]
 
 
@@ -1098,7 +1096,7 @@ def test_a_full_size_model_file_still_loads_and_tags_as_the_pruned_one(tmp_path)
     outputs = []
     for name, saved in (("pruned", model), ("full", full)):
         path = str(tmp_path / f"{name}.json")
-        save_model(path, saved, FeatureConfig())
+        save_model(path, saved)
         assert load_model(path)[0] == saved
         out = tmp_path / f"{name}.txt"
         assert main(["tag", str(raw), "--model", path, "--output", str(out)]) == 0
@@ -1285,9 +1283,10 @@ def test_families_encode_as_the_oracle_encodes_their_attribute_strings(sentences
 
 
 def test_encoding_and_tagging_keep_their_pinned_bytes(tmp_path):
-    """sha256 of the grown-vocabulary X and vocabulary of a seeded corpus, and
-    of `nagatag tag`'s output under seeded random weights over its
-    attributes. Neither goes through BLAS, so the pins hold on any machine."""
+    """sha256 of the grown-vocabulary X and vocabulary of a seeded corpus, of
+    a model file of seeded random weights over its attributes, and of
+    `nagatag tag`'s output under that model. None goes through BLAS, so the
+    pins hold on any machine."""
     corpus = generate(SynthConfig(seed=7, n_sentences=300))
     sentences = [s.words() for s in corpus]
     grown: dict[str, list[str]] = {}
@@ -1304,8 +1303,9 @@ def test_encoding_and_tagging_keep_their_pinned_bytes(tmp_path):
     index = build_attribute_index(corpus)
     K = len(SynthConfig.tagset)
     weights = np.random.default_rng(0).standard_normal((len(index) + 2 + K, K))
-    save_model(str(tmp_path / "model.json"), ModelParameters(SynthConfig.tagset, index, weights),
-               FeatureConfig())
+    save_model(str(tmp_path / "model.json"), ModelParameters(SynthConfig.tagset, index, weights))
+    assert (hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+            == "5092d71300e7d67a7ed7fc764170f336a88074c4b1becc96d59ef1fab1afd724")
     raw = tmp_path / "raw.txt"
     raw.write_text("".join(" ".join(words) + "\n" for words in sentences), encoding="utf-8")
     out = tmp_path / "tagged.txt"
@@ -1319,7 +1319,7 @@ def test_a_model_splits_its_index_by_family_once():
     model = zero_model(small_tagset(2), {"word=a": 1, "is_first=true": 0, "x": 2, "x=": 3})
     assert model.vocabulary == {"word=": {"a": 1}, "is_first=": {"true": 0}, "x": {"": 2},
                                 "x=": {"": 3}}
-    tag_corpus(model, FeatureConfig(), [("a", "b")])
+    tag_corpus(model, [("a", "b")])
     assert model.vocabulary is model.vocabulary
 
 
@@ -1334,10 +1334,9 @@ def test_models_compare_by_value():
 def test_save_load_round_trip(tmp_path):
     _, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=30)
     path = str(tmp_path / "model.json")
-    save_model(path, model, FeatureConfig(prefix_max=2))
-    loaded, feature_config = load_model(path)
+    save_model(path, model)
+    loaded, _ = load_model(path)
 
-    assert feature_config == FeatureConfig(prefix_max=2)
     assert loaded == model
 
 
@@ -1346,9 +1345,9 @@ def test_load_accepts_layout_with_template_flags(tmp_path):
 
     _, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=5)
     path = tmp_path / "model.json"
-    save_model(str(path), model, FeatureConfig(prefix_max=2))
+    save_model(str(path), model)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["feature_config"] == {"prefix_max": 2, "suffix_max": 4}
+    assert doc["feature_config"] == {"prefix_max": 3, "suffix_max": 4}
     # the feature_config of format-1 files written when the template had
     # on/off switches: the affix lengths, then 13 switches, all on
     flags = ("word", "is_first", "is_last", "is_capitalized", "is_all_caps", "is_all_lower",
@@ -1359,9 +1358,8 @@ def test_load_accepts_layout_with_template_flags(tmp_path):
         doc, feature_config=dict(doc["feature_config"], **dict.fromkeys(flags, True))
     )), encoding="utf-8")
 
-    loaded, feature_config = load_model(str(flagged))
-    expected, expected_config = load_model(str(path))
-    assert feature_config == expected_config == FeatureConfig(prefix_max=2)
+    loaded, _ = load_model(str(flagged))
+    expected, _ = load_model(str(path))
     assert loaded.tagset == expected.tagset
     assert loaded.attribute_index == expected.attribute_index
     for name in ("state_weights", "transition_weights", "begin_weights", "end_weights"):
@@ -1369,7 +1367,7 @@ def test_load_accepts_layout_with_template_flags(tmp_path):
     assert loaded.training == expected.training
 
     resaved = tmp_path / "resaved.json"
-    save_model(str(resaved), loaded, feature_config)
+    save_model(str(resaved), loaded)
     assert resaved.read_bytes() == path.read_bytes()
 
 
@@ -1378,7 +1376,7 @@ def test_save_stores_only_nonzero_state_weights(tmp_path):
 
     _, model, _ = train_tiny(c1=0.5, c2=0.0, max_iterations=40)
     path = str(tmp_path / "model.json")
-    save_model(path, model, FeatureConfig())
+    save_model(path, model)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["format_version"] == 1
@@ -1390,14 +1388,14 @@ def test_save_stores_only_nonzero_state_weights(tmp_path):
 def test_failed_save_leaves_previous_file(tmp_path):
     _, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=5)
     path = tmp_path / "model.json"
-    save_model(str(path), model, FeatureConfig())
+    save_model(str(path), model)
     before = path.read_bytes()
     # an int64 iteration count is not JSON-serializable, and it comes last
     bad = dataclasses.replace(
         model, training=dataclasses.replace(model.training, iterations=np.int64(5))
     )
     with pytest.raises(TypeError):
-        save_model(str(path), bad, FeatureConfig())
+        save_model(str(path), bad)
     assert path.read_bytes() == before
 
 
@@ -1406,7 +1404,7 @@ def test_load_rejects_bad_documents(tmp_path):
 
     _, model, _ = train_tiny(c1=0.1, c2=0.1, max_iterations=5)
     good_path = str(tmp_path / "model.json")
-    save_model(good_path, model, FeatureConfig())
+    save_model(good_path, model)
     with open(good_path, encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -1442,7 +1440,7 @@ def small_model_document():
     )
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "model.json")
-        save_model(path, model, FeatureConfig())
+        save_model(path, model)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
 

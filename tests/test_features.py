@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nagatag.features import FeatureConfig, attribute_families
+from nagatag.features import attribute_families
 from tests.helpers import binarize, extract_token_features, sentence_attributes
 
 SENTENCE = ("Titia", "Isor", "koise", ",", '"', "Ujala", "hobole", "dibi", ".", '"')
@@ -102,20 +102,6 @@ def test_out_of_range_position():
         extract_token_features(("a", "b"), -1)
 
 
-def test_config_flags_drop_items():
-    config = FeatureConfig(prefix_max=2, suffix_max=2)
-    fm = extract_token_features(SENTENCE, 0, config)
-    assert "prefix-3" not in fm and "suffix-3" not in fm
-    assert fm["prefix-2"] == "Ti" and fm["suffix-2"] == "ia"
-
-
-def test_config_validates_affix_lengths():
-    with pytest.raises(ValueError):
-        FeatureConfig(prefix_max=0)
-    with pytest.raises(ValueError):
-        FeatureConfig(suffix_max=-1)
-
-
 def test_binarize_single_boolean():
     assert binarize({"is_first": True}) == ("is_first=true",)
     assert binarize({"is_first": False}) == ("is_first=false",)
@@ -150,19 +136,18 @@ def test_sentence_attributes_covers_every_position():
 WORDS = st.lists(st.text("aZǅǆǄ-7٣/=əÄ.", min_size=1, max_size=7), min_size=1, max_size=5)
 
 
-@given(st.lists(WORDS, min_size=1, max_size=4), st.integers(1, 9), st.integers(1, 9))
-@example([["ǅa", "-", "a/b", "12", "X"], ["x"], ["=", "a=b", "aǅ"]], 3, 4)
+@given(st.lists(WORDS, min_size=1, max_size=4))
+@example([["ǅa", "-", "a/b", "12", "X"], ["x"], ["=", "a=b", "aǅ"]])
 # "" as a word: the sentence edges' prev_word and next_word share its code
-@example([["a", "", "b"], [""]], 2, 2)
+@example([["a", "", "b"], [""]])
 # a word that is another word's prefix, and one that is its suffix
-@example([["ab", "abc", "b"], ["abcd"]], 3, 4)
-def test_attribute_families_give_the_oracle_sets(sentences, prefix_max, suffix_max):
+@example([["ab", "abc", "b"], ["abcd"]])
+def test_attribute_families_give_the_oracle_sets(sentences):
     # several sentences in one pass: prev_word and next_word stop at each edge
-    config = FeatureConfig(prefix_max, suffix_max)
     positions = [(words, t) for words in sentences for t in range(len(words))]
     rendered: list[list[str]] = [[] for _ in positions]
     keys = []
-    for key, tokens, codes, values in attribute_families(sentences, config):
+    for key, tokens, codes, values in attribute_families(sentences):
         keys.append(key)
         assert len(tokens) == len(codes)
         assert len(set(values)) == len(values)
@@ -171,4 +156,4 @@ def test_attribute_families_give_the_oracle_sets(sentences, prefix_max, suffix_m
             rendered[t].append(key + values[code])
     assert keys == sorted(set(keys))
     for (words, t), attrs in zip(positions, rendered):
-        assert tuple(attrs) == binarize(extract_token_features(words, t, config))
+        assert tuple(attrs) == binarize(extract_token_features(words, t))

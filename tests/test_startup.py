@@ -31,8 +31,9 @@ def test_lazy_raises_module_not_found_for_a_name_with_no_module():
 
 
 # Runs the commands that need neither numpy nor scipy, and prints the numpy
-# and scipy modules that are loaded afterwards. numpy itself is registered
-# unloaded, so only its submodules show that it ran.
+# and scipy modules that are loaded afterwards, and whether secrets is, which
+# would bring hmac and hashlib. numpy itself is registered unloaded, so only
+# its submodules show that it ran.
 NUMERIC_FREE = """
 import sys
 from nagatag import train_model
@@ -46,7 +47,8 @@ codes = [
     main(["agreement", d + "/train.txt", d + "/train.txt", "--output", d + "/agreement.txt"]),
     main(["syllables", "g.o.r", "--output", d + "/syllables.txt"]),
 ]
-print(codes, sorted(m for m in sys.modules if m.startswith(("numpy.", "scipy"))))
+print(codes, sorted(m for m in sys.modules if m.startswith(("numpy.", "scipy"))),
+      "secrets" in sys.modules)
 """
 
 
@@ -55,7 +57,7 @@ def test_commands_without_numeric_work_load_neither_numpy_nor_scipy(tmp_path):
         [sys.executable, "-c", NUMERIC_FREE, str(tmp_path)],
         capture_output=True, text=True, timeout=60, check=True, env=ENV,
     )
-    assert result.stdout == "[0, 0, 0, 0, 0] []\n"
+    assert result.stdout == "[0, 0, 0, 0, 0] [] False\n"
 
 
 def test_numeric_commands_in_fresh_processes_match_the_in_process_run(tmp_path):
