@@ -11,8 +11,8 @@ max-shifted scores, rescaling each position's forward vector to sum 1
 (Rabiner 1989; Sutton & McCallum 2012, section 4.1): a step is one
 (B, K) @ (K, K) product and log Z is the sum of the log scale factors. Where
 underflow could make that inexact it raises ArithmeticError instead:
-_check_spread, run once per objective call and per lattice, bounds the
-transition, begin and end spreads, and forward-backward checks its scale factors.
+_check_spread, run once per objective call, bounds the transition, begin and
+end spreads, and forward-backward checks its scale factors.
 Viterbi raises ArithmeticError where a sum of finite weights overflows.
 
 There is one encoder and every caller goes through it: _encode puts a whole
@@ -22,9 +22,9 @@ position t of every sentence longer than t, in input order. Column A marks
 each sentence's first token and column A+1 its last. _Packing records each
 step's run of rows and each row's predecessor, so both recursions make one
 pass over the whole input, one step per position of the longest sentence,
-on one product with X. Training, tag_corpus and nll_and_gradient batch many
-sentences; build_lattice, viterbi and sequence_log_score are the same code on
-one sentence, so the single-sentence and batched paths cannot drift apart.
+on one product with X. Training and tag_corpus batch many sentences. The
+acceptance gate's single-sentence entry points live in tests/helpers.py and
+call this same private engine.
 
 The encoder reads attributes one family at a time, as
 features.attribute_families gives them for words: every attribute sharing a
@@ -33,14 +33,11 @@ it has none), as the tokens that have one, a code per token and the distinct
 values the codes index. Its vocabulary is split the same way, one dict from
 value to column per key, so each distinct value is one dict lookup however
 many tokens hold it, and no "key=value" string is built per token. A model
-splits its attribute_index once, ModelParameters.vocabulary. Generic
-attribute sets, as build_lattice, viterbi, nll_and_gradient and
-sequence_log_score take them, go through _columns, which splits each string
-at its first "=", into the same encoder. Families come in increasing key
-order, and each family's columns follow the previous family's. Training
-featurizes once and grows its vocabulary as it encodes, numbering each
-family's values in the order of the first packed row that holds them, with
-one np.minimum.at over the family's codes. So consecutive rows mostly hit
+splits its attribute_index once, ModelParameters.vocabulary. Families come in
+increasing key order, and each family's columns follow the previous family's.
+Training featurizes once and grows its vocabulary as it encodes, numbering
+each family's values in the order of the first packed row that holds them,
+with one np.minimum.at over the family's codes. So consecutive rows mostly hit
 nearby rows of Θ, and X @ Θ and X.T @ U, which read or write one Θ row per
 entry of X, stream through Θ instead of jumping about it. The grown
 vocabulary is each family's values as a list in column order, Grown, not a
@@ -78,8 +75,7 @@ bench's 40,000-token train-wide corpus). Its gold-path score is
 dot(count, w[index]), and the L2-penalized objective is
 sum(log Z) - dot(count, w[index]) + c2 * w @ w. Both dots go through
 optim.dot, not BLAS, so a trained model has the same bits at any BLAS thread
-count. The gradient takes its expected counts from _forward_backward, and
-build_lattice turns the same scaled vectors into log alpha and log beta.
+count. The gradient takes its expected counts from _forward_backward.
 
 The feature template is fixed, so training and tagging take no feature
 settings. A model file records the template's affix lengths,
@@ -101,10 +97,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from nagatag._lazy import lazy
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, write_text
@@ -116,7 +111,6 @@ if TYPE_CHECKING:
 
 np = lazy("numpy")
 
-Attrs = Sequence[Collection[str]]
 Vocabulary = dict[str, dict[str, int]]  # family key -> value -> column
 Grown = dict[str, list[str]]  # family key -> its values in column order
 
@@ -185,19 +179,6 @@ class ModelParameters:
         return self.weights[self.n_attributes + 2:]
 
 
-def zero_model(tagset: TagSet, attribute_index: dict[str, int]) -> ModelParameters:
-    A, K = len(attribute_index), len(tagset)
-    return ModelParameters(tagset, dict(attribute_index), np.zeros((A + 2 + K, K)))
-
-
-@dataclass(frozen=True)
-class Lattice:
-    state_scores: np.ndarray  # (T, K)
-    log_alpha: np.ndarray  # (T, K)
-    log_beta: np.ndarray  # (T, K)
-    log_Z: float
-
-
 class _Packing(NamedTuple):
     """Where an input's tokens sit among the rows of its encoded matrix. The
     rows are time-major: step t holds row t of every sentence longer than t,
@@ -215,7 +196,7 @@ def _encode(vocabulary: Vocabulary | Grown, lengths: Sequence[int], families: It
     lengths, one row per token in the time-major order _Packing describes,
     and that packing. Column A marks a sentence's first token and column A+1
     its last. This is the only place attributes become columns. families is
-    the input's attributes as attribute_families and _columns give them: one
+    the input's attributes as attribute_families gives them: one
     family at a time, in increasing key order, as codes over distinct values,
     with each token's values next to each other. It is read once, and each
     family is dropped once it is mapped; the columns go straight into int32
@@ -299,27 +280,6 @@ def _encode(vocabulary: Vocabulary | Grown, lengths: Sequence[int], families: It
     X = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(N, A + 2))
     X.sort_indices()
     return X, packing
-
-
-def _columns(attrs_list: Iterable[Attrs]) -> tuple[list[int], list[Family]]:
-    """Generic attribute sets as _encode's input: the sentence lengths, and
-    each attribute split at its first "=" into its family's key (the part up
-    to and including the "=", or the whole attribute where it has none) and
-    its value, coded by its place among the family's distinct values."""
-    lengths: list[int] = []
-    by_key: dict[str, tuple[list[int], list[int], dict[str, int]]] = {}
-    t = 0
-    for attrs in attrs_list:
-        for position in attrs:
-            for a in position:
-                key, eq, value = a.partition("=")
-                tokens, codes, values = by_key.setdefault(key + eq, ([], [], {}))
-                tokens.append(t)
-                codes.append(values.setdefault(value, len(values)))
-            t += 1
-        lengths.append(len(attrs))
-    return lengths, [(key, tokens, codes, list(values))
-                     for key, (tokens, codes, values) in sorted(by_key.items())]
 
 
 def _vocabulary(attribute_index: dict[str, int]) -> Vocabulary:
@@ -434,47 +394,6 @@ def _viterbi(delta: np.ndarray, trans: np.ndarray, packing: _Packing):
     return paths, delta.max(axis=1)
 
 
-def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
-    """Forward-backward for one sentence: the batched engine with N = T rows.
-    The lattice keeps begin in log_alpha[0] and end in log_beta[-1]."""
-    theta, K = model.weights, model.n_tags
-    _check_spread(theta, K)
-    X, packing = _encode(model.vocabulary, *_columns([attrs]))
-    a, b, c, _ = _forward_backward(X @ theta[:-K], theta[-K:], packing)
-    C = np.cumsum(c)
-    log_Z = float(C[-1])
-    with np.errstate(divide="ignore"):  # an underflowed a or b is log 0 = -inf
-        log_alpha = np.log(a) + C[:, None]
-        log_beta = np.log(b) + (log_Z - C)[:, None]
-    log_alpha[-1] -= model.end_weights
-    log_beta[-1] += model.end_weights
-    # cross-check: the backward recursion must reproduce the same mass,
-    # sum_k a[0] * b[0] = 1
-    backward_Z = log_Z + float(np.log(a[0] @ b[0]))
-    if not abs(backward_Z - log_Z) <= 1e-9 * max(1.0, abs(log_Z)):
-        raise ArithmeticError(f"forward/backward disagree on log_Z: {log_Z} vs {backward_Z}")
-    return Lattice(X[:, :-2] @ model.state_weights, log_alpha, log_beta, log_Z)
-
-
-def sequence_log_score(model: ModelParameters, attrs: Attrs, tags: Sequence[int]) -> float:
-    """The score of one tag path, correctly rounded: the fsum of its observed
-    counts times their weights, which, unlike a dot product, gives the same
-    bits wherever Θ holds zero rows."""
-    *_, (index, count) = _prepare(model.vocabulary, model.n_tags, *_columns([attrs]), [tags])
-    return math.fsum(count * model.weights.ravel()[index])
-
-
-def posterior_marginals(lattice: Lattice, model: ModelParameters):
-    """(T,K) unary and (T-1,K,K) pairwise posterior probabilities."""
-    la, lb, log_Z = lattice.log_alpha, lattice.log_beta, lattice.log_Z
-    unary = np.exp(la + lb - log_Z)
-    pairwise = np.exp(
-        la[:-1, :, None] + model.transition_weights
-        + (lattice.state_scores + lb)[1:, None, :] - log_Z
-    )
-    return unary, pairwise
-
-
 def _decode(model: ModelParameters, lengths: Sequence[int], families: Iterable[Family]):
     """(best path, its score) of every sentence, from one Viterbi pass over the
     whole input, given as _encode takes it."""
@@ -482,13 +401,6 @@ def _decode(model: ModelParameters, lengths: Sequence[int], families: Iterable[F
     paths, scores = _viterbi(X @ model.weights[:-model.n_tags], model.transition_weights, packing)
     return list(zip(np.split(paths[packing.order], packing.ends[:-1]),
                     scores[packing.order[packing.ends - 1]]))
-
-
-def viterbi(model: ModelParameters, attrs: Attrs) -> tuple[list[int], float]:
-    """Best tag sequence and its log score: the batched decoder on one sentence.
-    Ties pick the lowest tag index."""
-    ((path, score),) = _decode(model, *_columns([attrs]))
-    return path.tolist(), float(score)
 
 
 def tag_corpus(model: ModelParameters, sentences: Sequence[Sequence[str]]) -> TaggedCorpus:
@@ -587,22 +499,6 @@ def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, packing: _Packing
     if not np.isfinite(value):
         raise ArithmeticError(f"non-finite objective value: {value}")
     return value, G
-
-
-def nll_and_gradient(
-    model: ModelParameters,
-    batch: list[tuple[Attrs, Sequence[int]]],
-    c2: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """Regularized negative conditional log-likelihood of a batch and its
-    gradient: expected counts minus observed counts plus 2*c2*w. The gradient
-    has model.weights' shape and row order, so dataclasses.replace(model,
-    weights=gradient) reads its blocks through the same views."""
-    K = model.n_tags
-    prepared = _prepare(model.vocabulary, K, *_columns(attrs for attrs, _ in batch),
-                        [tags for _, tags in batch])
-    value, grad = _nll_prepared(model.weights.ravel(), K, *prepared, c2)
-    return value, grad.reshape(model.weights.shape)
 
 
 def build_attribute_index(corpus: TaggedCorpus) -> dict[str, int]:

@@ -22,22 +22,18 @@ from nagatag.corpus import (
     parse_tagged,
     serialize_tagged,
 )
-from nagatag.crf import (
-    ModelParameters,
-    build_lattice,
-    load_model,
-    nll_and_gradient,
-    posterior_marginals,
-    save_model,
-    tag_sentence,
-    train_model,
-    viterbi,
-    zero_model,
-)
+from nagatag.crf import ModelParameters, load_model, save_model, tag_sentence, train_model
 from nagatag.datagen import SynthConfig, generate
 from nagatag.evaluation import ConfusionMatrix, confusion, report
 from nagatag.optim import OptimConfig, minimize
 from nagatag.phonotactics import VOWELS, analyze_word, classify, draw_word
+from tests.helpers import (
+    build_lattice,
+    nll_and_gradient,
+    posterior_marginals,
+    viterbi,
+    zero_model,
+)
 
 
 def _verdict(capsys, name: str, problems: list[str]):

@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 
 from nagatag.cli import main
 from nagatag.corpus import TagSet, parse_tagged, read_corpus, serialize_tagged
-from nagatag.crf import load_model, save_model, zero_model
+from nagatag.crf import load_model, save_model
 from nagatag.datagen import SynthConfig, generate
 from tests.helpers import (
     attribute_index_oracle,
     extract_token_features,
     refuse_to_replace,
     sentence_attributes,
+    zero_model,
 )
 
 SMALL_TAGS = ("N", "V", "S")

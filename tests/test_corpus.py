@@ -22,10 +22,10 @@ from nagatag.corpus import (
     write_corpus,
     write_text,
 )
-from nagatag.crf import tag_corpus, zero_model
+from nagatag.crf import tag_corpus
 from nagatag.datagen import SynthConfig, generate
 from tests.conftest import make_random_corpus
-from tests.helpers import refuse_to_replace
+from tests.helpers import refuse_to_replace, zero_model
 
 TAGSET = TagSet()
 

@@ -23,7 +23,6 @@ from nagatag.corpus import Sentence, TaggedCorpus, TagSet, parse_tagged
 from nagatag.crf import (
     ModelParameters,
     TrainingMeta,
-    _columns,
     _FOLD_CHUNK,
     _decode,
     _encode,
@@ -33,22 +32,27 @@ from nagatag.crf import (
     _prepare,
     _vocabulary,
     build_attribute_index,
-    build_lattice,
     load_model,
-    nll_and_gradient,
-    posterior_marginals,
     save_model,
-    sequence_log_score,
     tag_corpus,
     tag_sentence,
     train_model,
-    viterbi,
-    zero_model,
 )
 from nagatag.datagen import SynthConfig, generate
 from nagatag.features import attribute_families
 from nagatag.optim import OptimConfig, minimize
-from tests.helpers import attribute_index_oracle, sentence_attributes, traced_peak
+from tests.helpers import (
+    _columns,
+    attribute_index_oracle,
+    build_lattice,
+    nll_and_gradient,
+    posterior_marginals,
+    sentence_attributes,
+    sequence_log_score,
+    traced_peak,
+    viterbi,
+    zero_model,
+)
 
 
 def small_tagset(k):

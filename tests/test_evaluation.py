@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nagatag.corpus import Sentence, TaggedCorpus, TagSet, agreement, parse_tagged
-from nagatag.crf import zero_model
 from nagatag.evaluation import (
     ConfusionMatrix,
     EvalReport,
@@ -19,6 +18,7 @@ from nagatag.evaluation import (
     top_transitions,
 )
 from tests.conftest import make_random_corpus
+from tests.helpers import zero_model
 
 TAGSET = TagSet()
 
