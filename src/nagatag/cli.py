@@ -211,9 +211,10 @@ def _cmd_features(args) -> int:
     values as booleans, told apart by the values, not by their text, since
     a word may be "true"."""
     maps: list[dict[str, bool | str]] = [{} for _ in args.words]
-    for key, tokens, codes, values in attribute_families([args.words]):
-        for t, code in zip(tokens, codes):
-            maps[t][key[:-1]] = values[code] == "true" if values is FLAG else values[code]
+    for key, codes, values in attribute_families([args.words]):
+        for fm, code in zip(maps, codes.tolist()):
+            if code >= 0:
+                fm[key[:-1]] = values[code] == "true" if values is FLAG else values[code]
     lines = [repr(dict(sorted(fm.items(), key=_template_place))) for fm in maps]
     _emit("\n".join(lines) + "\n", args)
     return 0

@@ -29,12 +29,14 @@ call this same private engine.
 The encoder reads attributes one family at a time, as
 features.attribute_families gives them for words: every attribute sharing a
 key (the part up to and including the first "=", or the whole attribute where
-it has none), as the tokens that have one, a code per token and the distinct
-values the codes index. Its vocabulary is split the same way, one dict from
-value to column per key, so each distinct value is one dict lookup however
-many tokens hold it, and no "key=value" string is built per token. A model
-splits its attribute_index once, ModelParameters.vocabulary. Families come in
-increasing key order, and each family's columns follow the previous family's.
+it has none), as a code per token, -1 where the token has none, and the
+distinct values the codes index. Its vocabulary is split the same way, one
+dict from value to column per key, so each distinct value is one dict lookup
+however many tokens hold it, and no "key=value" string is built per token. A
+model splits its attribute_index once, ModelParameters.vocabulary. Families
+come in increasing key order, and each family's columns follow the previous
+family's. Each family, and each marker, is one column of a table with a row
+per token, holding that row's column of X or -1; X holds the rest.
 Training featurizes once and grows its vocabulary as it encodes, numbering
 each family's values in the order of the first packed row that holds them,
 with one np.minimum.at over the family's codes. So consecutive rows mostly hit
@@ -43,7 +45,7 @@ entry of X, stream through Θ instead of jumping about it. The grown
 vocabulary is each family's values as a list in column order, Grown, not a
 dict per family: training only reads it to render the attributes it keeps.
 attribute_families gives a token at most one value of a family, so a row's
-columns still ascend family by family, in the order a sorted numbering gives
+columns ascend family by family, in the order a sorted numbering gives
 them. Each row sum of X @ Θ is the same sum in the same order as under the
 sorted numbering of the same attributes, which build_attribute_index gives,
 and so is each entry of X.T @ U, which adds up its rows in row order under
@@ -196,26 +198,25 @@ def _encode(vocabulary: Vocabulary | Grown, lengths: Sequence[int], families: It
     lengths, one row per token in the time-major order _Packing describes,
     and that packing. Column A marks a sentence's first token and column A+1
     its last. This is the only place attributes become columns. families is
-    the input's attributes as attribute_families gives them: one
-    family at a time, in increasing key order, as codes over distinct values,
-    with each token's values next to each other. It is read once, and each
-    family is dropped once it is mapped; the columns go straight into int32
-    CSR arrays.
+    the input's attributes as attribute_families gives them: one family at a
+    time, in increasing key order, as a code per token over distinct values,
+    -1 where the token has none. It is read once, and each family is dropped
+    once it is mapped.
 
     Each family's distinct values are looked up once in its own dict,
-    vocabulary[key], and the codes carry the columns to the tokens; an
-    attribute outside the vocabulary has no column and scores 0. With grow
-    set, vocabulary must start empty, and it is filled as Grown, not as
-    Vocabulary: each family's values are numbered on from the previous
-    family's, in the order of the first row that holds them (ties within a
-    row in the family's order), and each family's values go in as a list in
-    that order, so the family key and the place in the list give every
-    column without a dict per family. They go into vocabulary only once the
-    whole input is read, so a ValueError leaves it empty. The module
-    docstring says why that order keeps the products' sums. A row's columns
-    are sorted, X.sort_indices() seeing to it where a vocabulary's numbering
-    leaves them out of order, and an attribute that comes twice at a
-    position is counted twice."""
+    vocabulary[key], into lookup, and the codes carry the columns to the
+    rows; an attribute outside the vocabulary has no column and scores 0.
+    With grow set, vocabulary must start empty, and it is filled as Grown,
+    not as Vocabulary: each family's values are numbered on from the previous
+    family's, in the order of the first row that holds them, and go in as a
+    list in that order, so the family key and the place in the list give
+    every column without a dict per family. They go into vocabulary only
+    once the whole input is read, so a ValueError leaves it empty. The module
+    docstring says why that order keeps the products' sums. A code of -1
+    reads lookup's slot past the values, which holds -1. The int32 table has
+    a column per family and marker, each row's column of X there or -1, in
+    packed row order; X holds its other entries row by row, sorted by
+    X.sort_indices() where a vocabulary's numbering leaves them unsorted."""
     from scipy import sparse  # the module docstring says why here
 
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -230,53 +231,42 @@ def _encode(vocabulary: Vocabulary | Grown, lengths: Sequence[int], families: It
                        order[token - 1], order, ends)
 
     row = order.astype(np.intc)  # token -> row
-    blocks = []  # per family: the rows of its attributes and their columns
+    N = len(row)
+    columns = []  # per family, each row's column in packed row order, or -1
     grown: Grown = {}
     A = 0 if grow else sum(map(len, vocabulary.values()))
     previous = None
-    for key, tokens, codes, values in families:
+    for key, codes, values in families:
         if previous is not None and not previous < key:
             raise ValueError(f"attribute families out of key order: {previous!r}, {key!r}")
         previous = key
-        rows = row[tokens]
         if grow:
-            # number the values in the order of their first place in (row, place in
-            # the family) order; a value no token holds gets no column
-            place = rows.astype(np.intp) * len(rows) + np.arange(len(rows))
-            beyond = len(row) * len(rows)  # past every place
-            first = np.full(len(values), beyond)
-            np.minimum.at(first, codes, place)
-            held = np.flatnonzero(first < beyond)
+            # number the values in the order of the first row that holds them; a value
+            # no token holds gets no column, nor does the slot that codes of -1 read
+            first = np.full(len(values) + 1, N, np.intc)  # row's dtype: ufunc.at is fast
+            np.minimum.at(first, codes, row)
+            held = np.flatnonzero(first[:-1] < N)
             held = held[np.argsort(first[held])]
-            lookup = np.empty(len(values), np.intc)
+            lookup = np.full(len(values) + 1, -1, np.intc)
             lookup[held] = np.arange(A, A + len(held))
             grown[key] = list(map(values.__getitem__, held.tolist()))
             A += len(held)
         elif (column := vocabulary.get(key)) is None:
             continue
         else:
-            lookup = np.fromiter(map(column.get, values, itertools.repeat(-1)), np.intc,
-                                 len(values))
-        cols = lookup[codes]
-        known = cols >= 0
-        blocks.append((rows[known], cols[known]))
+            lookup = np.fromiter(itertools.chain(map(column.get, values, itertools.repeat(-1)),
+                                                 [-1]), np.intc, len(values) + 1)
+        columns.append(lookup[codes][token])
     vocabulary.update(grown)
-    blocks.append((row[ends - lengths], np.full(len(ends), A, np.intc)))
-    blocks.append((row[ends - 1], np.full(len(ends), A + 1, np.intc)))
 
-    N = len(row)
+    # (N, families + 2): a row's columns in family order, then the begin and end markers
+    table = np.column_stack([*columns, np.full((N, 2), -1, np.intc)])
+    del columns  # freed before held and indices are made
+    table[row[ends - lengths], -2], table[row[ends - 1], -1] = A, A + 1
+    held = table >= 0
     indptr = np.zeros(N + 1, dtype=np.intc)
-    for rows, _ in blocks:
-        indptr[1:] += np.bincount(rows, minlength=N)
-    np.cumsum(indptr, out=indptr)
-    cursor = indptr[:-1].copy()  # where each row's next column goes
-    indices = np.empty(indptr[-1], dtype=np.intc)
-    for rows, cols in blocks:
-        # a family's values at one token sit next to each other: the k-th goes k places on
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        k = np.arange(len(rows)) - np.repeat(starts, np.diff(starts, append=len(rows)))
-        indices[cursor[rows] + k] = cols
-        cursor += np.bincount(rows, minlength=N)
+    np.cumsum(held.sum(axis=1), out=indptr[1:])
+    indices = table[held]
     X = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(N, A + 2))
     X.sort_indices()
     return X, packing
@@ -506,8 +496,8 @@ def build_attribute_index(corpus: TaggedCorpus) -> dict[str, int]:
     family's values that some token holds (a neighbour value may be held by
     none), rendered as "key=value"."""
     families = attribute_families([sentence.words() for sentence in corpus])
-    attributes = sorted(key + values[code] for key, _, codes, values in families
-                        for code in np.unique(codes).tolist())
+    attributes = sorted(key + values[code] for key, codes, values in families
+                        for code in np.unique(codes).tolist() if code >= 0)
     return {attr: i for i, attr in enumerate(attributes)}
 
 

@@ -13,7 +13,7 @@ The template has one writing, attribute_families, which training, tagging
 and the features command read. It goes over a whole input one attribute
 family at a time. A family is every attribute that shares a key, the part up
 to and including the "=" ("word=", "is_first=", "prefix-2=", ...). It comes
-as the tokens that have one, a code per token and the distinct values the
+as a code per token, -1 where the token has none, and the distinct values the
 codes index, so that each value is encoded once however many tokens hold it.
 The template is computed once per word type, not per token: a word that
 recurs is featurized once, each flag has two values and each affix family
@@ -26,7 +26,6 @@ feature map per token, which the program does not use.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -36,9 +35,9 @@ from nagatag._lazy import lazy
 
 np = lazy("numpy")
 
-# (key, tokens, codes, values): every attribute "key" + values[codes[i]] of
-# token tokens[i], with values distinct
-Family = tuple[str, Sequence[int], Sequence[int], Sequence[str]]
+# (key, codes, values): token t holds the attribute "key" + values[codes[t]],
+# or none of the family where codes[t] is -1; values are distinct
+Family = tuple[str, Sequence[int], Sequence[str]]
 FLAG = ("false", "true")  # the values of every flag family, false coded 0
 
 
@@ -53,13 +52,13 @@ class FeatureConfig:
 
 def attribute_families(sentences: Sequence[Sequence[str]]) -> Iterator[Family]:
     """The template over a whole input, one family at a time, in increasing
-    key order: (key, tokens, codes, values), where tokens counts the input's
-    tokens sentence after sentence, the value at tokens[i] is
-    values[codes[i]], and a family's values are distinct. A token has at most
-    one value per family: word=, is_first=, is_last=, the six flags,
-    prev_word= and next_word= at every token, and prefix-k= and suffix-k=
-    where the word has k characters. Rendered at one position, key + value
-    over the families is that token's sorted attribute set.
+    key order: (key, codes, values), with one code per token, the tokens
+    counted sentence after sentence: token t holds values[codes[t]], or no
+    value of the family where codes[t] is -1, and a family's values are
+    distinct. word=, is_first=, is_last=, the six flags, prev_word= and
+    next_word= have a value at every token, and prefix-k= and suffix-k= where
+    the word has k characters. Rendered at one position, key + value over the
+    families it holds is that token's sorted attribute set.
 
     The words are numbered by type once, and every family is computed per
     type, then spread to the tokens by those numbers: word=, prev_word= and
@@ -67,14 +66,12 @@ def attribute_families(sentences: Sequence[Sequence[str]]) -> Iterator[Family]:
     with the code of "" at sentence edges (a word's own code where "" is a
     word). The flags have the values ("false", "true"). prefix-k and suffix-k
     go longest k first, each shorter one cut from the distinct values of the
-    next longer one and the types of exactly k characters. Each family's
-    tokens and codes are made only when the caller asks for it."""
+    next longer one and the types of exactly k characters, -1 for a shorter
+    type. Each family's codes are made only when the caller asks for them."""
     words = list(itertools.chain.from_iterable(sentences))
     types, ids = _factorize(words, len(words))
     type_lengths = np.fromiter(map(len, types), np.intp, len(types))
-    lengths = type_lengths[ids]
     lower = list(map(str.islower, types))
-    every = np.arange(len(words))
     sizes = np.fromiter(map(len, sentences), np.intp, len(sentences))
     ends = np.cumsum(sizes)
     firsts = (ends - sizes)[sizes > 0]
@@ -85,21 +82,21 @@ def attribute_families(sentences: Sequence[Sequence[str]]) -> Iterator[Family]:
     else:
         neighbours, edge = [*types, ""], len(types)
 
-    def shifted(by: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    def shifted(by: int, at: np.ndarray) -> tuple[np.ndarray, list[str]]:
         codes = np.roll(ids, by)
         codes[at] = edge
-        return every, codes, neighbours
+        return codes, neighbours
 
-    def edge_flag(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[str, str]]:
+    def edge_flag(at: np.ndarray) -> tuple[np.ndarray, tuple[str, str]]:
         codes = np.zeros(len(words), np.intp)
         codes[at] = 1
-        return every, codes, FLAG
+        return codes, FLAG
 
-    def flag(per_type: Iterable[bool]) -> tuple[np.ndarray, np.ndarray, tuple[str, str]]:
-        return every, np.fromiter(per_type, np.intp, len(types))[ids], FLAG
+    def flag(per_type: Iterable[bool]) -> tuple[np.ndarray, tuple[str, str]]:
+        return np.fromiter(per_type, np.intp, len(types))[ids], FLAG
 
-    families: dict[str, Callable[[], tuple[np.ndarray, np.ndarray, Sequence[str]]]] = {
-        "word=": lambda: (every, ids, types),
+    families: dict[str, Callable[[], tuple[np.ndarray, Sequence[str]]]] = {
+        "word=": lambda: (ids, types),
         "is_first=": lambda: edge_flag(firsts),
         "is_last=": lambda: edge_flag(lasts),
         "is_capitalized=": lambda: flag(
@@ -116,12 +113,6 @@ def attribute_families(sentences: Sequence[Sequence[str]]) -> Iterator[Family]:
         "prev_word=": lambda: shifted(1, firsts),
         "next_word=": lambda: shifted(-1, lasts),
     }
-
-    def affix(k: int, codes: np.ndarray,
-              values: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        # prefix-k and suffix-k only where the word has k characters
-        tokens = np.flatnonzero(lengths >= k)
-        return tokens, codes[ids[tokens]], values
 
     # keys only up to the longest word
     longest = int(type_lengths.max(initial=0))
@@ -141,7 +132,7 @@ def attribute_families(sentences: Sequence[Sequence[str]]) -> Iterator[Family]:
             codes, previous = np.full(len(types), -1), codes
             codes[longer] = step[previous[longer]]
             codes[fresh] = step[len(step) - n_fresh:]
-            families[f"{name}-{k}="] = functools.partial(affix, k, codes, values)
+            families[f"{name}-{k}="] = lambda codes=codes, values=values: (codes[ids], values)
     for key in sorted(families):
         yield key, *families[key]()
 

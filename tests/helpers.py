@@ -110,21 +110,25 @@ def _columns(attrs_list: Iterable[Attrs]) -> tuple[list[int], list[Family]]:
     """Generic attribute sets as _encode's input: the sentence lengths, and
     each attribute split at its first "=" into its family's key (the part up
     to and including the "=", or the whole attribute where it has none) and
-    its value, coded by its place among the family's distinct values."""
+    its value, coded by its place among the family's distinct values, with
+    -1 at the tokens that hold none of the family. A family holds one code
+    per token, so two attributes of one family at one position raise
+    ValueError."""
     lengths: list[int] = []
-    by_key: dict[str, tuple[list[int], list[int], dict[str, int]]] = {}
+    by_key: dict[str, tuple[dict[int, int], dict[str, int]]] = {}
     t = 0
     for attrs in attrs_list:
         for position in attrs:
             for a in position:
                 key, eq, value = a.partition("=")
-                tokens, codes, values = by_key.setdefault(key + eq, ([], [], {}))
-                tokens.append(t)
-                codes.append(values.setdefault(value, len(values)))
+                codes, values = by_key.setdefault(key + eq, ({}, {}))
+                if t in codes:
+                    raise ValueError(f"two attributes of family {key + eq!r} at one position")
+                codes[t] = values.setdefault(value, len(values))
             t += 1
         lengths.append(len(attrs))
-    return lengths, [(key, tokens, codes, list(values))
-                     for key, (tokens, codes, values) in sorted(by_key.items())]
+    return lengths, [(key, [codes.get(i, -1) for i in range(t)], list(values))
+                     for key, (codes, values) in sorted(by_key.items())]
 
 
 def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:

@@ -162,6 +162,7 @@ def synth_task():
 def test_criterion_1_lattice_oracle_equivalence(capsys):
     problems = []
     rng = np.random.default_rng(20260817)
+    path_rng = np.random.default_rng(20260818)  # its own stream: the instances stay as they were
     started = time.perf_counter()
     for trial in range(200):
         model, attrs = _random_instance(rng)
@@ -172,6 +173,13 @@ def test_criterion_1_lattice_oracle_equivalence(capsys):
         lattice = build_lattice(model, attrs)
         if abs(lattice.log_Z - log_Z) > 1e-6:
             problems.append(f"trial {trial}: log_Z off by {abs(lattice.log_Z - log_Z):.2e}")
+            break
+        # the NLL of a random gold path: log_Z less that path's enumerated score
+        gold = int(path_rng.integers(len(paths)))
+        nll = nll_and_gradient(model, [(attrs, paths[gold].tolist())], 0.0)[0]
+        if abs(nll - (log_Z - scores[gold])) > 1e-8:
+            problems.append(f"trial {trial}: gold-path NLL off by "
+                            f"{abs(nll - (log_Z - scores[gold])):.2e}")
             break
         u, p = posterior_marginals(lattice, model)
         if np.max(np.abs(u - unary)) > 1e-8:
@@ -205,7 +213,8 @@ def test_criterion_1_lattice_oracle_equivalence(capsys):
     _verdict(
         capsys,
         f"1. lattice matches exhaustive enumeration on 200 random models "
-        f"(log_Z 1e-6, marginals 1e-8, viterbi path+score) in {elapsed:.1f}s",
+        f"(log_Z 1e-6, marginals 1e-8, gold-path NLL 1e-8, viterbi path+score) "
+        f"in {elapsed:.1f}s",
         problems,
     )
 

@@ -145,15 +145,19 @@ WORDS = st.lists(st.text("aZǅǆǄ-7٣/=əÄ.", min_size=1, max_size=7), min_siz
 def test_attribute_families_give_the_oracle_sets(sentences):
     # several sentences in one pass: prev_word and next_word stop at each edge
     positions = [(words, t) for words in sentences for t in range(len(words))]
+    maps = [extract_token_features(words, t) for words, t in positions]
     rendered: list[list[str]] = [[] for _ in positions]
     keys = []
-    for key, tokens, codes, values in attribute_families(sentences):
+    for key, codes, values in attribute_families(sentences):
         keys.append(key)
-        assert len(tokens) == len(codes)
+        assert len(codes) == len(positions)  # one code per token
         assert len(set(values)) == len(values)
-        assert all(0 <= code < len(values) for code in codes)
-        for t, code in zip(tokens, codes):
-            rendered[t].append(key + values[code])
+        assert all(-1 <= code < len(values) for code in codes)
+        # -1 exactly where the oracle's map lacks the key
+        assert [code == -1 for code in codes] == [key[:-1] not in fm for fm in maps]
+        for attrs, code in zip(rendered, codes):
+            if code >= 0:
+                attrs.append(key + values[code])
     assert keys == sorted(set(keys))
-    for (words, t), attrs in zip(positions, rendered):
-        assert tuple(attrs) == binarize(extract_token_features(words, t))
+    for fm, attrs in zip(maps, rendered):
+        assert tuple(attrs) == binarize(fm)
