@@ -9,8 +9,12 @@ the transitions. Viterbi, _viterbi, runs in the log domain as a max-plus
 recursion. Forward-backward, _forward_backward, runs in the exp domain on
 max-shifted scores, rescaling each position's forward vector to sum 1
 (Rabiner 1989; Sutton & McCallum 2012, section 4.1): a step is one
-(B, K) @ (K, K) product and log Z is the sum of the log scale factors. Where
-underflow could make that inexact it raises ArithmeticError instead:
+(B, K) @ (K, K) product and log Z is the sum of the log scale factors. A
+shifted state score below log of the smallest normal float gets an exp-domain
+factor of exactly 0, not the subnormal np.exp would give it: np.exp is many
+times slower on such results, and what is dropped lies below e^-708 of its
+row's largest factor, which the bound at _MAX_SPREAD covers. Where underflow
+could make the recursion inexact it raises ArithmeticError instead:
 _check_spread, run once per objective call, bounds the transition, begin and
 end spreads, and forward-backward checks its scale factors.
 Viterbi raises ArithmeticError where a sum of finite weights overflows.
@@ -79,6 +83,14 @@ sum(log Z) - dot(count, w[index]) + c2 * w @ w. Both dots go through
 optim.dot, not BLAS, so a trained model has the same bits at any BLAS thread
 count. The gradient takes its expected counts from _forward_backward.
 
+The objective, _nll_prepared, comes in two halves, as optim.minimize asks:
+it returns the value and a function of no arguments for the gradient. The
+value costs the spread check, X @ Θ[:-K], the forward half of
+_forward_backward and the two dots; the function runs the backward half,
+X.T @ U and the fold on the state the forward half left. The optimizer calls
+the function only at x0 and at each step its line search accepts, so a
+rejected trial pays for its value alone.
+
 The feature template is fixed, so training and tagging take no feature
 settings. A model file records the template's affix lengths,
 features.FeatureConfig's constants, as its feature_config block, and
@@ -99,6 +111,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -282,14 +295,16 @@ def _vocabulary(attribute_index: dict[str, int]) -> Vocabulary:
 
 
 _TINY = sys.float_info.min  # numpy's finfo(float).tiny
+_LOG_TINY = math.log(_TINY)  # about -708.4: forward-backward's floor for shifted state scores
 # The largest transition, begin or end score spread (max - min, in nats) that
 # forward-backward accepts. Every factor or product the exp-domain recursion
-# loses to underflow is below e^-708 of the largest in its step. A path through
-# a lost term has a neighbour path, with another tag at that position, whose score
-# is at least 708 - 2 * 320 = 68 nats higher: only the scores into and out of
-# that position change, by at most one spread each. So what is lost is below
-# T * K^2 * e^-68 of Z whatever the state scores are. Checking the scale factors
-# alone is not enough: a best path lost this way still leaves them normal.
+# loses to underflow, or drops below _LOG_TINY, is below e^-708 of the largest
+# in its step. A path through a lost term has a neighbour path, with another
+# tag at that position, whose score is at least 708 - 2 * 320 = 68 nats higher:
+# only the scores into and out of that position change, by at most one spread
+# each. So what is lost is below T * K^2 * e^-68 of Z whatever the state scores
+# are. Checking the scale factors alone is not enough: a best path lost this way
+# still leaves them normal.
 _MAX_SPREAD = 320.0
 # Weights per step of the gradient's regularizer-and-observed fold: a 256 KB
 # temporary, which stays in cache, in place of a Θ-sized one.
@@ -303,8 +318,9 @@ def _check_spread(theta: np.ndarray, K: int):
     Begin and end enter forward-backward as state scores, which the argument
     above already covers; they stay in the check because the line search
     halves its step on ArithmeticError. Left out, they let far line-search
-    probes through to a full evaluation, which trained about 10% slower on
-    the train-wide bench workload (5 alternating pairs, 2 vCPU)."""
+    probes through to the objective's value half, and train_model on the
+    train-wide bench workload took about 1.2 times as long (median of seeds
+    0-2, 4 alternating process pairs, 2 vCPU)."""
     spread = max(np.ptp(theta[-K:]), *np.ptp(theta[-K - 2:-K], axis=1))
     if not spread <= _MAX_SPREAD:
         raise ArithmeticError(
@@ -320,19 +336,34 @@ def _forward_backward(s: np.ndarray, trans: np.ndarray, packing: _Packing):
 
     Every score array is shifted by its row maxima and exponentiated, so each
     step is one (B, K) @ (K, K) product: h = (a[prev] @ G) * E[cur], whose row
-    sums z scale a[cur] = h / z to sum 1. Returns the scaled forward and
-    backward vectors a, b (N, K), whose product is the unary posteriors; each
-    row's log scale c (N,), whose running sum over a sentence's rows is log
-    alpha - log a and whose sum over them is log Z; and the (K, K) expected
-    transition counts summed over the input. Raises ArithmeticError when a
-    scale factor is below the smallest normal float (non-finite scores); the
-    callers bound the transition spread with _check_spread.
+    sums z scale a[cur] = h / z to sum 1. A shifted state score below
+    _LOG_TINY gets an E of exactly 0, and the module docstring's bound covers
+    what is dropped. np.exp is many times slower on inputs below about
+    -707.7 (11.7 ms against 0.7 ms per 600,000 entries, 2 vCPU), so such a
+    score goes through it as 0 and its E is zeroed after. Every other E has
+    the bits np.exp gives it.
+
+    The forward half runs here. Returns the scaled forward vectors a (N, K);
+    each row's log scale c (N,), whose running sum over a sentence's rows is
+    log alpha - log a and whose sum over them is log Z; and backward, a
+    function of no arguments that runs the backward half on what the forward
+    half left, E among it, and returns the scaled backward vectors b (N, K),
+    whose product with a is the unary posteriors, and the (K, K) expected
+    transition counts summed over the input. Call it at most once: it
+    overwrites E. Raises ArithmeticError when a scale factor is below the
+    smallest normal float (non-finite scores); the callers bound the
+    transition spread with _check_spread.
     """
     steps, prev = packing.steps, packing.prev
     s_max = s[:, :1].copy()  # row maxima, one column at a time, which is faster
     for j in range(1, s.shape[1]):
         np.maximum(s_max, s[:, j:j + 1], out=s_max)
-    E = np.exp(np.subtract(s, s_max, out=s), out=s)
+    np.subtract(s, s_max, out=s)
+    dropped = s < _LOG_TINY
+    s[dropped] = 0.0  # np.exp is as slow at _LOG_TINY itself as below it
+    E = np.exp(s, out=s)
+    E[dropped] = 0.0
+    del dropped
     G = np.exp(trans - trans.max())
     a = np.empty_like(E)
     z = np.empty(len(E))
@@ -345,14 +376,17 @@ def _forward_backward(s: np.ndarray, trans: np.ndarray, packing: _Packing):
     c = np.log(z) + s_max[:, 0]
     c[steps[0].stop:] += trans.max()
 
-    r = np.divide(E, z[:, None], out=E)  # E / z: b[prev] = (r[cur] * b[cur]) @ G.T
-    b = np.ones_like(r)
-    transitions = np.zeros_like(G)
-    for cur in reversed(steps[1:]):
-        w = r[cur] * b[cur]
-        b[prev[cur]] = w @ G.T
-        transitions += a[prev[cur]].T @ w
-    return a, b, c, G * transitions
+    def backward():
+        r = np.divide(E, z[:, None], out=E)  # E / z: b[prev] = (r[cur] * b[cur]) @ G.T
+        b = np.ones_like(r)
+        transitions = np.zeros_like(G)
+        for cur in reversed(steps[1:]):
+            w = r[cur] * b[cur]
+            b[prev[cur]] = w @ G.T
+            transitions += a[prev[cur]].T @ w
+        return b, G * transitions
+
+    return a, c, backward
 
 
 def _viterbi(delta: np.ndarray, trans: np.ndarray, packing: _Packing):
@@ -450,45 +484,57 @@ def _prepare(
 
 
 def _nll_prepared(w: np.ndarray, K: int, X: sparse.csr_matrix, packing: _Packing,
-                  observed: _Observed, c2: float) -> tuple[float, np.ndarray]:
+                  observed: _Observed, c2: float) -> tuple[float, Callable[[], np.ndarray]]:
     """sum(log Z) - dot(count, w[index]) + c2 * ||w||^2 over the flat weights
-    w = Θ.ravel(), and its flat gradient: expected counts minus observed counts
-    plus 2 * c2 * w.
+    w = Θ.ravel(), and a function of no arguments that returns its flat
+    gradient: expected counts minus observed counts plus 2 * c2 * w.
 
-    The gradient is a new array each call, which the caller may overwrite. It
-    is X.T @ U grown by the transition rows, with 2 * c2 * w - observed added
+    The value costs the spread check, X @ Θ[:-K] and the forward half of
+    _forward_backward. The gradient function runs the backward half, X.T @ U
+    and the fold on what the forward half left, and reads w as it is when
+    called, so w must not change in between; call it at most once. Until it
+    is called or dropped it holds the forward vectors and E, two (N, K)
+    arrays.
+
+    The gradient is a new array, which the caller may overwrite. It is
+    X.T @ U grown by the transition rows, with 2 * c2 * w - observed added
     chunk by chunk, each chunk's counts subtracted at their indices, so every
     entry has the bits of (2 * c2 * w - observed) + expected counts with that
     difference built first over a dense observed (x - 0.0 is x, -0.0
     included), and no second Θ-sized array is made."""
     theta = w.reshape(-1, K)
     _check_spread(theta, K)
-    a, b, c, transitions = _forward_backward(X @ theta[:-K], theta[-K:], packing)
-    U = np.multiply(a, b, out=a)
-    del a, b  # b is freed before X.T @ U allocates G
-    # scipy returns X.T @ U as a reshaped view for K = 1, which cannot grow
-    G = np.require(X.T @ U, requirements="O")
-    del U  # freed before G grows, which can move it
-    G.resize(theta.shape, refcheck=False)  # G is new: nothing else holds it
-    G[-K:] = transitions
-    G = G.ravel()
-    # G += 2 c2 w - observed, one chunk at a time
+    a, c, backward = _forward_backward(X @ theta[:-K], theta[-K:], packing)
     index, count = observed
-    buffer = np.empty(_FOLD_CHUNK)
-    starts = range(0, len(w), _FOLD_CHUNK)
-    bounds = np.searchsorted(index, [*starts, len(w)])
-    for start, lo, hi in zip(starts, bounds, bounds[1:]):
-        part = slice(start, start + _FOLD_CHUNK)
-        term = np.multiply(w[part], 2.0 * c2, out=buffer[:len(w) - start])
-        term[index[lo:hi] - start] -= count[lo:hi]
-        G[part] += term
-
     value = float(c.sum()) - dot(count, w[index])
     if c2:  # w @ w overflows on large finite weights; without L2 it must not enter
         value += c2 * dot(w, w)
     if not np.isfinite(value):
         raise ArithmeticError(f"non-finite objective value: {value}")
-    return value, G
+
+    def gradient() -> np.ndarray:
+        nonlocal a, backward
+        b, transitions = backward()
+        U = np.multiply(a, b, out=a)
+        a = b = backward = None  # b and E are freed before X.T @ U allocates G
+        # scipy returns X.T @ U as a reshaped view for K = 1, which cannot grow
+        G = np.require(X.T @ U, requirements="O")
+        del U  # freed before G grows, which can move it
+        G.resize(theta.shape, refcheck=False)  # G is new: nothing else holds it
+        G[-K:] = transitions
+        G = G.ravel()
+        # G += 2 c2 w - observed, one chunk at a time
+        buffer = np.empty(_FOLD_CHUNK)
+        starts = range(0, len(w), _FOLD_CHUNK)
+        bounds = np.searchsorted(index, [*starts, len(w)])
+        for start, lo, hi in zip(starts, bounds, bounds[1:]):
+            part = slice(start, start + _FOLD_CHUNK)
+            term = np.multiply(w[part], 2.0 * c2, out=buffer[:len(w) - start])
+            term[index[lo:hi] - start] -= count[lo:hi]
+            G[part] += term
+        return G
+
+    return value, gradient
 
 
 def build_attribute_index(corpus: TaggedCorpus) -> dict[str, int]:

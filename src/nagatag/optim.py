@@ -28,6 +28,14 @@ zero off the active set of its own iteration and is kept sparse there; only
 the dense y_i need full-length passes, k + 1 dot products when a pair is
 accepted. A pair is built only when another iteration will read it.
 
+Value first, gradient on demand. The backtracking line search compares
+values only: the Armijo test reads the trial's value and the current
+pseudo-gradient, never the trial's gradient. So the objective returns its
+value and a function of no arguments for its gradient, and minimize calls
+that function once at x0 and once per iteration, at the trial it accepts. A
+trial that fails the Armijo test, or raises ArithmeticError, costs its value
+alone; minimize's docstring gives the protocol.
+
 OptimConfig sets only the regularizer weights, the iteration cap and the
 gradient tolerance. The curvature memory and the line search use the
 textbook constants below (Liu & Nocedal 1989; Nocedal & Wright, section
@@ -44,7 +52,9 @@ from nagatag._lazy import lazy
 
 np = lazy("numpy")
 
-Objective = Callable[["np.ndarray"], "tuple[float, np.ndarray]"]
+# x -> (value, gradient): gradient is a function of no arguments that returns
+# the gradient at x; minimize's docstring gives the protocol
+Objective = Callable[["np.ndarray"], "tuple[float, Callable[[], np.ndarray]]"]
 
 
 class OptimError(RuntimeError):
@@ -52,7 +62,8 @@ class OptimError(RuntimeError):
 
 
 class NonFiniteObjective(OptimError):
-    """The objective or its gradient went non-finite during a line search."""
+    """The objective's value at x0 or a line-search trial, or its gradient at
+    x0 or an accepted step, went non-finite."""
 
 
 class LineSearchFailure(OptimError):
@@ -248,6 +259,15 @@ class _Pairs:
         return d
 
 
+def _checked_gradient(gradient: Callable[[], np.ndarray], where: str) -> np.ndarray:
+    """The gradient that gradient() returns, as float64; NonFiniteObjective
+    where an entry is not finite."""
+    g = np.asarray(gradient(), dtype=np.float64)
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteObjective(f"gradient not finite {where}")
+    return g
+
+
 def minimize(
     objective: Objective,
     x0: np.ndarray,
@@ -256,30 +276,40 @@ def minimize(
 ) -> tuple[np.ndarray, IterationTrace]:
     """Minimize objective(x) + c1*||x||_1. Returns (x*, trace).
 
-    The objective callback must return (value, gradient) of the smooth
-    part only; it is expected to already contain any L2 term. It may raise
-    ArithmeticError at a point it cannot evaluate: at a line-search trial the
-    step is then halved, and at x0 the error propagates.
+    The objective callback returns the value of the smooth part only, which
+    is expected to already contain any L2 term, and a function of no
+    arguments that returns the smooth part's gradient at the same x. It may
+    raise ArithmeticError at a point it cannot evaluate: at a line-search
+    trial the step is then halved, and at x0 the error propagates.
 
-    The optimizer holds one x, a copy of x0, and writes each line-search
-    trial into it, so the objective must not keep the array it is handed. The
-    gradient it returns belongs to the optimizer, which overwrites it with the
-    next curvature pair's y = g_new - g: return a new array on every call.
-    x0 is left as it was.
+    The gradient function is called once at x0 and once per iteration, at the
+    trial the line search accepts, and nowhere else: a trial that fails the
+    Armijo test drops its function uncalled. The optimizer holds one x, a
+    copy of x0, and writes each line-search trial into it. The objective is
+    handed that x and may keep it for its gradient function: x is written
+    again only after the function has been called. The gradient it returns
+    belongs to the optimizer, which overwrites it with the next curvature
+    pair's y = g_new - g: return a new array on every call. x0 is left as it
+    was.
 
-    Between objective calls the optimizer holds x, at most one gradient and the
-    stored y's: a rejected trial's gradient is dropped before the next
-    trial's call. The line search's arrays are freed, and the next active set
-    and pseudo-gradient found, before y is built, and y is built and stored
-    only when another iteration will read it, so the last iteration drops g
-    before its direction is found.
+    Between objective calls the optimizer holds x, at most one gradient, at
+    most one gradient function and the stored pairs: a rejected trial's
+    function is dropped before the next trial's call, and an accepted one
+    once it has been called. Between the accepted trial's value and its
+    gradient, what stays alive is x, the previous gradient g, the
+    pseudo-gradient, the step s, the stored pairs and whatever the function
+    keeps (for the CRF objective, two (N, K) arrays of its forward half); the
+    line search's other arrays are freed first. y is built and stored only
+    when another iteration will read it, so the last iteration drops g before
+    its direction is found.
     """
     c1 = config.c1
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = objective(x)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+    f, gradient = objective(x)
+    if not np.isfinite(f):
         raise NonFiniteObjective("objective not finite at the initial point")
-    g = np.asarray(g, dtype=np.float64)
+    g = _checked_gradient(gradient, "at the initial point")
+    del gradient
     F = f + c1 * np.sum(np.abs(x)) if c1 else f
     initial_objective = float(F)
 
@@ -320,14 +350,14 @@ def minimize(
             x[active] = x_new_on
             evaluations += 1
             try:
-                f_new, g_new = objective(x)
+                f_new, gradient = objective(x)
             except ArithmeticError:
                 # the objective cannot be evaluated this far out (the CRF's
                 # forward-backward refuses weights that span too many nats):
                 # reject the step like one that fails the Armijo test
                 step *= BACKTRACK_FACTOR
                 continue
-            if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
+            if not np.isfinite(f_new):
                 raise NonFiniteObjective(
                     f"objective not finite at iteration {iteration}, step {step}"
                 )
@@ -336,7 +366,7 @@ def minimize(
             if F_new <= F + ARMIJO_CONSTANT * dot(pg, s):
                 accepted = True
                 break
-            del g_new  # a rejected trial's gradient is freed before the next trial's call
+            gradient = None  # a rejected trial's function is dropped uncalled, before the next call
             step *= BACKTRACK_FACTOR
         if not accepted:
             raise LineSearchFailure(
@@ -344,10 +374,12 @@ def minimize(
                 f"(objective {F}, gradient max-norm {gmax})"
             )
 
-        g_new = np.asarray(g_new, dtype=np.float64)
         F = float(F_new)
         nonzero_count = int(np.count_nonzero(x_new_on))
-        x_on = d = xi = x_new_on = None  # freed before the next active set is built
+        x_on = d = xi = x_new_on = None  # freed before the gradient and the next active set
+        # x still holds the accepted step, which the gradient function may read
+        g_new = _checked_gradient(gradient, f"at iteration {iteration}, step {step}")
+        gradient = None
         active_new = _active_set(x, g_new, c1)
         pg = pseudo_gradient(x[active_new], g_new[active_new], c1)
         gmax = float(np.max(np.abs(pg))) if pg.size else 0.0

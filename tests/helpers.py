@@ -137,7 +137,8 @@ def build_lattice(model: ModelParameters, attrs: Attrs) -> Lattice:
     theta, K = model.weights, model.n_tags
     _check_spread(theta, K)
     X, packing = _encode(model.vocabulary, *_columns([attrs]))
-    a, b, c, _ = _forward_backward(X @ theta[:-K], theta[-K:], packing)
+    a, c, backward = _forward_backward(X @ theta[:-K], theta[-K:], packing)
+    b, _ = backward()
     C = np.cumsum(c)
     log_Z = float(C[-1])
     with np.errstate(divide="ignore"):  # an underflowed a or b is log 0 = -inf
@@ -191,8 +192,8 @@ def nll_and_gradient(
     K = model.n_tags
     prepared = _prepare(model.vocabulary, K, *_columns(attrs for attrs, _ in batch),
                         [tags for _, tags in batch])
-    value, grad = _nll_prepared(model.weights.ravel(), K, *prepared, c2)
-    return value, grad.reshape(model.weights.shape)
+    value, gradient = _nll_prepared(model.weights.ravel(), K, *prepared, c2)
+    return value, gradient().reshape(model.weights.shape)
 
 
 def recover_tag(word: str, suffix_rule: dict[str, str]) -> str:

@@ -47,6 +47,11 @@ def _verdict(capsys, name: str, problems: list[str]):
 
 # ---------------------------------------------------------------- oracles
 
+# The widest transition, begin or end spread, in nats, that forward-backward
+# accepts; past it the engine raises ArithmeticError (ROADMAP aim 3).
+_MAX_SPREAD = 320.0
+
+
 def _random_instance(rng: np.random.Generator, max_T=6, max_K=5):
     """Random model plus per-position attribute activations."""
     K = int(rng.integers(2, max_K + 1))
@@ -163,6 +168,7 @@ def test_criterion_1_lattice_oracle_equivalence(capsys):
     problems = []
     rng = np.random.default_rng(20260817)
     path_rng = np.random.default_rng(20260818)  # its own stream: the instances stay as they were
+    wide_rng = np.random.default_rng(20260819)  # likewise
     started = time.perf_counter()
     for trial in range(200):
         model, attrs = _random_instance(rng)
@@ -207,14 +213,29 @@ def test_criterion_1_lattice_oracle_equivalence(capsys):
         if best - runner_up > 1e-9 and path != list(paths[int(np.argmax(scores))]):
             problems.append(f"trial {trial}: viterbi path mismatch")
             break
+        # the same model with its begin or end row spanning more than the
+        # documented bound, transitions still in range: both entry points refuse it
+        wide = dataclasses.replace(model, weights=model.weights.copy())
+        block = ("begin_weights", "end_weights")[trial % 2]
+        getattr(wide, block)[int(wide_rng.integers(K))] -= _MAX_SPREAD + wide_rng.uniform(8, 1000)
+        for name, entry in (("lattice", lambda: build_lattice(wide, attrs)),
+                            ("NLL", lambda: nll_and_gradient(wide, [(attrs, paths[gold].tolist())], 0.0))):
+            try:
+                entry()
+            except ArithmeticError:
+                continue
+            problems.append(f"trial {trial}: {name} of a model whose {block} span "
+                            f"{np.ptp(getattr(wide, block)):.1f} nats did not raise")
+        if problems:
+            break
     elapsed = time.perf_counter() - started
     if elapsed >= 30:
         problems.append(f"runtime {elapsed:.1f}s >= 30s")
     _verdict(
         capsys,
         f"1. lattice matches exhaustive enumeration on 200 random models "
-        f"(log_Z 1e-6, marginals 1e-8, gold-path NLL 1e-8, viterbi path+score) "
-        f"in {elapsed:.1f}s",
+        f"(log_Z 1e-6, marginals 1e-8, gold-path NLL 1e-8, viterbi path+score; "
+        f"begin or end spans past {_MAX_SPREAD:g} nats raise) in {elapsed:.1f}s",
         problems,
     )
 
@@ -314,7 +335,8 @@ def test_criterion_4_optimizer_reference_problems(capsys):
     a = np.array([3.0, -1.0, 2.0, 0.5])
 
     def quadratic(x):
-        return float(np.sum((x - a) ** 2)), 2.0 * (x - a)
+        grad = 2.0 * (x - a)
+        return float(np.sum((x - a) ** 2)), lambda: grad
 
     x, trace = minimize(quadratic, np.zeros(4), OptimConfig(c1=0.0, c2=0.0, gradient_tolerance=1e-9))
     traces.append(trace)
@@ -329,7 +351,7 @@ def test_criterion_4_optimizer_reference_problems(capsys):
                 200.0 * (x[1] - x[0] ** 2),
             ]
         )
-        return float(value), grad
+        return float(value), lambda: grad
 
     x, trace = minimize(
         rosenbrock,
@@ -343,7 +365,8 @@ def test_criterion_4_optimizer_reference_problems(capsys):
     c1 = 1.0
 
     def one_dim(x):
-        return float(0.5 * (x[0] - 3.0) ** 2), np.array([x[0] - 3.0])
+        grad = np.array([x[0] - 3.0])
+        return float(0.5 * (x[0] - 3.0) ** 2), lambda: grad
 
     x, trace = minimize(one_dim, np.zeros(1), OptimConfig(c1=c1, c2=0.0, gradient_tolerance=1e-10))
     traces.append(trace)

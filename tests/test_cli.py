@@ -781,6 +781,13 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def test_trained_model_bytes(golden):
+    # the golden model file itself: any change to training's arithmetic shows here
+    _, model = golden
+    assert (hashlib.sha256(Path(model).read_bytes()).hexdigest()
+            == "35c5e9750bd989278e3fca8dc39b4439165df840ab2a8676d7da6fd2ac06ee64")
+
+
 @pytest.mark.parametrize("fmt, stdout", [
     ("text", GOLDEN_EVAL_TEXT),
     ("json", "181567cdcd0b367711963f4d72cb91a7a38b3b636a2e88bbf5097e029070950c"),

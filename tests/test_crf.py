@@ -116,6 +116,23 @@ def oracle_path_scores(model, attrs):
     return scores
 
 
+def oracle_marginals(model, attrs):
+    """log Z and the (T, K) unary and (T-1, K, K) pairwise posteriors, summed
+    over the exhaustive path scores."""
+    t_len, k = len(attrs), model.n_tags
+    scores = oracle_path_scores(model, attrs)
+    log_z = float(logsumexp(list(scores.values())))
+    unary = np.zeros((t_len, k))
+    pairwise = np.zeros((max(t_len - 1, 0), k, k))
+    for path, sc in scores.items():
+        p = math.exp(sc - log_z)
+        for t, y in enumerate(path):
+            unary[t, y] += p
+        for t in range(1, t_len):
+            pairwise[t - 1, path[t - 1], path[t]] += p
+    return log_z, unary, pairwise
+
+
 def test_log_z_uniform_models():
     model = zero_model(small_tagset(3), {})
     lattice = build_lattice(model, [set()])
@@ -216,17 +233,7 @@ def test_marginals_normalize_and_match_enumeration():
         if t_len > 1:
             assert np.allclose(pairwise.sum(axis=(1, 2)), 1.0, atol=1e-9)
 
-        scores = oracle_path_scores(model, attrs)
-        log_z = logsumexp(list(scores.values()))
-        k = model.n_tags
-        oracle_unary = np.zeros((t_len, k))
-        oracle_pair = np.zeros((max(t_len - 1, 0), k, k))
-        for path, sc in scores.items():
-            p = math.exp(sc - log_z)
-            for t, y in enumerate(path):
-                oracle_unary[t, y] += p
-            for t in range(1, t_len):
-                oracle_pair[t - 1, path[t - 1], path[t]] += p
+        _, oracle_unary, oracle_pair = oracle_marginals(model, attrs)
         assert np.allclose(unary, oracle_unary, atol=1e-8)
         assert np.allclose(pairwise, oracle_pair, atol=1e-8)
 
@@ -346,6 +353,33 @@ def test_best_path_through_an_underflowing_score_is_not_lost():
     except ArithmeticError:
         return
     assert log_z == pytest.approx(oracle, rel=1e-12)
+
+
+def test_a_state_score_past_the_exp_floor_is_dropped_and_log_z_keeps_its_bits(monkeypatch):
+    # Position 1's scores span 800 nats, and tag B sits 720 nats below the
+    # best there, where np.exp gives a subnormal. Forward-backward drops it
+    # to exactly 0 (log alpha is -inf there), not to that subnormal; log Z
+    # and the marginals still match the enumeration, and log Z has the bits
+    # it has with np.exp applied to every shifted score unclamped.
+    model = model_of(
+        TagSet(("A", "B", "C")), {"p0": 0, "p1": 1, "p2": 2},
+        np.array([[1.5, -0.3, 0.2], [2.0, 2.0 - 720.0, 2.0 - 800.0], [0.1, -0.5, 0.3]]),
+        np.array([[0.2, -0.1, 0.4], [0.3, 0.0, -0.6], [-0.2, 0.5, 0.1]]),
+        np.array([0.1, -0.2, 0.0]), np.array([-0.3, 0.2, 0.1]),
+    )
+    attrs = [{"p0"}, {"p1"}, {"p2"}]
+    lattice = build_lattice(model, attrs)
+    assert lattice.log_alpha[1, 1] == lattice.log_alpha[1, 2] == -math.inf
+    log_z, oracle_unary, oracle_pair = oracle_marginals(model, attrs)
+    assert lattice.log_Z == pytest.approx(log_z, rel=0, abs=1e-9)
+    unary, pairwise = posterior_marginals(lattice, model)
+    assert np.allclose(unary, oracle_unary, rtol=0, atol=1e-9)
+    assert np.allclose(pairwise, oracle_pair, rtol=0, atol=1e-9)
+
+    monkeypatch.setattr(crf, "_LOG_TINY", -math.inf)  # no score is below the floor
+    unclamped = build_lattice(model, attrs)
+    assert -750.0 < unclamped.log_alpha[1, 1] < -700.0  # E was the subnormal e^-720
+    assert unclamped.log_Z.hex() == lattice.log_Z.hex()
 
 
 @pytest.mark.parametrize("block", ["transition_weights", "begin_weights", "end_weights"])
@@ -522,13 +556,15 @@ def test_gradient_has_the_bits_of_the_whole_sum_built_first(c2):
     w[u > 0.9] = -0.0
     assert w.size > 2 * _FOLD_CHUNK  # the fold runs in several chunks
     theta = w.reshape(-1, K)
-    a, b, _, transitions = _forward_backward(X @ theta[:-K], theta[-K:], packing)
+    a, _, backward = _forward_backward(X @ theta[:-K], theta[-K:], packing)
+    b, transitions = backward()
     expected = np.multiply(w, 2.0 * c2).reshape(-1, K)
     expected -= _dense(observed, n).reshape(-1, K)
     expected[-K:] += transitions
     expected[:-K] += X.T @ np.multiply(a, b, out=a)
 
-    _, G = _nll_prepared(w, K, X, packing, observed, c2)
+    _, gradient = _nll_prepared(w, K, X, packing, observed, c2)
+    G = gradient()
     assert G.shape == w.shape
     assert G.tobytes() == expected.tobytes()
 
@@ -539,7 +575,7 @@ def test_objective_call_holds_at_most_two_weight_sized_arrays():
     K, (X, packing, observed) = _training_inputs(300)
     w = np.zeros(_weight_count(X, K))
     w[np.random.default_rng(0).random(w.size) < 0.05] = 0.01
-    peak = traced_peak(_nll_prepared, w, K, X, packing, observed, 0.1)
+    peak = traced_peak(lambda: _nll_prepared(w, K, X, packing, observed, 0.1)[1]())
     assert peak <= 2.0 * w.nbytes
 
 

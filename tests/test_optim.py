@@ -1,5 +1,4 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +25,8 @@ from tests.helpers import traced_peak
 def quadratic(a):
     def f(x):
         diff = x - a
-        return float(np.dot(diff, diff)), 2.0 * diff
+        g = 2.0 * diff
+        return float(np.dot(diff, diff)), lambda: g
     return f
 
 
@@ -38,7 +38,7 @@ def rosenbrock(x):
             200.0 * (x[1] - x[0] ** 2),
         ]
     )
-    return float(v), g
+    return float(v), lambda: g
 
 
 @pytest.mark.parametrize("n", [1, 7, 1_001, 20_000])
@@ -74,14 +74,16 @@ def test_rosenbrock_converges():
 
 def test_l1_soft_threshold():
     def f(x):
-        return float(0.5 * (x[0] - 3.0) ** 2), np.array([x[0] - 3.0])
+        g = np.array([x[0] - 3.0])
+        return float(0.5 * (x[0] - 3.0) ** 2), lambda: g
 
     config = OptimConfig(c1=1.0, c2=0.0, gradient_tolerance=1e-10)
     x, _ = minimize(f, np.zeros(1), config)
     assert abs(x[0] - 2.0) <= 1e-8
 
     def f_neg(x):
-        return float(0.5 * (x[0] + 3.0) ** 2), np.array([x[0] + 3.0])
+        g = np.array([x[0] + 3.0])
+        return float(0.5 * (x[0] + 3.0) ** 2), lambda: g
 
     x, _ = minimize(f_neg, np.zeros(1), config)
     assert abs(x[0] + 2.0) <= 1e-8
@@ -89,7 +91,8 @@ def test_l1_soft_threshold():
 
 def test_l1_dominant_penalty_pins_at_zero():
     def f(x):
-        return float(0.5 * (x[0] - 3.0) ** 2), np.array([x[0] - 3.0])
+        g = np.array([x[0] - 3.0])
+        return float(0.5 * (x[0] - 3.0) ** 2), lambda: g
 
     # |f'(0)| = 3 < c1, so zero is optimal and the pseudo-gradient vanishes
     config = OptimConfig(c1=4.0, c2=0.0, gradient_tolerance=1e-10)
@@ -106,7 +109,8 @@ def test_l1_produces_exact_zeros():
 
     def least_squares(x):
         r = A @ x - b
-        return float(0.5 * np.dot(r, r)), A.T @ r
+        g = A.T @ r
+        return float(0.5 * np.dot(r, r)), lambda: g
 
     config = OptimConfig(c1=3.0, c2=0.0, max_iterations=300, gradient_tolerance=1e-8)
     x, _ = minimize(least_squares, np.zeros(12), config)
@@ -169,14 +173,15 @@ def test_max_iterations_cap():
 def test_non_finite_objective_raises():
     def f(x):
         if abs(x[0]) > 2.0:
-            return float("inf"), np.array([0.0])
-        return float((x[0] - 5.0) ** 2), np.array([2.0 * (x[0] - 5.0)])
+            return float("inf"), lambda: np.array([0.0])
+        g = np.array([2.0 * (x[0] - 5.0)])
+        return float((x[0] - 5.0) ** 2), lambda: g
 
     with pytest.raises(NonFiniteObjective):
         minimize(f, np.zeros(1), OptimConfig(c1=0.0, gradient_tolerance=1e-9))
 
     def bad_start(x):
-        return float("nan"), np.array([0.0])
+        return float("nan"), lambda: np.array([0.0])
 
     with pytest.raises(NonFiniteObjective):
         minimize(bad_start, np.zeros(1), OptimConfig())
@@ -186,7 +191,8 @@ def test_line_search_backtracks_from_points_the_objective_cannot_evaluate():
     def f(x):
         if abs(x[0]) > 2.0:
             raise ArithmeticError("cannot evaluate this far out")
-        return float((x[0] - 1.5) ** 2), np.array([2.0 * (x[0] - 1.5)])
+        g = np.array([2.0 * (x[0] - 1.5)])
+        return float((x[0] - 1.5) ** 2), lambda: g
 
     # the full first step lands on 3.0, where f raises; half of it is the minimum
     x, trace = minimize(f, np.zeros(1), OptimConfig(c1=0.0, gradient_tolerance=1e-9))
@@ -221,27 +227,50 @@ def test_minimize_leaves_x0_alone_and_returns_the_last_accepted_point(c1):
 
 
 @pytest.mark.parametrize("c1", [0.0, 0.5])
-def test_a_rejected_trials_gradient_is_freed_before_the_next_call(c1):
-    # a steep quadratic: the first unit steps overshoot, so trials are rejected
+def test_the_gradient_is_asked_for_only_at_x0_and_each_accepted_step(c1):
+    # a steep quadratic that cannot be evaluated past |x_i| = 5: the first
+    # iteration's unit step and the next few halvings raise ArithmeticError,
+    # and a later trial fails the Armijo test
     a = np.linspace(-1.0, 1.0, 50)
-    refs, alive_at_call = [], []
+    calls, asked = [], []  # the x of every objective call; the calls whose gradient was asked for
 
     def objective(x):
-        alive_at_call.append([ref() is not None for ref in refs])
+        calls.append(x.copy())
+        if np.abs(x).max() > 5.0:
+            raise ArithmeticError("cannot evaluate this far out")
+        call = len(calls) - 1
         diff = x - a
-        g = 200.0 * diff
-        refs.append(weakref.ref(g))
-        return 100.0 * float(diff @ diff), g
+
+        def gradient():
+            # x is the optimizer's own array: it must still hold this call's point
+            assert x.tobytes() == calls[call].tobytes()
+            asked.append(call)
+            return 200.0 * diff
+
+        return 100.0 * float(diff @ diff), gradient
 
     _, trace = minimize(objective, np.zeros_like(a), OptimConfig(c1=c1, c2=0.0))
+    assert trace.converged
     # call 0 is at x0; each iteration's calls follow, the last one accepted
-    rejected, call = [], 0
-    for record in trace.records:
-        rejected += range(call + 1, call + record.evaluations)
-        call += record.evaluations
-    assert trace.converged and rejected
-    for i in rejected:
-        assert not alive_at_call[i + 1][i], f"call {i}'s gradient alive at call {i + 1}"
+    accepted = np.cumsum([0] + [r.evaluations for r in trace.records]).tolist()
+    assert asked == accepted
+    assert len(asked) == 1 + trace.iterations
+    raised = sum(np.abs(x).max() > 5.0 for x in calls)
+    assert raised and len(calls) > 1 + trace.iterations + raised  # trials raised and were rejected
+
+
+def test_a_non_finite_gradient_raises_at_x0_and_at_the_accepted_step():
+    # the values are finite everywhere; only the gradient goes non-finite
+    def f(x):
+        g = np.array([2.0 * (x[0] - 1.5)])
+        if x[0] > 1.0:
+            g[0] = math.nan
+        return float((x[0] - 1.5) ** 2), lambda: g
+
+    with pytest.raises(NonFiniteObjective, match="gradient not finite at iteration 1"):
+        minimize(f, np.zeros(1), OptimConfig(c1=0.0, gradient_tolerance=1e-9))
+    with pytest.raises(NonFiniteObjective, match="gradient not finite at the initial point"):
+        minimize(f, np.array([2.0]), OptimConfig(c1=0.0, gradient_tolerance=1e-9))
 
 
 @pytest.mark.parametrize("c1, bound", [(0.0, 9.0), (0.1, 13.0)])
@@ -258,7 +287,7 @@ def test_the_line_search_arrays_are_freed_before_the_next_active_set(c1, bound):
     def objective(x):
         diff = x - a
         g = scale * diff
-        return 0.5 * dot(g, diff), g
+        return 0.5 * dot(g, diff), lambda: g
 
     config = OptimConfig(c1=c1, c2=0.0, max_iterations=1)
     peak = traced_peak(minimize, objective, np.zeros(n), config)
@@ -315,7 +344,7 @@ def test_pseudo_gradient_holds_two_arrays_of_its_length_at_most():
 def test_line_search_failure_raises():
     # flat value with a lying nonzero gradient can never satisfy Armijo
     def f(x):
-        return 0.0, np.array([1.0])
+        return 0.0, lambda: np.array([1.0])
 
     with pytest.raises(LineSearchFailure):
         minimize(f, np.zeros(1), OptimConfig(c1=0.0, gradient_tolerance=1e-9))
